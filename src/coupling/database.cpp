@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <numeric>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "support/num_format.hpp"
 
@@ -25,41 +28,117 @@ void CouplingDatabase::record(const std::string& application,
   }
 }
 
-void CouplingDatabase::record(CouplingRecord rec) {
-  if (!std::isfinite(rec.chain_time) || rec.chain_time <= 0.0 ||
-      !std::isfinite(rec.isolated_sum) || rec.isolated_sum <= 0.0) {
+namespace {
+
+void check_values(const CouplingRecord& r, const char* who) {
+  if (!std::isfinite(r.chain_time) || r.chain_time <= 0.0 ||
+      !std::isfinite(r.isolated_sum) || r.isolated_sum <= 0.0) {
     throw std::invalid_argument(
-        "CouplingDatabase::record: chain_time and isolated_sum must be "
-        "finite and positive");
+        std::string(who) +
+        ": chain_time and isolated_sum must be finite and positive");
   }
-  // Replace an existing record for the same key.
-  for (CouplingRecord& r : records_) {
-    if (r.key == rec.key) {
-      r = std::move(rec);
-      return;
+}
+
+// The index's sort order, and its prefixes.  Each prefix of the order
+// selects one contiguous run of index entries.
+auto group_of(const CouplingKey& k) {
+  return std::tie(k.application, k.config, k.chain_length);
+}
+auto series_of(const CouplingKey& k) {
+  return std::tie(k.application, k.config, k.chain_length, k.chain_start);
+}
+auto order_of(const CouplingKey& k) {
+  return std::tie(k.application, k.config, k.chain_length, k.chain_start,
+                  k.ranks);
+}
+
+/// The index entries whose key matches `probe` under the prefix `part`.
+template <class Part>
+std::span<const std::size_t> run_of(const std::vector<CouplingRecord>& records,
+                                    const std::vector<std::size_t>& index,
+                                    const CouplingKey& probe, Part part) {
+  const auto first = std::lower_bound(
+      index.begin(), index.end(), probe,
+      [&](std::size_t pos, const CouplingKey& k) {
+        return part(records[pos].key) < part(k);
+      });
+  const auto last = std::upper_bound(
+      first, index.end(), probe, [&](const CouplingKey& k, std::size_t pos) {
+        return part(k) < part(records[pos].key);
+      });
+  return {first, last};
+}
+
+/// The log-nearest rank count to `ranks` among one series' records.
+/// Log-scale distance |log p - log t| orders candidates exactly like the
+/// ratio max(p,t)/min(p,t), which integer cross-multiplication compares
+/// without rounding — so equidistant candidates (e.g. P=2 and P=8 for a
+/// P=4 target) are recognised exactly and tie-break on the smaller rank
+/// count, never on record insertion order.  Of several records with one
+/// rank count the first in the series wins, which is the earliest one:
+/// the index orders equal keys by position.
+const CouplingRecord* nearest_in(const std::vector<CouplingRecord>& records,
+                                 std::span<const std::size_t> series,
+                                 int ranks) {
+  const auto closer = [ranks](int p, int q) {
+    const long long pn = std::max(p, ranks);
+    const long long pd = std::min(p, ranks);
+    const long long qn = std::max(q, ranks);
+    const long long qd = std::min(q, ranks);
+    return pn * qd < qn * pd;  // pn/pd < qn/qd
+  };
+  const CouplingRecord* best = nullptr;
+  for (const std::size_t pos : series) {
+    const CouplingRecord& r = records[pos];
+    if (best == nullptr || closer(r.key.ranks, best->key.ranks) ||
+        (!closer(best->key.ranks, r.key.ranks) &&
+         r.key.ranks < best->key.ranks)) {
+      best = &r;
     }
   }
+  return best;
+}
+
+}  // namespace
+
+void CouplingDatabase::record(CouplingRecord rec) {
+  check_values(rec, "CouplingDatabase::record");
+  const auto same = run_of(records_, index_, rec.key, order_of);
+  if (!same.empty()) {
+    records_[same.front()] = std::move(rec);  // the index entry stays put
+    return;
+  }
+  const auto at = same.data() - index_.data();
   records_.push_back(std::move(rec));
+  try {
+    index_.insert(index_.begin() + at, records_.size() - 1);
+  } catch (...) {
+    records_.pop_back();
+    throw;
+  }
 }
 
 void CouplingDatabase::adopt(std::vector<CouplingRecord> records) {
   for (const CouplingRecord& r : records) {
-    if (!std::isfinite(r.chain_time) || r.chain_time <= 0.0 ||
-        !std::isfinite(r.isolated_sum) || r.isolated_sum <= 0.0) {
-      throw std::invalid_argument(
-          "CouplingDatabase::adopt: chain_time and isolated_sum must be "
-          "finite and positive");
-    }
+    check_values(r, "CouplingDatabase::adopt");
   }
+  std::vector<std::size_t> index(records.size());
+  std::iota(index.begin(), index.end(), std::size_t{0});
+  // Stable: records with equal keys stay in position order.
+  std::stable_sort(index.begin(), index.end(),
+                   [&records](std::size_t a, std::size_t b) {
+                     return order_of(records[a].key) <
+                            order_of(records[b].key);
+                   });
   records_ = std::move(records);
+  index_ = std::move(index);
 }
 
 std::optional<CouplingRecord> CouplingDatabase::find(
     const CouplingKey& key) const {
-  for (const CouplingRecord& r : records_) {
-    if (r.key == key) return r;
-  }
-  return std::nullopt;
+  const auto same = run_of(records_, index_, key, order_of);
+  if (same.empty()) return std::nullopt;
+  return records_[same.front()];
 }
 
 std::optional<CouplingRecord> CouplingDatabase::find_nearest_ranks(
@@ -71,32 +150,8 @@ std::optional<CouplingRecord> CouplingDatabase::find_nearest_ranks(
 
 const CouplingRecord* CouplingDatabase::find_nearest_ranks_ref(
     const CouplingKey& key) const {
-  // Log-scale distance |log p - log t| orders candidates exactly like the
-  // ratio max(p,t)/min(p,t), which integer cross-multiplication compares
-  // without rounding — so equidistant candidates (e.g. P=2 and P=8 for a
-  // P=4 target) are recognised exactly and tie-break on the smaller rank
-  // count, never on record insertion order.
-  const auto closer = [&key](int p, int q) {
-    const long long pn = std::max(p, key.ranks);
-    const long long pd = std::min(p, key.ranks);
-    const long long qn = std::max(q, key.ranks);
-    const long long qd = std::min(q, key.ranks);
-    return pn * qd < qn * pd;  // pn/pd < qn/qd
-  };
-  const CouplingRecord* best = nullptr;
-  for (const CouplingRecord& r : records_) {
-    if (r.key.application != key.application || r.key.config != key.config ||
-        r.key.chain_length != key.chain_length ||
-        r.key.chain_start != key.chain_start) {
-      continue;
-    }
-    if (best == nullptr || closer(r.key.ranks, best->key.ranks) ||
-        (!closer(best->key.ranks, r.key.ranks) &&
-         r.key.ranks < best->key.ranks)) {
-      best = &r;
-    }
-  }
-  return best;
+  return nearest_in(records_, run_of(records_, index_, key, series_of),
+                    key.ranks);
 }
 
 std::optional<CouplingRecord> CouplingDatabase::find_other_config(
@@ -131,19 +186,32 @@ bool CouplingDatabase::reuse_chains_into(const std::string& application,
                                          const std::string& config, int ranks,
                                          std::size_t chain_length,
                                          std::size_t loop_size,
-                                         std::vector<ChainCoupling>* out) const {
+                                         std::vector<ChainCoupling>* out,
+                                         int* donor_ranks) const {
   // resize() + element-wise assignment keeps every chain's members and
   // label buffers alive between calls, so a warm scratch vector fills with
   // zero allocations.
   out->resize(loop_size);
-  CouplingKey probe{application, config, ranks, chain_length, 0};
+  // One search finds every chain start's series: the index holds them
+  // back to back, in chain_start order.
+  const std::span<const std::size_t> group = run_of(
+      records_, index_, CouplingKey{application, config, ranks, chain_length, 0},
+      group_of);
+  auto next = group.begin();
+  int first_donor_ranks = 0;
   for (std::size_t start = 0; start < loop_size; ++start) {
-    probe.chain_start = start;
-    const CouplingRecord* donor = find_nearest_ranks_ref(probe);
+    const auto series_end =
+        std::find_if(next, group.end(), [&](std::size_t pos) {
+          return records_[pos].key.chain_start != start;
+        });
+    const CouplingRecord* donor =
+        nearest_in(records_, {next, series_end}, ranks);
     if (donor == nullptr) {
       out->clear();
       return false;
     }
+    next = series_end;
+    if (start == 0) first_donor_ranks = donor->key.ranks;
     ChainCoupling& c = (*out)[start];
     c.start = start;
     c.length = chain_length;
@@ -157,6 +225,7 @@ bool CouplingDatabase::reuse_chains_into(const std::string& application,
     c.chain_time = donor->chain_time;
     c.isolated_sum = donor->isolated_sum;
   }
+  if (donor_ranks != nullptr) *donor_ranks = first_donor_ranks;
   return true;
 }
 

@@ -364,9 +364,10 @@ coupling::CouplingDatabase decode_records(
   cur.expect_exhausted();
   coupling::CouplingDatabase db;
   try {
-    // adopt() keeps record()'s value validation (finite, positive) but
-    // skips its quadratic replace scan: the packer wrote a deduplicated
-    // store, and every byte was already checksum-verified.
+    // adopt() keeps record()'s value validation (finite, positive) and
+    // builds the lookup index with one sort instead of a search per
+    // record: the packer wrote a deduplicated store, and every byte was
+    // already checksum-verified.
     db.adopt(std::move(records));
   } catch (const std::invalid_argument& e) {
     throw SnapshotFormatError("invalid record values", origin + ": " + e.what());

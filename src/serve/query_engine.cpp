@@ -131,26 +131,17 @@ Prediction QueryEngine::predict(const PredictorSnapshot& snapshot,
     p.coupling_s = coupling::alpha_prediction(*inputs, group->alpha);
     p.alpha_source = "exact";
   } else {
+    // The chain_start=0 donor's rank count feeds the server's
+    // rank-distance telemetry.
     if (!snapshot.database().reuse_chains_into(
             p.key.application, p.key.config, p.key.ranks, query.chain_length,
-            loop_size, &scratch.donor)) {
+            loop_size, &scratch.donor, &p.donor_ranks)) {
       p.error = "no coupling data for " + p.key.application + "/" +
                 p.key.config + " q=" + std::to_string(query.chain_length);
       return p;
     }
     p.coupling_s = coupling::coupling_prediction(*inputs, scratch.donor);
     p.alpha_source = "nearest";
-    // The chain_start=0 donor's rank count, for the server's rank-distance
-    // telemetry.  One extra lookup only on the nearest path, against the
-    // scratch's warm probe key so the steady state stays allocation-free.
-    scratch.donor_probe.application = p.key.application;
-    scratch.donor_probe.config = p.key.config;
-    scratch.donor_probe.ranks = p.key.ranks;
-    scratch.donor_probe.chain_length = query.chain_length;
-    scratch.donor_probe.chain_start = 0;
-    const coupling::CouplingRecord* donor =
-        snapshot.database().find_nearest_ranks_ref(scratch.donor_probe);
-    if (donor != nullptr) p.donor_ranks = donor->key.ranks;
   }
 
   if (std::isfinite(p.actual_s) && p.actual_s > 0.0) {

@@ -122,7 +122,6 @@ class QueryEngine {
     CellInputs cell;
     coupling::PredictionInputs model_inputs;
     std::vector<coupling::ChainCoupling> donor;
-    coupling::CouplingKey donor_probe;  ///< warm buffers for the donor lookup
   };
 
   bool cell_into(const CellKey& key, CellInputs* out, bool* was_hit);

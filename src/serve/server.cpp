@@ -47,6 +47,9 @@ constexpr std::size_t kMaxReadPerWakeup = 1 << 20;
 /// Backpressure: stop reading requests from a connection whose peer is not
 /// draining its responses.
 constexpr std::size_t kWriteHighWatermark = 4 << 20;
+/// Pause between accept() retries after a resource error, so an exhausted
+/// descriptor table is not hammered while connections drain.
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
 
 }  // namespace
 
@@ -62,6 +65,7 @@ Server::Server(SnapshotSource* source, QueryEngine* engine,
       c_rejected_overload_(registry_.counter("serve.rejected_overload")),
       c_malformed_frames_(registry_.counter("serve.malformed_frames")),
       c_oversized_frames_(registry_.counter("serve.oversized_frames")),
+      c_accept_errors_(registry_.counter("serve.accept_errors")),
       h_latency_(registry_.histogram("serve.request_seconds")),
       c_source_exact_(registry_.counter("serve.source.exact")),
       c_source_nearest_(registry_.counter("serve.source.nearest_donor")),
@@ -189,8 +193,18 @@ void Server::accept_loop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed (stop()) or fatal
+      const int err = errno;
+      if (!running_.load(std::memory_order_acquire)) return;  // stop()
+      if (err == EINTR) continue;
+      // The listener stays open until stop(), so the failure concerns the
+      // pending connection or the process: ECONNABORTED means the peer
+      // gave up while queued, and descriptor or memory exhaustion
+      // (EMFILE, ENFILE, ENOBUFS, ENOMEM) clears only as connections
+      // close.  Either way keep accepting; never leave the server up but
+      // deaf.
+      c_accept_errors_.add(1);
+      if (err != ECONNABORTED) std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
     }
     if (!running_.load(std::memory_order_acquire)) {
       ::close(fd);

@@ -247,6 +247,9 @@ class Server {
   obs::Counter& c_rejected_overload_;
   obs::Counter& c_malformed_frames_;
   obs::Counter& c_oversized_frames_;
+  /// accept() failures while running (descriptor exhaustion, aborted
+  /// handshakes); the accept loop retries after each one.
+  obs::Counter& c_accept_errors_;
   obs::Histogram& h_latency_;
   /// Cumulative fallback-source counters (the per-snapshot mix is in
   /// mix_); "none" counts failed predictions with no source at all.

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "coupling/database.hpp"
 
@@ -226,6 +230,292 @@ TEST(DatabaseTest, LoadCsvFileNamesPathAndLineOnMalformedContent) {
     EXPECT_NE(what.find("3"), std::string::npos) << what;  // offending line
   }
   fs::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: the indexed lookups against the linear scans they
+// replaced, kept here as the reference.
+
+namespace scan {
+
+const CouplingRecord* find(const CouplingDatabase& db, const CouplingKey& key) {
+  for (const CouplingRecord& r : db.records()) {
+    if (r.key == key) return &r;
+  }
+  return nullptr;
+}
+
+const CouplingRecord* find_nearest_ranks_ref(const CouplingDatabase& db,
+                                             const CouplingKey& key) {
+  const auto closer = [&key](int p, int q) {
+    const long long pn = std::max(p, key.ranks);
+    const long long pd = std::min(p, key.ranks);
+    const long long qn = std::max(q, key.ranks);
+    const long long qd = std::min(q, key.ranks);
+    return pn * qd < qn * pd;  // pn/pd < qn/qd
+  };
+  const CouplingRecord* best = nullptr;
+  for (const CouplingRecord& r : db.records()) {
+    if (r.key.application != key.application || r.key.config != key.config ||
+        r.key.chain_length != key.chain_length ||
+        r.key.chain_start != key.chain_start) {
+      continue;
+    }
+    if (best == nullptr || closer(r.key.ranks, best->key.ranks) ||
+        (!closer(best->key.ranks, r.key.ranks) &&
+         r.key.ranks < best->key.ranks)) {
+      best = &r;
+    }
+  }
+  return best;
+}
+
+bool reuse_chains(const CouplingDatabase& db, const CouplingKey& target,
+                  std::size_t loop_size, std::vector<ChainCoupling>* out) {
+  out->clear();
+  CouplingKey probe = target;
+  for (std::size_t start = 0; start < loop_size; ++start) {
+    probe.chain_start = start;
+    const CouplingRecord* donor = find_nearest_ranks_ref(db, probe);
+    if (donor == nullptr) {
+      out->clear();
+      return false;
+    }
+    ChainCoupling c;
+    c.start = start;
+    c.length = target.chain_length;
+    for (std::size_t i = 0; i < target.chain_length; ++i) {
+      c.members.push_back((start + i) % loop_size);
+    }
+    c.label = "reused(P=" + std::to_string(donor->key.ranks) + ")";
+    c.chain_time = donor->chain_time;
+    c.isolated_sum = donor->isolated_sum;
+    out->push_back(std::move(c));
+  }
+  return true;
+}
+
+}  // namespace scan
+
+void expect_same_record(const CouplingRecord& got, const CouplingRecord& want) {
+  EXPECT_TRUE(got.key == want.key)
+      << got.key.application << "/" << got.key.config << "/P="
+      << got.key.ranks << " vs " << want.key.application << "/"
+      << want.key.config << "/P=" << want.key.ranks;
+  EXPECT_EQ(got.chain_time, want.chain_time);
+  EXPECT_EQ(got.isolated_sum, want.isolated_sum);
+}
+
+/// Every lookup through the index answers exactly as the scan does: the
+/// same record (by address, for the pointer form) and the same chain set.
+void expect_lookups_match_scan(const CouplingDatabase& db,
+                               const CouplingKey& probe,
+                               std::size_t loop_size,
+                               std::vector<ChainCoupling>* warm) {
+  const CouplingRecord* want = scan::find(db, probe);
+  const auto got = db.find(probe);
+  ASSERT_EQ(got.has_value(), want != nullptr);
+  if (want != nullptr) expect_same_record(*got, *want);
+
+  const CouplingRecord* nearest = scan::find_nearest_ranks_ref(db, probe);
+  EXPECT_EQ(db.find_nearest_ranks_ref(probe), nearest);
+
+  std::vector<ChainCoupling> want_chains;
+  const bool want_ok = scan::reuse_chains(db, probe, loop_size, &want_chains);
+  int donor_ranks = -7;
+  const bool got_ok = db.reuse_chains_into(
+      probe.application, probe.config, probe.ranks, probe.chain_length,
+      loop_size, warm, &donor_ranks);
+  ASSERT_EQ(got_ok, want_ok);
+  ASSERT_EQ(warm->size(), want_chains.size());
+  for (std::size_t i = 0; i < want_chains.size(); ++i) {
+    const ChainCoupling& g = (*warm)[i];
+    const ChainCoupling& w = want_chains[i];
+    EXPECT_EQ(g.start, w.start);
+    EXPECT_EQ(g.length, w.length);
+    EXPECT_EQ(g.members, w.members);
+    EXPECT_EQ(g.label, w.label);
+    EXPECT_EQ(g.chain_time, w.chain_time);
+    EXPECT_EQ(g.isolated_sum, w.isolated_sum);
+  }
+  if (want_ok) {
+    CouplingKey first = probe;
+    first.chain_start = 0;
+    EXPECT_EQ(donor_ranks, scan::find_nearest_ranks_ref(db, first)->key.ranks);
+  } else {
+    EXPECT_EQ(donor_ranks, -7);  // untouched on failure
+  }
+}
+
+/// Keys drawn from a small space so that replacements, shared-prefix
+/// names ("B" / "BT" / "BTX") and log-equidistant rank pairs (2 and 8
+/// around 4; 4 and 9, 3 and 12 around 6; 8 and 18, 9 and 16 around 12)
+/// all occur often.
+class KeySpace {
+ public:
+  explicit KeySpace(std::uint32_t seed) : rng_(seed) {}
+
+  CouplingKey stored() {
+    static const char* const kApps[] = {"B", "BT", "BTX", "SP"};
+    static const char* const kConfigs[] = {"A", "AA", "W"};
+    static const int kRanks[] = {1, 2, 3, 4, 8, 9, 12, 16, 18, 36};
+    return CouplingKey{pick(kApps), pick(kConfigs), pick(kRanks),
+                       1 + below(3), below(4)};
+  }
+
+  /// A lookup key: stored names plus absent ones, any rank count (even
+  /// below 1) and chain starts past every stored one.
+  CouplingKey probe() {
+    static const char* const kApps[] = {"B", "BT", "BTX", "SP", "BTY", ""};
+    static const char* const kConfigs[] = {"A", "AA", "W", "AB"};
+    return CouplingKey{pick(kApps), pick(kConfigs),
+                       static_cast<int>(below(42)) - 1, 1 + below(4),
+                       below(5)};
+  }
+
+  double time() { return 1e-3 * static_cast<double>(1 + below(100000)); }
+  std::size_t below(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
+  }
+
+ private:
+  template <class T, std::size_t N>
+  T pick(const T (&from)[N]) {
+    return from[below(N)];
+  }
+
+  std::mt19937 rng_;
+};
+
+/// The store's documented record order: insertion order, a record with a
+/// stored key replacing that record in place.
+void record_expected(std::vector<CouplingRecord>* expected,
+                     const CouplingRecord& r) {
+  const auto same =
+      std::find_if(expected->begin(), expected->end(),
+                   [&r](const CouplingRecord& e) { return e.key == r.key; });
+  if (same != expected->end()) {
+    *same = r;
+  } else {
+    expected->push_back(r);
+  }
+}
+
+void expect_records(const CouplingDatabase& db,
+                    const std::vector<CouplingRecord>& expected) {
+  ASSERT_EQ(db.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    expect_same_record(db.records()[i], expected[i]);
+  }
+}
+
+void expect_random_lookups_match_scan(const CouplingDatabase& db,
+                                      KeySpace& keys, int probes) {
+  std::vector<ChainCoupling> warm;
+  for (int i = 0; i < probes; ++i) {
+    const CouplingKey probe = keys.probe();
+    expect_lookups_match_scan(db, probe, 1 + keys.below(5), &warm);
+  }
+}
+
+TEST(DatabaseIndexTest, LookupsMatchTheScanWhileRecordsArrive) {
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    KeySpace keys(seed);
+    CouplingDatabase db;
+    std::vector<CouplingRecord> expected;  // insertion order, replace in place
+    std::vector<ChainCoupling> warm;
+    for (int step = 0; step < 400; ++step) {
+      CouplingRecord r{keys.stored(), keys.time(), keys.time()};
+      if (keys.below(10) == 0) {
+        // A rejected record changes nothing, index included.
+        r.chain_time = std::numeric_limits<double>::quiet_NaN();
+        EXPECT_THROW(db.record(r), std::invalid_argument);
+      } else {
+        db.record(r);
+        record_expected(&expected, r);
+      }
+      expect_records(db, expected);
+      // Stored keys (hits, replacements) and free-form probes.
+      expect_lookups_match_scan(db, r.key, 1 + keys.below(5), &warm);
+      expect_random_lookups_match_scan(db, keys, 3);
+    }
+    expect_random_lookups_match_scan(db, keys, 500);
+  }
+}
+
+TEST(DatabaseIndexTest, AdoptedDuplicateKeysAnswerWithTheFirstRecord) {
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    KeySpace keys(seed);
+    std::vector<CouplingRecord> records;
+    for (int i = 0; i < 300; ++i) {
+      records.push_back({keys.stored(), keys.time(), keys.time()});
+    }
+    // Every third record again, later in the vector, with new values.
+    for (int i = 0; i < 300; i += 3) {
+      records.push_back({records[i].key, keys.time(), keys.time()});
+    }
+    CouplingDatabase db;
+    db.adopt(records);
+    ASSERT_EQ(db.size(), records.size());
+    std::vector<ChainCoupling> warm;
+    for (const CouplingRecord& r : records) {
+      expect_lookups_match_scan(db, r.key, 1 + keys.below(5), &warm);
+      // The first record with the key is the one every lookup returns.
+      const CouplingRecord* first = scan::find(db, r.key);
+      EXPECT_EQ(db.find_nearest_ranks_ref(r.key), first);
+    }
+    expect_random_lookups_match_scan(db, keys, 500);
+
+    // record() replaces the first duplicate in place, as the scan did.
+    const CouplingKey dup = records[0].key;
+    db.record(CouplingRecord{dup, 123.0, 456.0});
+    EXPECT_EQ(db.size(), records.size());
+    EXPECT_EQ(scan::find(db, dup)->chain_time, 123.0);
+    EXPECT_EQ(db.find(dup)->chain_time, 123.0);
+    expect_random_lookups_match_scan(db, keys, 200);
+  }
+}
+
+TEST(DatabaseIndexTest, LoadCsvThatThrowsMidFileLeavesAConsistentStore) {
+  KeySpace keys(99);
+  CouplingDatabase db;
+  std::vector<CouplingRecord> expected;
+  for (int i = 0; i < 40; ++i) {
+    const CouplingRecord r{keys.stored(), keys.time(), keys.time()};
+    db.record(r);
+    record_expected(&expected, r);
+  }
+
+  // The file: good lines from the same key space (some restate stored
+  // keys), one restating its own first line, then a bad line.
+  CouplingDatabase lines;
+  for (int i = 0; i < 60; ++i) {
+    lines.record({keys.stored(), keys.time(), keys.time()});
+  }
+  std::stringstream file;
+  lines.save_csv(file);
+  for (const CouplingRecord& r : lines.records()) record_expected(&expected, r);
+  const CouplingKey again = lines.records().front().key;
+  record_expected(&expected, {again, 7.0, 8.0});
+  file << again.application << ',' << again.config << ',' << again.ranks
+       << ',' << again.chain_length << ',' << again.chain_start << ",7,8\n"
+       << "BT,W,4,2,0,not-a-number,1\n"
+       << "ZZ,W,4,2,1,1,1\n";  // never reached
+  EXPECT_THROW(db.load_csv(file), std::runtime_error);
+
+  // Exactly the lines before the bad one arrived, each through record().
+  expect_records(db, expected);
+  EXPECT_EQ(db.find(again)->chain_time, 7.0);
+  EXPECT_FALSE(db.find({"ZZ", "W", 4, 2, 1}).has_value());
+  expect_random_lookups_match_scan(db, keys, 500);
+
+  // The store keeps working after the failed load.
+  for (int i = 0; i < 40; ++i) {
+    db.record({keys.stored(), keys.time(), keys.time()});
+    expect_random_lookups_match_scan(db, keys, 5);
+  }
 }
 
 TEST(DatabaseTest, ReusePredictionUsesDonorCouplings) {

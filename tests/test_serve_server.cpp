@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -272,6 +274,60 @@ TEST_F(ServerTest, OverloadFastRejectsWithoutQueueing) {
     if (!accepted) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_TRUE(accepted);
+}
+
+TEST_F(ServerTest, AcceptLoopSurvivesDescriptorExhaustion) {
+  serve::ServerConfig config;
+  config.workers = 1;
+  start_server(config);
+  const obs::Counter& accept_errors =
+      server_->registry().counter("serve.accept_errors");
+
+  // Closes the spare descriptors and restores the limit on every exit path.
+  struct Exhaustion {
+    rlimit saved{};
+    std::vector<int> spares;
+    void free_spares() {
+      for (const int fd : spares) ::close(fd);
+      spares.clear();
+    }
+    ~Exhaustion() {
+      free_spares();
+      ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+  } exhaustion;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &exhaustion.saved), 0);
+  for (int i = 0; i < 4; ++i) {
+    const int fd = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(fd, 0);
+    exhaustion.spares.push_back(fd);
+  }
+  // Every descriptor below the lowest free one is taken, so this limit
+  // leaves exactly one free.
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = exhaustion.saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  // The client's socket takes it; the server's accept() gets EMFILE.
+  serve::Client queued = connect();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (accept_errors.value() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(accept_errors.value(), 0u);
+
+  // With descriptors free again, the accept loop takes the queued
+  // connection and new ones, still under the lowered limit.
+  exhaustion.free_spares();
+  EXPECT_TRUE(queued.ping());
+  serve::Client fresh = connect();
+  EXPECT_TRUE(fresh.ping());
+  EXPECT_EQ(server_->metrics().connections, 2u);
 }
 
 TEST_F(ServerTest, GracefulStopAnswersInFlightRequests) {
