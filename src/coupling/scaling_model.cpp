@@ -154,21 +154,6 @@ KernelScalingModel KernelScalingModel::fit_or_constant(
   return m;
 }
 
-KernelScalingModel KernelScalingModel::from_parts(
-    ScalingBasis basis, std::vector<double> coefficients,
-    double fit_rms_relative_error, bool degenerate) {
-  if (basis.size() != coefficients.size()) {
-    throw std::invalid_argument(
-        "scaling model from_parts: coefficient count does not match basis");
-  }
-  KernelScalingModel m;
-  m.basis_ = std::move(basis);
-  m.coefficients_ = std::move(coefficients);
-  m.fit_error_ = fit_rms_relative_error;
-  m.degenerate_ = degenerate;
-  return m;
-}
-
 double KernelScalingModel::evaluate(double n, double p) const {
   double t = 0.0;
   for (std::size_t j = 0; j < coefficients_.size(); ++j) {

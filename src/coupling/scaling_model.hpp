@@ -19,6 +19,10 @@ namespace kcoup::coupling {
 /// measured configurations.  Combined with reused coupling values
 /// (database.hpp) this closes the loop the paper sketches: predict a
 /// configuration that was never run at all.
+///
+/// The serve path fits the cross-validated piecewise models of src/model/
+/// instead; this fixed-basis fit is the baseline `bench/ext_model_fit` and
+/// `bench/ext_scaling_prediction` compare against.
 struct ScalingBasis {
   std::vector<std::string> names;
   std::vector<std::function<double(double n, double p)>> terms;
@@ -57,14 +61,6 @@ class KernelScalingModel {
   /// no "1" term to carry the constant.
   [[nodiscard]] static KernelScalingModel fit_or_constant(
       ScalingBasis basis, std::span<const ScalingSample> samples);
-
-  /// Reassemble a previously fitted model from its serialized parts (the
-  /// packed-snapshot loader stores coefficients, not samples — refitting
-  /// would need the original measurements).  Throws std::invalid_argument
-  /// when the coefficient count does not match the basis size.
-  [[nodiscard]] static KernelScalingModel from_parts(
-      ScalingBasis basis, std::vector<double> coefficients,
-      double fit_rms_relative_error, bool degenerate = false);
 
   [[nodiscard]] double evaluate(double n, double p) const;
 

@@ -28,30 +28,30 @@ namespace kcoup::serve::binfmt {
 /// interchange format.
 
 inline constexpr char kMagic[8] = {'K', 'C', 'O', 'U', 'P', 'K', 'C', 'S'};
-/// v2 added the fitted-piecewise-model and coupling-transition sections
-/// (kinds 5 and 6) and a per-model flags word in the scaling-model
-/// section; v1 files are no longer readable (regenerate from CSV with
-/// `kcoup pack` — `.kcs` is a cache artifact, never the source of truth).
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3 dropped v2's fixed-basis scaling-model section (kind 4), so the
+/// fitted-model and transition sections are now kinds 4 and 5.  v2 added
+/// those two sections; v1 and v2 files are no longer readable (regenerate
+/// from CSV with `kcoup pack` — `.kcs` is a cache artifact, never the
+/// source of truth).
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 inline constexpr std::size_t kHeaderBytes = 64;
 inline constexpr std::size_t kHeaderChecksumOffset = kHeaderBytes - 8;
 inline constexpr std::size_t kSectionEntryBytes = 32;
-/// Far above the six kinds a v2 file carries; a count beyond this is a
+/// Far above the five kinds a v3 file carries; a count beyond this is a
 /// corrupt or hostile section table, rejected before any allocation.
 inline constexpr std::uint32_t kMaxSections = 64;
 
 enum class SectionKind : std::uint32_t {
-  kStrings = 1,        ///< deduplicated string table
-  kRecords = 2,        ///< coupling records, SoA columns
-  kAlphaGroups = 3,    ///< precomputed per-group composition coefficients
-  kScalingModels = 4,  ///< fitted per-application kernel scaling models
-  kFittedModels = 5,   ///< cross-validated piecewise per-kernel models
-  kTransitions = 6,    ///< detected coupling transitions
+  kStrings = 1,       ///< deduplicated string table
+  kRecords = 2,       ///< coupling records, SoA columns
+  kAlphaGroups = 3,   ///< precomputed per-group composition coefficients
+  kFittedModels = 4,  ///< cross-validated piecewise per-kernel models
+  kTransitions = 5,   ///< detected coupling transitions
 };
 
 /// Sections a well-formed file carries, in kind order 1..kSectionCount.
-inline constexpr std::uint32_t kSectionCount = 6;
+inline constexpr std::uint32_t kSectionCount = 5;
 
 /// Every rejection path of the packed-snapshot loader throws this, with a
 /// stable machine-checkable `code()` (e.g. "bad magic", "section checksum

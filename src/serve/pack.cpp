@@ -91,43 +91,12 @@ std::string pack_alpha_groups(const std::vector<std::string>& strings,
   return out;
 }
 
-std::string pack_scaling_models(const std::vector<std::string>& strings,
-                                const PredictorSnapshot& snapshot) {
-  std::string out;
-  // One basis for the whole section: every model the snapshot builder fits
-  // uses npb_default(), and the loader only accepts that basis (functions
-  // cannot be serialized, so term names are the contract).
-  const coupling::ScalingBasis basis = coupling::ScalingBasis::npb_default();
-  binfmt::append_u64(&out, basis.names.size());
-  for (const std::string& name : basis.names) {
-    binfmt::append_u32(&out, string_index(strings, name));
-  }
-  binfmt::append_u64(&out, snapshot.scaling_models().size());
-  for (const auto& [application, models] : snapshot.scaling_models()) {
-    binfmt::append_u32(&out, string_index(strings, application));
-    binfmt::append_u64(&out, models.size());
-    for (const coupling::KernelScalingModel& m : models) {
-      if (m.basis().names != basis.names) {
-        throw std::invalid_argument(
-            "pack_snapshot: model for " + application +
-            " uses a non-default scaling basis");
-      }
-      binfmt::append_u64(&out, m.coefficients().size());
-      binfmt::append_u32(&out, m.degenerate() ? 1u : 0u);
-      binfmt::append_f64(&out, m.fit_rms_relative_error());
-      for (const double c : m.coefficients()) binfmt::append_f64(&out, c);
-    }
-  }
-  return out;
-}
-
 std::string pack_fitted_models(const std::vector<std::string>& strings,
                                const PredictorSnapshot& snapshot) {
   std::string out;
   // The registry term names are the contract pairing the file's
-  // (term id, coefficient) pairs with this build's term functions — like
-  // the scaling basis above, a renamed or reordered registry must bump the
-  // format version.
+  // (term id, coefficient) pairs with this build's term functions — a
+  // renamed or reordered registry must bump the format version.
   const std::vector<std::string> names = model::term_names();
   binfmt::append_u64(&out, names.size());
   for (const std::string& name : names) {
@@ -198,8 +167,8 @@ struct SectionEntry {
   std::uint64_t checksum = 0;
 };
 
-/// Validate header + section table and return the six section entries in
-/// kind order.  Every check throws a named SnapshotFormatError; the order
+/// Validate header + section table and return the section entries in kind
+/// order.  Every check throws a named SnapshotFormatError; the order
 /// (size, magic, endianness, version, header checksum, ...) is chosen so a
 /// future-version file reports "unsupported version", not a checksum
 /// mismatch against a layout we never understood.
@@ -443,69 +412,6 @@ decode_alpha_groups(binfmt::Cursor cur,
   return groups;
 }
 
-std::vector<std::pair<std::string, std::vector<coupling::KernelScalingModel>>>
-decode_scaling_models(binfmt::Cursor cur,
-                      const std::vector<std::string>& strings,
-                      const std::string& origin) {
-  const coupling::ScalingBasis reference =
-      coupling::ScalingBasis::npb_default();
-  const std::uint64_t term_count = cur.u64();
-  cur.check_count(term_count, 4, "term count");
-  std::vector<std::string> term_names;
-  term_names.reserve(term_count);
-  for (std::uint64_t i = 0; i < term_count; ++i) {
-    term_names.push_back(string_at(strings, cur.u32(), origin));
-  }
-  // Basis functions cannot live in a file; the term-name list is the
-  // contract that the file's coefficients pair with the basis this build
-  // evaluates.  A renamed or reordered basis must bump the format version.
-  if (term_names != reference.names) {
-    throw SnapshotFormatError("unknown scaling basis", origin);
-  }
-  const std::uint64_t app_count = cur.u64();
-  cur.check_count(app_count, 4 + 8, "application count");
-  std::vector<std::pair<std::string, std::vector<coupling::KernelScalingModel>>>
-      models;
-  models.reserve(app_count);
-  for (std::uint64_t a = 0; a < app_count; ++a) {
-    const std::string& application = string_at(strings, cur.u32(), origin);
-    const std::uint64_t kernel_count = cur.u64();
-    cur.check_count(kernel_count, 8 + 8, "kernel count");
-    std::vector<coupling::KernelScalingModel> kernels;
-    kernels.reserve(kernel_count);
-    for (std::uint64_t k = 0; k < kernel_count; ++k) {
-      const std::uint64_t coeff_count = cur.u64();
-      const std::uint32_t flags = cur.u32();
-      if (flags > 1) {
-        throw SnapshotFormatError(
-            "bad scaling model",
-            origin + ": unknown model flags " + std::to_string(flags));
-      }
-      const double fit_error = cur.f64();
-      cur.check_count(coeff_count, 8, "coefficient count");
-      std::vector<double> coefficients;
-      coefficients.reserve(coeff_count);
-      for (std::uint64_t i = 0; i < coeff_count; ++i) {
-        coefficients.push_back(cur.f64());
-      }
-      try {
-        kernels.push_back(coupling::KernelScalingModel::from_parts(
-            coupling::ScalingBasis::npb_default(), std::move(coefficients),
-            fit_error, (flags & 1u) != 0));
-      } catch (const std::invalid_argument& e) {
-        throw SnapshotFormatError("bad scaling model",
-                                  origin + ": " + e.what());
-      }
-    }
-    if (!models.empty() && !(models.back().first < application)) {
-      throw SnapshotFormatError("unsorted scaling models", origin);
-    }
-    models.emplace_back(application, std::move(kernels));
-  }
-  cur.expect_exhausted();
-  return models;
-}
-
 std::vector<std::pair<std::string, std::vector<model::PiecewiseModel>>>
 decode_fitted_models(binfmt::Cursor cur,
                      const std::vector<std::string>& strings,
@@ -656,12 +562,6 @@ std::string pack_snapshot(const PredictorSnapshot& snapshot) {
     string_set.insert(std::get<0>(key));
     string_set.insert(std::get<1>(key));
   }
-  for (const auto& name : coupling::ScalingBasis::npb_default().names) {
-    string_set.insert(name);
-  }
-  for (const auto& [application, models] : snapshot.scaling_models()) {
-    string_set.insert(application);
-  }
   for (const auto& name : model::term_names()) string_set.insert(name);
   for (const auto& [application, kernels] : snapshot.fitted_models()) {
     string_set.insert(application);
@@ -678,8 +578,6 @@ std::string pack_snapshot(const PredictorSnapshot& snapshot) {
        pack_records(strings, snapshot.database().records())},
       {binfmt::SectionKind::kAlphaGroups,
        pack_alpha_groups(strings, snapshot)},
-      {binfmt::SectionKind::kScalingModels,
-       pack_scaling_models(strings, snapshot)},
       {binfmt::SectionKind::kFittedModels,
        pack_fitted_models(strings, snapshot)},
       {binfmt::SectionKind::kTransitions,
@@ -725,7 +623,6 @@ PackStats pack_snapshot_file(const PredictorSnapshot& snapshot,
   PackStats stats;
   stats.records = snapshot.database().records().size();
   stats.alpha_groups = snapshot.alpha_group_count();
-  stats.modeled_applications = snapshot.modeled_application_count();
   stats.fitted_applications = snapshot.fitted_application_count();
   stats.transitions = snapshot.transition_count();
   stats.bytes = packed.size();
@@ -762,12 +659,10 @@ std::shared_ptr<const PredictorSnapshot> load_packed_snapshot_bytes(
       decode_records(cursor(1, "records"), strings, origin);
   PredictorSnapshot::Precomputed pre;
   pre.groups = decode_alpha_groups(cursor(2, "alpha groups"), strings, origin);
-  pre.models =
-      decode_scaling_models(cursor(3, "scaling models"), strings, origin);
   pre.fitted =
-      decode_fitted_models(cursor(4, "fitted models"), strings, origin);
+      decode_fitted_models(cursor(3, "fitted models"), strings, origin);
   pre.transitions =
-      decode_transitions(cursor(5, "transitions"), strings, origin);
+      decode_transitions(cursor(4, "transitions"), strings, origin);
   return std::make_shared<const PredictorSnapshot>(std::move(db), version,
                                                    std::move(pre));
 }
@@ -812,7 +707,6 @@ PackStats verify_packed_snapshot(const std::string& path) {
   PackStats stats;
   stats.records = snapshot->database().records().size();
   stats.alpha_groups = snapshot->alpha_group_count();
-  stats.modeled_applications = snapshot->modeled_application_count();
   stats.fitted_applications = snapshot->fitted_application_count();
   stats.transitions = snapshot->transition_count();
   stats.bytes = static_cast<std::size_t>(st.st_size);

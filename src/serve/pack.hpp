@@ -15,7 +15,6 @@ namespace kcoup::serve {
 struct PackStats {
   std::size_t records = 0;
   std::size_t alpha_groups = 0;
-  std::size_t modeled_applications = 0;
   std::size_t fitted_applications = 0;
   std::size_t transitions = 0;
   std::size_t bytes = 0;

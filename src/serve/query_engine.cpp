@@ -63,7 +63,7 @@ Prediction QueryEngine::predict(const PredictorSnapshot& snapshot,
 
   thread_local RequestScratch scratch;
 
-  // 1. Cell inputs: memoized measurement, or scaling-model extrapolation
+  // 1. Cell inputs: memoized measurement, or fitted-model extrapolation
   //    for configurations that cannot run.  Both land in the per-thread
   //    scratch; string/vector assignment reuses its warm buffers.
   scratch.cell_key.application = p.key.application;
@@ -79,9 +79,8 @@ Prediction QueryEngine::predict(const PredictorSnapshot& snapshot,
     p.inputs_source = "measured";
   } else {
     const auto* fitted = snapshot.fitted_models_for(p.key.application);
-    const auto* models = snapshot.models_for(p.key.application);
     const auto shape = workload_->shape(p.key.application, p.key.config);
-    if ((fitted == nullptr && models == nullptr) || !shape.has_value()) {
+    if (fitted == nullptr || !shape.has_value()) {
       p.error = "cell " + p.key.application + "/" + p.key.config + "/P=" +
                 std::to_string(p.key.ranks) +
                 " cannot be measured and no scaling models are fitted";
@@ -96,22 +95,14 @@ Prediction QueryEngine::predict(const PredictorSnapshot& snapshot,
     mi.epilogue_s = 0.0;
     mi.iterations = shape->iterations;
     const double ranks_d = static_cast<double>(p.key.ranks);
-    if (fitted != nullptr && !fitted->empty()) {
-      // The cross-validated piecewise models: the segment covering the
-      // queried P supplies both the extrapolation and the reported form.
-      loop_size = fitted->size();
-      mi.isolated_means.reserve(loop_size);
-      for (const model::PiecewiseModel& pw : *fitted) {
-        mi.isolated_means.push_back(pw.evaluate(shape->grid_extent, ranks_d));
-        if (!p.model_form.empty()) p.model_form += ',';
-        p.model_form += pw.segment_for(ranks_d).model.term_names();
-      }
-    } else {
-      loop_size = models->size();
-      mi.isolated_means.reserve(loop_size);
-      for (const coupling::KernelScalingModel& m : *models) {
-        mi.isolated_means.push_back(m.evaluate(shape->grid_extent, ranks_d));
-      }
+    // The cross-validated piecewise models: the segment covering the
+    // queried P supplies both the extrapolation and the reported form.
+    loop_size = fitted->size();
+    mi.isolated_means.reserve(loop_size);
+    for (const model::PiecewiseModel& pw : *fitted) {
+      mi.isolated_means.push_back(pw.evaluate(shape->grid_extent, ranks_d));
+      if (!p.model_form.empty()) p.model_form += ',';
+      p.model_form += pw.segment_for(ranks_d).model.term_names();
     }
     p.summation_s = coupling::summation_prediction(mi);
     p.inputs_source = "model";

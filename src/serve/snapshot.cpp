@@ -97,20 +97,17 @@ PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
 
   if (!options.fit_scaling_models || !cell_fn) return;
 
-  // Fit per-application scaling models from the database's measurable
+  // Fit per-application piecewise models from the database's measurable
   // cells.  Samples pool across configs and rank counts (n varies with the
-  // problem class, P with the ranks).  Two model families are built from
-  // the same samples: the legacy fixed-basis LSQ models (kept for format
-  // compatibility and as the fallback of last resort) and the
-  // cross-validated piecewise models the query engine prefers.  Degenerate
-  // sample sets yield flagged constant models, never a silently-NaN fit
-  // and never a silently modelless application.
+  // problem class, P with the ranks).  Degenerate sample sets yield flagged
+  // constant models, never a silently-NaN fit and never a silently
+  // modelless application.
   std::map<std::string, std::set<std::pair<std::string, int>>> cells_by_app;
   for (const coupling::CouplingRecord& r : db_.records()) {
     cells_by_app[r.key.application].insert({r.key.config, r.key.ranks});
   }
   for (const auto& [application, cells] : cells_by_app) {
-    std::vector<std::vector<coupling::ScalingSample>> samples;
+    std::vector<std::vector<model::ModelSample>> samples;
     for (const auto& [config, ranks] : cells) {
       const auto cell = cell_fn(application, config, ranks);
       if (!cell.has_value()) continue;
@@ -123,22 +120,12 @@ PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
       }
     }
     if (samples.empty() || samples.front().empty()) continue;
-    std::vector<coupling::KernelScalingModel> models;
     std::vector<model::PiecewiseModel> fitted;
-    models.reserve(samples.size());
     fitted.reserve(samples.size());
     for (const auto& kernel_samples : samples) {
-      models.push_back(coupling::KernelScalingModel::fit_or_constant(
-          coupling::ScalingBasis::npb_default(), kernel_samples));
-      std::vector<model::ModelSample> ms;
-      ms.reserve(kernel_samples.size());
-      for (const coupling::ScalingSample& s : kernel_samples) {
-        ms.push_back({s.n, s.p, s.seconds});
-      }
-      fitted.push_back(model::fit_piecewise(ms));
+      fitted.push_back(model::fit_piecewise(kernel_samples));
     }
     // cells_by_app is a std::map: sorted application order, as above.
-    models_.emplace_back(application, std::move(models));
     fitted_.emplace_back(application, std::move(fitted));
   }
 }
@@ -149,7 +136,6 @@ PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
     : db_(std::move(db)),
       version_(version),
       groups_(std::move(precomputed.groups)),
-      models_(std::move(precomputed.models)),
       fitted_(std::move(precomputed.fitted)),
       transitions_(std::move(precomputed.transitions)) {}
 
@@ -168,17 +154,6 @@ const AlphaGroup* PredictorSnapshot::find_alpha(const std::string& application,
       std::get<3>(it->first) != chain_length) {
     return nullptr;
   }
-  return &it->second;
-}
-
-const std::vector<coupling::KernelScalingModel>* PredictorSnapshot::models_for(
-    const std::string& application) const {
-  const auto it = std::lower_bound(
-      models_.begin(), models_.end(), application,
-      [](const auto& entry, const std::string& app) {
-        return entry.first < app;
-      });
-  if (it == models_.end() || it->first != application) return nullptr;
   return &it->second;
 }
 

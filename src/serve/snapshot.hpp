@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "coupling/database.hpp"
-#include "coupling/scaling_model.hpp"
 #include "model/piecewise.hpp"
 #include "model/transitions.hpp"
 #include "serve/drift.hpp"
@@ -36,8 +35,8 @@ struct AlphaGroup {
   std::size_t loop_size = 0;
 };
 
-/// Supplies measured cell inputs during a snapshot build (the scaling-model
-/// fit needs isolated means for the database's cells).  Returns nullopt for
+/// Supplies measured cell inputs during a snapshot build (the model fit
+/// needs isolated means for the database's cells).  Returns nullopt for
 /// cells that cannot be measured.  Wired to QueryEngine::cell() in the
 /// server so build-time measurements land in — and are served from — the
 /// engine's memo cache.
@@ -45,11 +44,10 @@ using CellFn = std::function<std::optional<CellInputs>(
     const std::string& application, const std::string& config, int ranks)>;
 
 struct SnapshotOptions {
-  /// Fit per-kernel scaling models E_k(n, P) from the database's measurable
-  /// cells at build time (enables predictions for configurations that
-  /// cannot run, e.g. BT at a non-square rank count).  Requires a CellFn.
-  /// Covers both the legacy fixed-basis LSQ models and the cross-validated
-  /// piecewise models that supersede them on the query path.
+  /// Fit cross-validated piecewise per-kernel models E_k(n, P) from the
+  /// database's measurable cells at build time (enables predictions for
+  /// configurations that cannot run, e.g. BT at a non-square rank count).
+  /// Requires a CellFn.
   bool fit_scaling_models = true;
   /// Run the coupling-transition changepoint scan over the database's
   /// (application, config, chain_length, chain_start) series at build
@@ -60,7 +58,7 @@ struct SnapshotOptions {
 /// An immutable, internally consistent bundle of everything the query
 /// engine reads: the loaded coupling database, the precomputed alpha
 /// coefficients for every complete group, and per-application fitted
-/// scaling models.  Snapshots are published through
+/// piecewise models.  Snapshots are published through
 /// std::atomic<std::shared_ptr<const PredictorSnapshot>> — readers grab a
 /// reference once per request and never observe a half-reloaded state.
 class PredictorSnapshot {
@@ -70,15 +68,14 @@ class PredictorSnapshot {
   /// their canonical order.
   using GroupKey = std::tuple<std::string, std::string, int, std::size_t>;
 
-  /// Already-derived tables, e.g. decoded from a packed snapshot.  Both
-  /// vectors must be strictly sorted by key — the order alpha_groups() and
-  /// scaling_models() expose, which is also the order the packer writes.
+  /// Already-derived tables, e.g. decoded from a packed snapshot.  Every
+  /// vector must be strictly sorted by key — the order alpha_groups(),
+  /// fitted_models() and transitions() expose, which is also the order the
+  /// packer writes.
   struct Precomputed {
     std::vector<std::pair<GroupKey, AlphaGroup>> groups;
-    std::vector<std::pair<std::string, std::vector<coupling::KernelScalingModel>>>
-        models;
     /// Cross-validated piecewise per-kernel models, sorted by application —
-    /// the selection the query engine's model fallback prefers.
+    /// what the query engine's model fallback evaluates.
     std::vector<std::pair<std::string, std::vector<model::PiecewiseModel>>>
         fitted;
     /// Detected coupling transitions in canonical order (application,
@@ -86,7 +83,7 @@ class PredictorSnapshot {
     std::vector<model::CouplingTransition> transitions;
   };
 
-  /// Derive alpha groups (and optionally scaling models) from the database.
+  /// Derive alpha groups (and optionally fitted models) from the database.
   PredictorSnapshot(coupling::CouplingDatabase db, std::uint64_t version,
                     const CellFn& cell_fn, const SnapshotOptions& options);
 
@@ -106,22 +103,14 @@ class PredictorSnapshot {
                                              int ranks,
                                              std::size_t chain_length) const;
 
-  /// Fitted per-kernel scaling models for an application (loop order), or
-  /// nullptr when the database held too few measurable cells to fit.
-  [[nodiscard]] const std::vector<coupling::KernelScalingModel>* models_for(
-      const std::string& application) const;
-
   /// Cross-validated piecewise per-kernel models (loop order) for an
-  /// application, or nullptr when none were fitted.  The query engine
-  /// prefers these over the legacy models_for() basis.
+  /// application, or nullptr when none were fitted.  The query engine's
+  /// model fallback evaluates these.
   [[nodiscard]] const std::vector<model::PiecewiseModel>* fitted_models_for(
       const std::string& application) const;
 
   [[nodiscard]] std::size_t alpha_group_count() const {
     return groups_.size();
-  }
-  [[nodiscard]] std::size_t modeled_application_count() const {
-    return models_.size();
   }
   [[nodiscard]] std::size_t fitted_application_count() const {
     return fitted_.size();
@@ -130,16 +119,11 @@ class PredictorSnapshot {
     return transitions_.size();
   }
 
-  /// All precomputed groups / models, sorted by key — the serialization
-  /// order of the packed-snapshot format.
+  /// All precomputed groups / fitted models, sorted by key — the
+  /// serialization order of the packed-snapshot format.
   [[nodiscard]] const std::vector<std::pair<GroupKey, AlphaGroup>>&
   alpha_groups() const {
     return groups_;
-  }
-  [[nodiscard]] const std::vector<
-      std::pair<std::string, std::vector<coupling::KernelScalingModel>>>&
-  scaling_models() const {
-    return models_;
   }
   [[nodiscard]] const std::vector<
       std::pair<std::string, std::vector<model::PiecewiseModel>>>&
@@ -160,8 +144,6 @@ class PredictorSnapshot {
   // search over contiguous pairs instead of a pointer chase per tree level,
   // and the layout is what the packer serializes byte-for-byte.
   std::vector<std::pair<GroupKey, AlphaGroup>> groups_;
-  std::vector<std::pair<std::string, std::vector<coupling::KernelScalingModel>>>
-      models_;
   std::vector<std::pair<std::string, std::vector<model::PiecewiseModel>>>
       fitted_;
   std::vector<model::CouplingTransition> transitions_;

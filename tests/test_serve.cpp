@@ -410,7 +410,7 @@ TEST(PredictorSnapshot, PrecomputesAlphaForCompleteGroupsOnly) {
 
 TEST(PredictorSnapshot, FitsScalingModelsFromMeasurableCells) {
   coupling::CouplingDatabase db;
-  for (int p : {1, 2, 3, 4}) add_group(&db, p);  // 4 samples: basis size
+  for (int p : {1, 2, 3, 4}) add_group(&db, p);  // 4 measurable cells
 
   FakeWorkload workload;
   const serve::PredictorSnapshot snapshot(
@@ -421,18 +421,18 @@ TEST(PredictorSnapshot, FitsScalingModelsFromMeasurableCells) {
         return workload.measure_cell(a, c, p);
       },
       {true});
-  EXPECT_EQ(snapshot.modeled_application_count(), 1u);
-  const auto* models = snapshot.models_for("APP");
+  EXPECT_EQ(snapshot.fitted_application_count(), 1u);
+  const auto* models = snapshot.fitted_models_for("APP");
   ASSERT_NE(models, nullptr);
   ASSERT_EQ(models->size(), FakeWorkload::kLoop);
-  // The basis contains 1/P-free terms but the fit must still track the
-  // 1/P-shaped means closely inside the sampled range.
+  // The fit must track the 1/P-shaped means closely inside the sampled
+  // range.
   for (std::size_t k = 0; k < models->size(); ++k) {
     const double predicted = (*models)[k].evaluate(12.0, 2.0);
     EXPECT_NEAR(predicted, FakeWorkload::mean(k, 2),
                 0.25 * FakeWorkload::mean(k, 2));
   }
-  EXPECT_EQ(snapshot.models_for("OTHER"), nullptr);
+  EXPECT_EQ(snapshot.fitted_models_for("OTHER"), nullptr);
 }
 
 // --- QueryEngine (synthetic workload) ---------------------------------------
@@ -499,9 +499,9 @@ TEST_F(QueryEngineFake, FallsBackToScalingModelsForUnrunnableCells) {
   EXPECT_TRUE(std::isfinite(p.coupling_s));
   EXPECT_TRUE(std::isnan(p.actual_s));  // nothing ran, no error columns
   EXPECT_TRUE(std::isnan(p.coupling_error));
-  // The piecewise models supersede the LSQ ones on the model path: the
-  // closed-form 1/P workload selects exactly {1/P} per kernel, so the
-  // extrapolated inputs are the true means and the form is reported.
+  // The piecewise models answer on the model path: the closed-form 1/P
+  // workload selects exactly {1/P} per kernel, so the extrapolated inputs
+  // are the true means and the form is reported.
   EXPECT_EQ(p.source, "model");
   EXPECT_EQ(p.model_form, "1/P,1/P,1/P");
   const auto* fitted = snapshot.fitted_models_for("APP");

@@ -95,7 +95,7 @@ void add_group(coupling::CouplingDatabase* db, int ranks) {
 }
 
 /// The canonical test snapshot: four complete groups (enough samples for
-/// the scaling-model fit), models fitted from the closed-form workload,
+/// the model fit), models fitted from the closed-form workload,
 /// and a second application whose coupling series carries a level shift so
 /// the transitions section pins non-trivial content.  Everything is
 /// deterministic, so its packed bytes pin the format.
@@ -199,21 +199,6 @@ void expect_groups_equal(const serve::PredictorSnapshot& a,
   }
 }
 
-void expect_models_equal(const serve::PredictorSnapshot& a,
-                         const serve::PredictorSnapshot& b) {
-  ASSERT_EQ(a.scaling_models().size(), b.scaling_models().size());
-  for (std::size_t i = 0; i < a.scaling_models().size(); ++i) {
-    const auto& [na, ma] = a.scaling_models()[i];
-    const auto& [nb, mb] = b.scaling_models()[i];
-    EXPECT_EQ(na, nb);
-    ASSERT_EQ(ma.size(), mb.size());
-    for (std::size_t k = 0; k < ma.size(); ++k) {
-      EXPECT_EQ(ma[k].coefficients(), mb[k].coefficients());
-      EXPECT_EQ(ma[k].fit_rms_relative_error(), mb[k].fit_rms_relative_error());
-    }
-  }
-}
-
 void expect_fitted_equal(const serve::PredictorSnapshot& a,
                          const serve::PredictorSnapshot& b) {
   ASSERT_EQ(a.fitted_models().size(), b.fitted_models().size());
@@ -275,14 +260,13 @@ TEST(SnapshotPack, RoundTripIsBitIdentical) {
   EXPECT_EQ(loaded->version(), 7u);
   expect_records_equal(original.database(), loaded->database());
   expect_groups_equal(original, *loaded);
-  expect_models_equal(original, *loaded);
   expect_fitted_equal(original, *loaded);
   expect_transitions_equal(original, *loaded);
 }
 
 TEST(SnapshotPack, CanonicalSnapshotCarriesFittedModelsAndTransitions) {
   const serve::PredictorSnapshot snapshot = make_canonical_snapshot();
-  // APP gets piecewise models alongside the legacy LSQ ones.
+  // APP, the only application with measurable cells, gets fitted models.
   EXPECT_EQ(snapshot.fitted_application_count(), 1u);
   const auto* fitted = snapshot.fitted_models_for("APP");
   ASSERT_NE(fitted, nullptr);
@@ -469,8 +453,6 @@ TEST_F(SnapshotPackFileTest, PackVerifyLoadRoundTrip) {
   const serve::PackStats packed = serve::pack_snapshot_file(snapshot, path);
   EXPECT_EQ(packed.records, snapshot.database().size());
   EXPECT_EQ(packed.alpha_groups, snapshot.alpha_group_count());
-  EXPECT_EQ(packed.modeled_applications,
-            snapshot.modeled_application_count());
   EXPECT_EQ(packed.fitted_applications, snapshot.fitted_application_count());
   EXPECT_EQ(packed.transitions, snapshot.transition_count());
   EXPECT_TRUE(serve::is_packed_snapshot_file(path));
@@ -484,7 +466,6 @@ TEST_F(SnapshotPackFileTest, PackVerifyLoadRoundTrip) {
   const auto loaded = serve::load_packed_snapshot(path, 3);
   EXPECT_EQ(loaded->version(), 3u);
   expect_groups_equal(snapshot, *loaded);
-  expect_models_equal(snapshot, *loaded);
   expect_fitted_equal(snapshot, *loaded);
   expect_transitions_equal(snapshot, *loaded);
 }
@@ -497,7 +478,7 @@ TEST_F(SnapshotPackFileTest, SnapshotSourceSniffsPackedFormat) {
   const auto snapshot = source.current();
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->alpha_group_count(), 4u);
-  EXPECT_EQ(snapshot->modeled_application_count(), 1u);
+  EXPECT_EQ(snapshot->fitted_application_count(), 1u);
 }
 
 TEST_F(SnapshotPackFileTest, MissingAndNonPackedFilesAreNotPacked) {
@@ -628,6 +609,15 @@ TEST_F(SnapshotFuzzTest, CraftedHeadersReportTheExactCode) {
   {
     std::string m = bytes_;
     const std::uint32_t v = serve::binfmt::kFormatVersion + 1;
+    std::memcpy(m.data() + 8, &v, sizeof v);
+    expect_code(m, "unsupported version");
+  }
+  {
+    // A stale file from the previous format left on disk: the version is
+    // checked before any checksum or section count, so it reports exactly
+    // that instead of a layout error.
+    std::string m = bytes_;
+    const std::uint32_t v = serve::binfmt::kFormatVersion - 1;
     std::memcpy(m.data() + 8, &v, sizeof v);
     expect_code(m, "unsupported version");
   }

@@ -1101,11 +1101,9 @@ int cmd_pack(const Args& args) {
     if (!quiet) {
       std::printf(
           "kcoup pack: %s ok (format v%u, %zu bytes, %zu records, "
-          "%zu alpha groups, %zu modeled apps, %zu fitted apps, "
-          "%zu transitions)\n",
+          "%zu alpha groups, %zu fitted apps, %zu transitions)\n",
           path.c_str(), stats.format_version, stats.bytes, stats.records,
-          stats.alpha_groups, stats.modeled_applications,
-          stats.fitted_applications, stats.transitions);
+          stats.alpha_groups, stats.fitted_applications, stats.transitions);
     }
     return 0;
   }
@@ -1113,7 +1111,7 @@ int cmd_pack(const Args& args) {
   // kcoup pack db.csv -o db.kcs: CSV stays the interchange format; the
   // packed snapshot is the serving artifact.  The snapshot is built exactly
   // as `kcoup serve` would build it from the CSV (same workload, same
-  // machine model, same scaling-model fit), so a server loading either file
+  // machine model, same model fit), so a server loading either file
   // answers bit-identically — as long as --machine/--no-models match.
   if (args.positionals().size() != 1) {
     throw std::runtime_error("pack: expected exactly one input CSV path");
@@ -1151,11 +1149,10 @@ int cmd_pack(const Args& args) {
   if (!quiet) {
     std::printf(
         "kcoup pack: %s -> %s (format v%u, %zu bytes, %zu records, "
-        "%zu alpha groups, %zu modeled apps, %zu fitted apps, "
-        "%zu transitions)\n",
+        "%zu alpha groups, %zu fitted apps, %zu transitions)\n",
         in_path.c_str(), out_path.c_str(), stats.format_version, stats.bytes,
-        stats.records, stats.alpha_groups, stats.modeled_applications,
-        stats.fitted_applications, stats.transitions);
+        stats.records, stats.alpha_groups, stats.fitted_applications,
+        stats.transitions);
   }
   return 0;
 }
@@ -1183,6 +1180,13 @@ int cmd_fit(const Args& args) {
         "fit: expected exactly one database path (.csv or .kcs)");
   }
   const std::string path = args.positionals().front();
+  const bool packed = serve::is_packed_snapshot_file(path);
+  // A packed snapshot was fitted when it was packed; neither flag can change
+  // what it reports, so refuse them instead of silently ignoring them.
+  if (packed && (args.flag("no-models") || args.maybe("machine"))) {
+    throw std::runtime_error(
+        "--no-models/--machine apply only to a CSV database");
+  }
   const machine::MachineConfig cfg =
       parse_machine(args.get("machine", "ibm-sp"));
   const bool no_models = args.flag("no-models");
@@ -1194,7 +1198,7 @@ int cmd_fit(const Args& args) {
   std::shared_ptr<const serve::PredictorSnapshot> loaded;
   std::optional<serve::PredictorSnapshot> built;
   const serve::PredictorSnapshot* snapshot = nullptr;
-  if (serve::is_packed_snapshot_file(path)) {
+  if (packed) {
     loaded = serve::load_packed_snapshot(path, 0);
     snapshot = loaded.get();
   } else {
