@@ -3,65 +3,16 @@
 #include <istream>
 #include <stdexcept>
 
+#include "support/json.hpp"
 #include "support/num_format.hpp"
 
 namespace kcoup::campaign {
 
-namespace {
-
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Locates `"name":` and returns the offset just past the colon, or npos.
-std::size_t field_offset(const std::string& line, const char* name) {
-  const std::string needle = std::string("\"") + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
-}
-
-std::optional<std::string> string_field(const std::string& line,
-                                        const char* name) {
-  std::size_t at = field_offset(line, name);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') {
-    return std::nullopt;
-  }
-  std::string out;
-  for (++at; at < line.size(); ++at) {
-    if (line[at] == '\\') {
-      if (++at >= line.size()) return std::nullopt;
-      out += line[at];
-    } else if (line[at] == '"') {
-      return out;
-    } else {
-      out += line[at];
-    }
-  }
-  return std::nullopt;  // unterminated string: truncated line
-}
-
-std::optional<double> number_field(const std::string& line, const char* name) {
-  const std::size_t at = field_offset(line, name);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t end = line.find_first_of(",}", at);
-  if (end == std::string::npos) return std::nullopt;  // truncated line
-  return support::parse_double(line.substr(at, end - at));
-}
-
-}  // namespace
-
 std::string journal_line(const JournalEntry& entry) {
   std::string out = "{\"application\":\"";
-  out += escape_json(entry.key.application);
+  out += support::json::escape(entry.key.application);
   out += "\",\"config\":\"";
-  out += escape_json(entry.key.config);
+  out += support::json::escape(entry.key.config);
   out += "\",\"ranks\":" + std::to_string(entry.key.ranks);
   out += ",\"kind\":\"";
   out += to_string(entry.key.kind);
@@ -72,24 +23,23 @@ std::string journal_line(const JournalEntry& entry) {
   if (!entry.error.empty()) {
     // Only failures carry the field, so success lines are byte-identical to
     // the pre-failure-record format and old journals parse unchanged.
-    out += ",\"error\":\"" + escape_json(entry.error) + "\"";
+    out += ",\"error\":\"" + support::json::escape(entry.error) + "\"";
   }
   out += "}";
   return out;
 }
 
 std::optional<JournalEntry> parse_journal_line(const std::string& line) {
-  if (line.empty() || line.front() != '{' || line.back() != '}') {
-    return std::nullopt;
-  }
-  const auto application = string_field(line, "application");
-  const auto config = string_field(line, "config");
-  const auto kind_name = string_field(line, "kind");
-  const auto ranks = number_field(line, "ranks");
-  const auto index = number_field(line, "index");
-  const auto length = number_field(line, "length");
-  const auto value = number_field(line, "value");
-  const auto attempts = number_field(line, "attempts");
+  const auto record = support::json::Object::parse(line);
+  if (!record.has_value()) return std::nullopt;
+  const auto application = record->string("application");
+  const auto config = record->string("config");
+  const auto kind_name = record->string("kind");
+  const auto ranks = record->number("ranks");
+  const auto index = record->number("index");
+  const auto length = record->number("length");
+  const auto value = record->number("value");
+  const auto attempts = record->number("attempts");
   if (!application || !config || !kind_name || !ranks || !index || !length ||
       !value || !attempts) {
     return std::nullopt;
@@ -105,7 +55,7 @@ std::optional<JournalEntry> parse_journal_line(const std::string& line) {
   entry.key.length = static_cast<std::size_t>(*length);
   entry.value = *value;
   entry.attempts = static_cast<int>(*attempts);
-  if (const auto error = string_field(line, "error")) entry.error = *error;
+  if (const auto error = record->string("error")) entry.error = *error;
   return entry;
 }
 

@@ -7,11 +7,14 @@
 #include <ostream>
 
 #include "obs/metrics.hpp"
+#include "support/json.hpp"
 #include "support/num_format.hpp"
 
 namespace kcoup::obs {
 
 namespace {
+
+using support::json::escape;
 
 /// Truncating copy into a fixed annotation buffer, always NUL-terminated.
 template <std::size_t N>
@@ -19,32 +22,6 @@ void copy_truncated(std::array<char, N>& dst, std::string_view src) {
   const std::size_t n = std::min(src.size(), N - 1);
   std::memcpy(dst.data(), src.data(), n);
   dst[n] = '\0';
-}
-
-/// JSON-escape an annotation value (control chars, quotes, backslashes).
-/// Annotation buffers are small, so building a std::string here is cheap —
-/// and this only runs at export time, never on the record path.
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct ExportEvent {
@@ -167,8 +144,8 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     const Span& s = *e.span;
     if (!first_event) out << ",\n";
     first_event = false;
-    out << "{\"ph\":\"X\",\"name\":\"" << json_escape(s.name)
-        << "\",\"cat\":\"" << json_escape(s.category) << "\",\"ts\":"
+    out << "{\"ph\":\"X\",\"name\":\"" << escape(s.name)
+        << "\",\"cat\":\"" << escape(s.category) << "\",\"ts\":"
         << support::format_double(static_cast<double>(s.start_ns) / 1000.0)
         << ",\"dur\":"
         << support::format_double(static_cast<double>(s.duration_ns) / 1000.0)
@@ -177,8 +154,8 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
       out << ",\"args\":{";
       for (std::uint32_t a = 0; a < s.annotation_count; ++a) {
         if (a != 0) out << ',';
-        out << '"' << json_escape(s.annotations[a].key.data()) << "\":\""
-            << json_escape(s.annotations[a].value.data()) << '"';
+        out << '"' << escape(s.annotations[a].key.data()) << "\":\""
+            << escape(s.annotations[a].value.data()) << '"';
       }
       out << '}';
     }

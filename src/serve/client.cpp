@@ -13,6 +13,7 @@
 #include "obs/trace.hpp"
 #include "serve/framing.hpp"
 #include "serve/protocol.hpp"
+#include "support/json.hpp"
 
 namespace kcoup::serve {
 
@@ -173,8 +174,9 @@ bool Client::ping() {
   obs::ScopedSpan span("request", "client");
   annotate_request(span, "ping", id);
   const auto response = roundtrip(ping_request(id));
-  return response.has_value() &&
-         response->find("\"ok\":true") != std::string::npos;
+  if (!response.has_value()) return false;
+  const auto frame = support::json::Object::parse(*response);
+  return frame.has_value() && frame->raw("ok") == "true";
 }
 
 std::optional<Prediction> Client::predict(const QueryKey& query) {
@@ -193,16 +195,7 @@ std::optional<std::vector<Prediction>> Client::predict_batch(
   annotate_request(span, "batch", id);
   const auto response = roundtrip(batch_request(queries, id));
   if (!response.has_value()) return std::nullopt;
-  const auto elements = split_json_array(*response, "results");
-  if (!elements.has_value()) return std::nullopt;
-  std::vector<Prediction> out;
-  out.reserve(elements->size());
-  for (const std::string& element : *elements) {
-    auto p = parse_prediction(element);
-    if (!p.has_value()) return std::nullopt;
-    out.push_back(std::move(*p));
-  }
-  return out;
+  return parse_batch_response(*response);
 }
 
 std::optional<std::string> Client::stats() {

@@ -1,76 +1,16 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
+#include "support/json.hpp"
 #include "support/num_format.hpp"
 
 namespace kcoup::serve {
 
 namespace {
 
-[[nodiscard]] int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-void append_utf8(std::string& out, unsigned code) {
-  if (code < 0x80) {
-    out += static_cast<char>(code);
-  } else if (code < 0x800) {
-    out += static_cast<char>(0xC0 | (code >> 6));
-    out += static_cast<char>(0x80 | (code & 0x3F));
-  } else {
-    out += static_cast<char>(0xE0 | (code >> 12));
-    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-    out += static_cast<char>(0x80 | (code & 0x3F));
-  }
-}
-
-/// Locates the first key string whose raw bytes equal `name` and returns
-/// the offset just past its colon, or npos.  Scans string tokens properly
-/// (backslash consumes the next byte), so `name` occurring *inside a
-/// string value* — e.g. a config called `see "ranks": 7` — can never be
-/// mistaken for the field.  A string is a key only when the next
-/// non-whitespace byte after its closing quote is ':'.
-std::size_t field_offset(const std::string& json, const char* name) {
-  const std::string want(name);
-  std::size_t i = 0;
-  while (i < json.size()) {
-    if (json[i] != '"') {
-      ++i;
-      continue;
-    }
-    const std::size_t start = ++i;  // first content byte
-    bool escaped = false;
-    while (i < json.size()) {
-      const char c = json[i];
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        break;
-      }
-      ++i;
-    }
-    if (i >= json.size()) return std::string::npos;  // unterminated string
-    const std::size_t end = i;  // closing quote
-    ++i;
-    std::size_t j = i;
-    while (j < json.size() &&
-           (json[j] == ' ' || json[j] == '\t' || json[j] == '\n' ||
-            json[j] == '\r')) {
-      ++j;
-    }
-    if (j < json.size() && json[j] == ':') {
-      if (json.compare(start, end - start, want) == 0) return j + 1;
-      i = j + 1;  // non-matching key: resume at its value
-    }
-  }
-  return std::string::npos;
-}
+using support::json::escape;
 
 void append_number(std::string& out, const char* name, double v) {
   if (!std::isfinite(v)) return;  // absent => NaN on the reader's side
@@ -84,25 +24,29 @@ void append_string(std::string& out, const char* name, const std::string& v) {
   out += ",\"";
   out += name;
   out += "\":\"";
-  out += json_escape(v);
+  out += escape(v);
   out += '"';
 }
 
 std::string query_json(const QueryKey& q) {
-  std::string out = "{\"app\":\"" + json_escape(q.application) +
-                    "\",\"config\":\"" + json_escape(q.config) +
+  std::string out = "{\"app\":\"" + escape(q.application) +
+                    "\",\"config\":\"" + escape(q.config) +
                     "\",\"ranks\":" + std::to_string(q.ranks) +
                     ",\"chain\":" + std::to_string(q.chain_length) + "}";
   return out;
 }
 
-std::optional<QueryKey> parse_query(const std::string& json) {
-  const auto app = json_string_field(json, "app");
-  const auto config = json_string_field(json, "config");
-  const auto ranks = json_number_field(json, "ranks");
-  const auto chain = json_number_field(json, "chain");
+std::optional<QueryKey> parse_query(const support::json::Object& json) {
+  const auto app = json.string("app");
+  const auto config = json.string("config");
+  const auto ranks = json.number("ranks");
+  const auto chain = json.number("chain");
   if (!app || !config || !ranks || !chain) return std::nullopt;
-  if (*ranks < 1 || *chain < 1) return std::nullopt;
+  // Bounded before the casts: an out-of-range double-to-int cast is UB.
+  constexpr double kMax = std::numeric_limits<int>::max();
+  if (*ranks < 1 || *ranks > kMax || *chain < 1 || *chain > kMax) {
+    return std::nullopt;
+  }
   QueryKey q;
   q.application = *app;
   q.config = *config;
@@ -111,143 +55,44 @@ std::optional<QueryKey> parse_query(const std::string& json) {
   return q;
 }
 
+Prediction prediction_from(const support::json::Object& json) {
+  Prediction p;
+  p.ok = json.raw("ok") == "true";
+  if (auto v = json.string("error")) p.error = std::move(*v);
+  if (auto v = json.string("app")) p.key.application = std::move(*v);
+  if (auto v = json.string("config")) p.key.config = std::move(*v);
+  if (const auto v = json.number("ranks")) p.key.ranks = static_cast<int>(*v);
+  if (const auto v = json.number("chain")) {
+    p.key.chain_length = static_cast<std::size_t>(*v);
+  }
+  if (const auto v = json.number("coupling_s")) p.coupling_s = *v;
+  if (const auto v = json.number("summation_s")) p.summation_s = *v;
+  if (const auto v = json.number("actual_s")) p.actual_s = *v;
+  if (const auto v = json.number("coupling_err")) p.coupling_error = *v;
+  if (const auto v = json.number("summation_err")) p.summation_error = *v;
+  if (auto v = json.string("alpha")) p.alpha_source = std::move(*v);
+  if (auto v = json.string("inputs")) p.inputs_source = std::move(*v);
+  if (auto v = json.string("source")) p.source = std::move(*v);
+  if (auto v = json.string("model_form")) p.model_form = std::move(*v);
+  if (const auto v = json.number("donor_ranks")) {
+    p.donor_ranks = static_cast<int>(*v);
+  }
+  if (const auto v = json.string("cache")) p.cache_hit = (*v == "hit");
+  if (const auto v = json.number("snapshot")) {
+    p.snapshot_version = static_cast<std::uint64_t>(*v);
+  }
+  return p;
+}
+
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  static const char* const kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default: {
-        const auto u = static_cast<unsigned char>(c);
-        if (u < 0x20) {
-          // Raw control bytes are invalid inside a JSON string.
-          out += "\\u00";
-          out += kHex[(u >> 4) & 0xF];
-          out += kHex[u & 0xF];
-        } else {
-          out += c;  // bytes >= 0x80 pass through (UTF-8 stays UTF-8)
-        }
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-std::optional<std::string> json_string_field(const std::string& json,
-                                             const char* name) {
-  std::size_t at = field_offset(json, name);
-  if (at == std::string::npos || at >= json.size() || json[at] != '"') {
-    return std::nullopt;
-  }
-  std::string out;
-  for (++at; at < json.size(); ++at) {
-    const char c = json[at];
-    if (c == '"') return out;
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++at >= json.size()) return std::nullopt;
-    switch (json[at]) {
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'u': {
-        if (at + 4 >= json.size()) return std::nullopt;
-        unsigned code = 0;
-        for (int k = 1; k <= 4; ++k) {
-          const int d = hex_value(json[at + k]);
-          if (d < 0) return std::nullopt;
-          code = code * 16 + static_cast<unsigned>(d);
-        }
-        at += 4;
-        // BMP only — json_escape never emits surrogate pairs.
-        append_utf8(out, code);
-        break;
-      }
-      default: out += json[at]; break;  // lenient: unknown escape is literal
-    }
-  }
-  return std::nullopt;  // unterminated string
-}
-
-std::optional<double> json_number_field(const std::string& json,
-                                        const char* name) {
-  const std::size_t at = field_offset(json, name);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t end = json.find_first_of(",}]", at);
-  if (end == std::string::npos) return std::nullopt;
-  return support::parse_double(json.substr(at, end - at));
-}
-
-std::optional<std::vector<std::string>> split_json_array(
-    const std::string& json, const char* field) {
-  std::size_t at = field_offset(json, field);
-  if (at == std::string::npos) return std::nullopt;
-  while (at < json.size() && (json[at] == ' ' || json[at] == '\t')) ++at;
-  if (at >= json.size() || json[at] != '[') return std::nullopt;
-
-  std::vector<std::string> elements;
-  int depth = 0;
-  bool in_string = false;
-  std::size_t element_start = 0;
-  for (std::size_t i = at; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '[':
-      case '{':
-        if (depth == 1 && c == '{') element_start = i;
-        ++depth;
-        break;
-      case '}':
-        --depth;
-        if (depth == 1) {
-          elements.push_back(json.substr(element_start,
-                                         i - element_start + 1));
-        }
-        break;
-      case ']':
-        --depth;
-        if (depth == 0) return elements;
-        break;
-      default: break;
-    }
-  }
-  return std::nullopt;  // unterminated array
-}
-
 std::optional<Request> parse_request(const std::string& json) {
-  if (json.empty() || json.front() != '{' || json.back() != '}') {
-    return std::nullopt;
-  }
-  const auto op = json_string_field(json, "op");
+  const auto request = support::json::Object::parse(json);
+  if (!request.has_value()) return std::nullopt;
+  const auto op = request->string("op");
   if (!op.has_value()) return std::nullopt;
   Request req;
-  if (const auto id = json_string_field(json, "trace_id")) {
+  if (const auto id = request->string("trace_id")) {
     // Truncate here, not at annotation time, so the echoed id and the
     // span's id can never disagree.
     req.trace_id = id->substr(0, kMaxTraceIdBytes);
@@ -270,16 +115,16 @@ std::optional<Request> parse_request(const std::string& json) {
   }
   if (*op == "predict") {
     req.op = RequestOp::kPredict;
-    const auto q = parse_query(json);
+    const auto q = parse_query(*request);
     if (!q.has_value()) return std::nullopt;
     req.queries.push_back(*q);
     return req;
   }
   if (*op == "batch") {
     req.op = RequestOp::kBatch;
-    const auto elements = split_json_array(json, "queries");
+    const auto elements = request->objects("queries");
     if (!elements.has_value() || elements->empty()) return std::nullopt;
-    for (const std::string& element : *elements) {
+    for (const support::json::Object& element : *elements) {
       const auto q = parse_query(element);
       if (!q.has_value()) return std::nullopt;
       req.queries.push_back(*q);
@@ -293,7 +138,7 @@ std::string attach_trace_id(std::string json, const std::string& trace_id) {
   if (trace_id.empty() || json.empty() || json.back() != '}') return json;
   json.pop_back();
   json += ",\"trace_id\":\"";
-  json += json_escape(trace_id);
+  json += escape(trace_id);
   json += "\"}";
   return json;
 }
@@ -314,8 +159,8 @@ std::string slowlog_request(const std::string& trace_id) {
 std::string predict_request(const QueryKey& query,
                             const std::string& trace_id) {
   std::string out = "{\"op\":\"predict\",\"app\":\"" +
-                    json_escape(query.application) + "\",\"config\":\"" +
-                    json_escape(query.config) +
+                    escape(query.application) + "\",\"config\":\"" +
+                    escape(query.config) +
                     "\",\"ranks\":" + std::to_string(query.ranks) +
                     ",\"chain\":" + std::to_string(query.chain_length) + "}";
   return attach_trace_id(std::move(out), trace_id);
@@ -368,48 +213,28 @@ std::string batch_json(std::span<const Prediction> results) {
 }
 
 std::string error_json(const std::string& error, int code) {
-  return "{\"ok\":false,\"error\":\"" + json_escape(error) +
+  return "{\"ok\":false,\"error\":\"" + escape(error) +
          "\",\"code\":" + std::to_string(code) + "}";
 }
 
 std::optional<Prediction> parse_prediction(const std::string& json) {
-  if (json.empty() || json.front() != '{') return std::nullopt;
-  Prediction p;
-  p.ok = json.find("\"ok\":true") != std::string::npos;
-  if (const auto v = json_string_field(json, "error")) p.error = *v;
-  if (const auto v = json_string_field(json, "app")) p.key.application = *v;
-  if (const auto v = json_string_field(json, "config")) p.key.config = *v;
-  if (const auto v = json_number_field(json, "ranks")) {
-    p.key.ranks = static_cast<int>(*v);
+  const auto response = support::json::Object::parse(json);
+  if (!response.has_value()) return std::nullopt;
+  return prediction_from(*response);
+}
+
+std::optional<std::vector<Prediction>> parse_batch_response(
+    const std::string& json) {
+  const auto response = support::json::Object::parse(json);
+  if (!response.has_value()) return std::nullopt;
+  const auto elements = response->objects("results");
+  if (!elements.has_value()) return std::nullopt;
+  std::vector<Prediction> out;
+  out.reserve(elements->size());
+  for (const support::json::Object& element : *elements) {
+    out.push_back(prediction_from(element));
   }
-  if (const auto v = json_number_field(json, "chain")) {
-    p.key.chain_length = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = json_number_field(json, "coupling_s")) p.coupling_s = *v;
-  if (const auto v = json_number_field(json, "summation_s")) {
-    p.summation_s = *v;
-  }
-  if (const auto v = json_number_field(json, "actual_s")) p.actual_s = *v;
-  if (const auto v = json_number_field(json, "coupling_err")) {
-    p.coupling_error = *v;
-  }
-  if (const auto v = json_number_field(json, "summation_err")) {
-    p.summation_error = *v;
-  }
-  if (const auto v = json_string_field(json, "alpha")) p.alpha_source = *v;
-  if (const auto v = json_string_field(json, "inputs")) p.inputs_source = *v;
-  if (const auto v = json_string_field(json, "source")) p.source = *v;
-  if (const auto v = json_string_field(json, "model_form")) p.model_form = *v;
-  if (const auto v = json_number_field(json, "donor_ranks")) {
-    p.donor_ranks = static_cast<int>(*v);
-  }
-  if (const auto v = json_string_field(json, "cache")) {
-    p.cache_hit = (*v == "hit");
-  }
-  if (const auto v = json_number_field(json, "snapshot")) {
-    p.snapshot_version = static_cast<std::uint64_t>(*v);
-  }
-  return p;
+  return out;
 }
 
 }  // namespace kcoup::serve

@@ -79,23 +79,9 @@ struct Request {
 /// Parse one prediction object (the client's inverse of prediction_json).
 [[nodiscard]] std::optional<Prediction> parse_prediction(
     const std::string& json);
-/// Split the top-level JSON array value of `field` into its element
-/// strings; nullopt when the field is missing or the array is malformed.
-[[nodiscard]] std::optional<std::vector<std::string>> split_json_array(
-    const std::string& json, const char* field);
-
-// --- JSON field helpers (shared with tests) ---------------------------------
-
-[[nodiscard]] std::optional<std::string> json_string_field(
-    const std::string& json, const char* name);
-[[nodiscard]] std::optional<double> json_number_field(const std::string& json,
-                                                      const char* name);
-/// Escape a byte string for use inside a JSON string literal: quotes and
-/// backslashes, the named escapes (\n \t \r \b \f), and every other byte
-/// below 0x20 as \u00XX (raw control bytes are invalid JSON).  Bytes >=
-/// 0x80 pass through untouched, so UTF-8 stays UTF-8.  json_string_field
-/// decodes all of these, making escape→parse a lossless round trip for
-/// arbitrary byte strings.
-[[nodiscard]] std::string json_escape(const std::string& s);
+/// Parse a batch response (the client's inverse of batch_json); nullopt
+/// when the frame carries no "results" array.
+[[nodiscard]] std::optional<std::vector<Prediction>> parse_batch_response(
+    const std::string& json);
 
 }  // namespace kcoup::serve

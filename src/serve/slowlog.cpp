@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "serve/protocol.hpp"
+#include "support/json.hpp"
 #include "support/num_format.hpp"
 
 namespace kcoup::serve {
@@ -71,20 +71,20 @@ void append_entry(std::string& out, const SlowLog::Entry& e) {
   out += ",\"ok\":";
   out += e.ok ? "true" : "false";
   out += ",\"op\":\"";
-  out += json_escape(e.op);
+  out += support::json::escape(e.op);
   out += '"';
   if (!e.source.empty()) {
     out += ",\"source\":\"";
-    out += json_escape(e.source);
+    out += support::json::escape(e.source);
     out += '"';
   }
   if (!e.trace_id.empty()) {
     out += ",\"trace_id\":\"";
-    out += json_escape(e.trace_id);
+    out += support::json::escape(e.trace_id);
     out += '"';
   }
   out += ",\"request\":\"";
-  out += json_escape(e.request);
+  out += support::json::escape(e.request);
   out += "\"}";
 }
 

@@ -332,6 +332,61 @@ TEST(TornJournalTest, TruncationAtEveryByteOffsetOfTheLastRecord) {
   std::remove(path.c_str());
 }
 
+/// A failure record whose error text holds what the old writer mishandled:
+/// a brace (a tear just after it left a line ending in '}'), a newline
+/// (written raw, it split the record in two) and quotes.
+JournalEntry hostile_failure() {
+  return JournalEntry{TaskKey{"A", "C", 1, TaskKind::kChain, 3, 1}, 0.0, 3,
+                      "bad cell {P=4}\nretry \"later\""};
+}
+
+TEST(TornJournalTest, FailureRecordWithControlBytesStaysOneRecord) {
+  const JournalEntry failed = hostile_failure();
+  const std::string line = journal_line(failed);
+  for (char c : line) EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  std::istringstream in(line + "\n");
+  const JournalLoad load = load_journal_entries(in);
+  EXPECT_EQ(load.lines, 1u);
+  EXPECT_TRUE(load.completed.empty());
+  ASSERT_EQ(load.failed.size(), 1u);
+  EXPECT_EQ(load.failed.at(failed.key).error, failed.error);
+  EXPECT_EQ(load.failed.at(failed.key).attempts, 3);
+  EXPECT_EQ(load.malformed, 0u);
+  EXPECT_FALSE(load.torn_tail);
+}
+
+TEST(TornJournalTest, NoStrictPrefixOfAFailureRecordLoads) {
+  const std::string line = journal_line(hostile_failure());
+  for (std::size_t cut = 1; cut < line.size(); ++cut) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    const std::string torn = line.substr(0, cut);
+    std::istringstream in(torn);
+    const JournalLoad load = load_journal_entries(in);
+    EXPECT_TRUE(load.completed.empty());
+    EXPECT_TRUE(load.failed.empty());
+    EXPECT_TRUE(load.torn_tail);
+    std::istringstream resume(torn);
+    EXPECT_TRUE(load_journal(resume).empty());
+  }
+}
+
+TEST(TornJournalTest, BitFlipsOfAFailureRecordReturnWithoutCrashing) {
+  const std::string line = journal_line(hostile_failure());
+  std::size_t parsed = 0;
+  for (std::size_t at = 0; at < line.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = line;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      parsed += parse_journal_line(flipped).has_value();
+      std::istringstream in(flipped + "\n");
+      (void)load_journal_entries(in);
+    }
+  }
+  // Flips inside the error text still parse; flips of the braces do not.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, line.size() * 8);
+}
+
 TEST(TornJournalTest, MidStreamGarbageIsMalformedNotTorn) {
   std::ostringstream file;
   file << journal_line(JournalEntry{

@@ -25,6 +25,7 @@
 #include "serve/pack.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "support/json.hpp"
 
 #include "serve_format_env.hpp"
 
@@ -442,21 +443,22 @@ TEST_F(ServerTest, StatsOpReportsCountersAndLatency) {
   ASSERT_TRUE(client.predict({"BT", "S", 4, 2}).has_value());
   const auto stats = client.stats();
   ASSERT_TRUE(stats.has_value());
-  const auto requests = serve::json_number_field(*stats, "requests");
+  const auto frame = support::json::Object::parse(*stats);
+  ASSERT_TRUE(frame.has_value()) << *stats;
+  const auto requests = frame->number("requests");
   ASSERT_TRUE(requests.has_value());
   EXPECT_GE(*requests, 1.0);
-  const auto p99 = serve::json_number_field(*stats, "latency_p99_s");
+  const auto p99 = frame->number("latency_p99_s");
   ASSERT_TRUE(p99.has_value());
   EXPECT_GT(*p99, 0.0);
   // The wire response carries the introspection fields `kcoup stats` renders:
   // uptime and the snapshot reload/generation counters.
-  const auto uptime = serve::json_number_field(*stats, "uptime_s");
+  const auto uptime = frame->number("uptime_s");
   ASSERT_TRUE(uptime.has_value());
   EXPECT_GT(*uptime, 0.0);
-  EXPECT_TRUE(serve::json_number_field(*stats, "snapshot_reloads"));
-  EXPECT_TRUE(
-      serve::json_number_field(*stats, "snapshot_reload_failures"));
-  EXPECT_TRUE(serve::json_number_field(*stats, "snapshot_version"));
+  EXPECT_TRUE(frame->number("snapshot_reloads"));
+  EXPECT_TRUE(frame->number("snapshot_reload_failures"));
+  EXPECT_TRUE(frame->number("snapshot_version"));
 
   const serve::ServeMetrics metrics = server_->metrics();
   EXPECT_GE(metrics.requests, 2u);

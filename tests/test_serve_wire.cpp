@@ -1,8 +1,9 @@
 // Wire-level tests for the event-driven serve path: the hardened frame
 // decoder (length overflow, incremental feeding), the best-effort
-// non-blocking reject send, JSON escaping of control characters and the
-// string-aware field scanner, request pipelining order, mid-pipeline
-// framing errors, and the poll(2) fallback backend.
+// non-blocking reject send, JSON escaping of control characters, the
+// string- and depth-aware JSON reader with its truncation and bit-flip
+// sweep, request pipelining order, mid-pipeline framing errors, and the
+// poll(2) fallback backend.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "support/json.hpp"
 
 #include "serve_format_env.hpp"
 
@@ -169,11 +171,26 @@ TEST(SendFrameBestEffortTest, GivesUpInsteadOfBlockingOnAFullBuffer) {
 
 // --- JSON escaping ----------------------------------------------------------
 
+/// One field of a JSON object through the shared reader: nullopt when the
+/// text is not one complete object or the field does not decode.
+std::optional<std::string> string_field(const std::string& json,
+                                        const char* name) {
+  const auto object = support::json::Object::parse(json);
+  if (!object.has_value()) return std::nullopt;
+  return object->string(name);
+}
+
+std::optional<double> number_field(const std::string& json, const char* name) {
+  const auto object = support::json::Object::parse(json);
+  if (!object.has_value()) return std::nullopt;
+  return object->number(name);
+}
+
 TEST(JsonEscapeTest, ControlCharactersBecomeValidJsonEscapes) {
-  EXPECT_EQ(serve::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(serve::json_escape("line1\nline2\ttab"),
+  EXPECT_EQ(support::json::escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(support::json::escape("line1\nline2\ttab"),
             "line1\\nline2\\ttab");
-  EXPECT_EQ(serve::json_escape(std::string("\x01\x1f", 2)),
+  EXPECT_EQ(support::json::escape(std::string("\x01\x1f", 2)),
             "\\u0001\\u001f");
   // No raw control byte may survive into the output.
   const std::string all = [] {
@@ -181,7 +198,7 @@ TEST(JsonEscapeTest, ControlCharactersBecomeValidJsonEscapes) {
     for (int c = 0; c < 0x20; ++c) s += static_cast<char>(c);
     return s;
   }();
-  for (char c : serve::json_escape(all)) {
+  for (char c : support::json::escape(all)) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
   }
 }
@@ -190,25 +207,24 @@ TEST(JsonEscapeTest, NamedEscapesDecodeBackToBytes) {
   // The old decoder collapsed \n to a literal 'n'; a config string with a
   // newline came back as "line1nline2".
   const std::string json = "{\"v\":\"line1\\nline2\\ttab\\u0001\"}";
-  const auto v = serve::json_string_field(json, "v");
+  const auto v = string_field(json, "v");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, std::string("line1\nline2\ttab\x01"));
 }
 
 TEST(JsonEscapeTest, UnicodeEscapesDecodeToUtf8) {
-  const auto a = serve::json_string_field("{\"v\":\"\\u0041\"}", "v");
+  const auto a = string_field("{\"v\":\"\\u0041\"}", "v");
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, "A");
-  const auto e = serve::json_string_field("{\"v\":\"\\u00e9\"}", "v");
+  const auto e = string_field("{\"v\":\"\\u00e9\"}", "v");
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(*e, "\xc3\xa9");  // é as UTF-8
-  const auto cjk = serve::json_string_field("{\"v\":\"\\u4e2d\"}", "v");
+  const auto cjk = string_field("{\"v\":\"\\u4e2d\"}", "v");
   ASSERT_TRUE(cjk.has_value());
   EXPECT_EQ(*cjk, "\xe4\xb8\xad");  // 中 as UTF-8
   // Truncated or non-hex \u escapes are malformed, not silently mangled.
-  EXPECT_FALSE(serve::json_string_field("{\"v\":\"\\u12\"}", "v").has_value());
-  EXPECT_FALSE(
-      serve::json_string_field("{\"v\":\"\\uzzzz\"}", "v").has_value());
+  EXPECT_FALSE(string_field("{\"v\":\"\\u12\"}", "v").has_value());
+  EXPECT_FALSE(string_field("{\"v\":\"\\uzzzz\"}", "v").has_value());
 }
 
 TEST(JsonEscapeTest, RoundTripsAdversarialStrings) {
@@ -226,8 +242,8 @@ TEST(JsonEscapeTest, RoundTripsAdversarialStrings) {
     for (std::size_t i = 0; i < len; ++i) {
       s += static_cast<char>(next() % 256);  // every byte value, incl. NUL
     }
-    const std::string json = "{\"v\":\"" + serve::json_escape(s) + "\"}";
-    const auto back = serve::json_string_field(json, "v");
+    const std::string json = "{\"v\":\"" + support::json::escape(s) + "\"}";
+    const auto back = string_field(json, "v");
     ASSERT_TRUE(back.has_value()) << "trial " << trial;
     EXPECT_EQ(*back, s) << "trial " << trial;
   }
@@ -249,7 +265,7 @@ TEST(JsonEscapeTest, PredictionWithHostileStringsRoundTrips) {
   EXPECT_EQ(back->key.ranks, 4);
 }
 
-// --- String-aware field scanner ---------------------------------------------
+// --- String- and depth-aware field reader -----------------------------------
 
 TEST(JsonFieldTest, FieldNameInsideStringValueIsNotMatched) {
   // Adversarial payload with raw quotes inside a "string": the flat
@@ -268,18 +284,186 @@ TEST(JsonFieldTest, FieldNameInsideStringValueIsNotMatched) {
 TEST(JsonFieldTest, EscapedQuotesInValuesDoNotHideLaterFields) {
   const std::string payload =
       "{\"config\":\"tricky \\\"chain\\\": 9 value\",\"chain\":3}";
-  const auto chain = serve::json_number_field(payload, "chain");
+  const auto chain = number_field(payload, "chain");
   ASSERT_TRUE(chain.has_value());
   EXPECT_EQ(*chain, 3.0);
-  const auto config = serve::json_string_field(payload, "config");
+  const auto config = string_field(payload, "config");
   ASSERT_TRUE(config.has_value());
   EXPECT_EQ(*config, "tricky \"chain\": 9 value");
 }
 
 TEST(JsonFieldTest, MissingFieldAndUnterminatedStringAreRejected) {
-  EXPECT_FALSE(serve::json_number_field("{\"a\":1}", "b").has_value());
-  EXPECT_FALSE(serve::json_string_field("{\"a\":\"unterminated", "a")
+  EXPECT_FALSE(number_field("{\"a\":1}", "b").has_value());
+  EXPECT_FALSE(string_field("{\"a\":\"unterminated", "a").has_value());
+}
+
+TEST(JsonFieldTest, NestedKeysNeverShadowTopLevelKeys) {
+  // A batch whose element carries "op":"predict" ahead of the real op.
+  const auto batch = serve::parse_request(
+      "{\"queries\":[{\"op\":\"predict\",\"app\":\"APP\",\"config\":\"X\","
+      "\"ranks\":4,\"chain\":2}],\"op\":\"batch\"}");
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->op, serve::RequestOp::kBatch);
+  ASSERT_EQ(batch->queries.size(), 1u);
+
+  const auto predict = serve::parse_request(
+      "{\"op\":\"predict\",\"meta\":{\"app\":\"EVIL\"},\"app\":\"APP\","
+      "\"config\":\"X\",\"ranks\":4,\"chain\":2}");
+  ASSERT_TRUE(predict.has_value());
+  ASSERT_EQ(predict->queries.size(), 1u);
+  EXPECT_EQ(predict->queries[0].application, "APP");
+
+  // A batch element's trace id is not the request's.
+  const std::string element =
+      "{\"app\":\"APP\",\"config\":\"X\",\"ranks\":4,\"chain\":2,"
+      "\"trace_id\":\"inner\"}";
+  const auto untraced =
+      serve::parse_request("{\"op\":\"batch\",\"queries\":[" + element + "]}");
+  ASSERT_TRUE(untraced.has_value());
+  EXPECT_EQ(untraced->trace_id, "");
+  const auto traced = serve::parse_request(
+      "{\"op\":\"batch\",\"queries\":[" + element + "],\"trace_id\":\"outer\"}");
+  ASSERT_TRUE(traced.has_value());
+  EXPECT_EQ(traced->trace_id, "outer");
+}
+
+TEST(JsonFieldTest, WhitespaceAfterColonIsAccepted) {
+  // json.dumps' default separators: ", " and ": ".
+  const auto ping = serve::parse_request("{\"op\": \"ping\"}");
+  ASSERT_TRUE(ping.has_value());
+  EXPECT_EQ(ping->op, serve::RequestOp::kPing);
+  const auto predict = serve::parse_request(
+      "{\"op\": \"predict\", \"app\": \"BT\", \"config\": \"S\", "
+      "\"ranks\": 4, \"chain\": 2}");
+  ASSERT_TRUE(predict.has_value());
+  ASSERT_EQ(predict->queries.size(), 1u);
+  EXPECT_EQ(predict->queries[0].application, "BT");
+  EXPECT_EQ(predict->queries[0].config, "S");
+  EXPECT_EQ(predict->queries[0].ranks, 4);
+  EXPECT_EQ(predict->queries[0].chain_length, 2u);
+}
+
+TEST(JsonFieldTest, UnterminatedStringRefusesTheWholeRequest) {
+  EXPECT_FALSE(
+      serve::parse_request("{\"op\":\"ping\",\"x\":\"unterminated}")
+          .has_value());
+}
+
+TEST(JsonFieldTest, OutOfRangeRanksAreRefusedNotCast) {
+  EXPECT_FALSE(serve::parse_request(
+                   "{\"op\":\"predict\",\"app\":\"APP\",\"config\":\"X\","
+                   "\"ranks\":1e300,\"chain\":2}")
                    .has_value());
+  EXPECT_FALSE(serve::parse_request(
+                   "{\"op\":\"predict\",\"app\":\"APP\",\"config\":\"X\","
+                   "\"ranks\":4,\"chain\":1e300}")
+                   .has_value());
+}
+
+// --- Truncation and bit-flip sweep over the one reader ----------------------
+
+/// A stats frame captured from a live server after one served query.
+const char* const kStatsFrame =
+    R"({"workers":4,"connections":2,"requests":1,"predictions":1,"errors":0,)"
+    R"("rejected_overload":0,"malformed_frames":0,"oversized_frames":0,)"
+    R"("cache_hits":1,"cache_misses":1,"cache_evictions":0,"cache_size":1,)"
+    R"("snapshot_reloads":1,"snapshot_reload_failures":0,)"
+    R"("snapshot_version":1,"db_records":5,"latency_count":1,)"
+    R"("latency_p50_s":9.4839e-05,"latency_p95_s":9.4839e-05,)"
+    R"("latency_p99_s":9.4839e-05,"latency_mean_s":9.4839e-05,)"
+    R"("latency_max_s":9.4839e-05,"uptime_s":0.205399,)"
+    R"("windows":{"1s":{"requests":1,"errors":0,"rps":1,"error_rate":0,)"
+    R"("p50_s":9.34600830078125e-05,"p95_s":9.34600830078125e-05,)"
+    R"("p99_s":9.34600830078125e-05},"10s":{"requests":1,"errors":0,)"
+    R"("rps":0.10000000000000001,"error_rate":0,)"
+    R"("p50_s":9.34600830078125e-05,"p95_s":9.34600830078125e-05,)"
+    R"("p99_s":9.34600830078125e-05},"60s":{"requests":1,"errors":0,)"
+    R"("rps":0.016666666666666666,"error_rate":0,)"
+    R"("p50_s":9.34600830078125e-05,"p95_s":9.34600830078125e-05,)"
+    R"("p99_s":9.34600830078125e-05}},"sources":{"snapshot_version":1,)"
+    R"("exact":1,"nearest_donor":0,"model":0,"none":0},"drift":null})";
+
+/// Every accessor on the keys the sample texts carry: the decoders must
+/// stay in bounds whatever a flipped bit left in the index.
+void touch_every_field(const std::string& text) {
+  const auto object = support::json::Object::parse(text);
+  if (!object.has_value()) return;
+  for (const char* key : {"op", "app", "config", "ranks", "chain", "queries",
+                          "trace_id", "ok", "error", "coupling_s", "source",
+                          "windows", "sources", "drift", "requests"}) {
+    (void)object->raw(key);
+    (void)object->string(key);
+    (void)object->number(key);
+    if (const auto nested = object->object(key)) (void)nested->raw("1s");
+    (void)object->objects(key);
+  }
+}
+
+std::vector<std::string> sweep_requests() {
+  serve::QueryKey decoy{"APP", "see \"ranks\": 7 {oops}", 4, 2};
+  return {serve::predict_request({"APP", "X", 4, 2}, "sweep-1"),
+          serve::batch_request({{"APP", "X", 4, 2}, decoy}, "sweep-2")};
+}
+
+std::string sweep_prediction() {
+  serve::Prediction p;
+  p.ok = true;
+  p.key = {"APP", "X", 4, 2};
+  p.coupling_s = 0.26123873079507093;
+  p.summation_s = 0.27503180720945508;
+  p.actual_s = 0.27221431246075539;
+  p.coupling_error = 0.040319634799756504;
+  p.summation_error = 0.010350281450046394;
+  p.alpha_source = "exact";
+  p.inputs_source = "measured";
+  p.source = "exact";
+  p.snapshot_version = 1;
+  return serve::attach_trace_id(serve::prediction_json(p), "sweep-3");
+}
+
+TEST(JsonFuzzTest, EveryStrictPrefixIsRejected) {
+  for (const std::string& request : sweep_requests()) {
+    ASSERT_TRUE(serve::parse_request(request).has_value()) << request;
+    for (std::size_t cut = 0; cut < request.size(); ++cut) {
+      EXPECT_FALSE(serve::parse_request(request.substr(0, cut)).has_value())
+          << request.substr(0, cut);
+    }
+  }
+  const std::string prediction = sweep_prediction();
+  ASSERT_TRUE(serve::parse_prediction(prediction).has_value());
+  for (std::size_t cut = 0; cut < prediction.size(); ++cut) {
+    EXPECT_FALSE(
+        serve::parse_prediction(prediction.substr(0, cut)).has_value())
+        << prediction.substr(0, cut);
+  }
+  const std::string stats = kStatsFrame;
+  ASSERT_TRUE(support::json::Object::parse(stats).has_value());
+  for (std::size_t cut = 0; cut < stats.size(); ++cut) {
+    EXPECT_FALSE(
+        support::json::Object::parse(stats.substr(0, cut)).has_value())
+        << stats.substr(0, cut);
+  }
+}
+
+TEST(JsonFuzzTest, EverySingleBitFlipReturnsWithoutCrashing) {
+  std::vector<std::string> texts = sweep_requests();
+  texts.push_back(sweep_prediction());
+  texts.push_back(kStatsFrame);
+  std::size_t flips = 0;
+  for (const std::string& text : texts) {
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = text;
+        flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+        (void)serve::parse_request(flipped);
+        (void)serve::parse_prediction(flipped);
+        (void)serve::parse_batch_response(flipped);
+        touch_every_field(flipped);
+        ++flips;
+      }
+    }
+  }
+  EXPECT_GT(flips, 0u);
 }
 
 // --- Server wire behaviour --------------------------------------------------
@@ -398,6 +582,16 @@ TEST_F(WireServerTest, OverflowingLengthPrefixGets400AndCloses) {
   EXPECT_NE(response->find("\"code\":400"), std::string::npos);
   EXPECT_EQ(server_->metrics().malformed_frames, 1u);
   EXPECT_FALSE(client.ping());  // connection closed after the error frame
+}
+
+TEST_F(WireServerTest, StockJsonEncoderSpacingIsServed) {
+  start_server();
+  serve::Client client = connect();
+  // The frame Python's json.dumps writes for {"op": "ping"}.
+  ASSERT_TRUE(client.send_request("{\"op\": \"ping\"}"));
+  const auto response = client.read_response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_NE(response->find("\"ok\":true"), std::string::npos) << *response;
 }
 
 TEST_F(WireServerTest, PipelinedRequestsAnswerInOrder) {

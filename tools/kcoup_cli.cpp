@@ -18,7 +18,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -50,6 +49,7 @@
 #include "npb/sp/sp_timed.hpp"
 #include "report/table.hpp"
 #include "support/atomic_file.hpp"
+#include "support/json.hpp"
 #include "trace/stats.hpp"
 
 namespace {
@@ -1221,7 +1221,8 @@ int cmd_fit(const Args& args) {
     for (const auto& [app, kernels] : snapshot->fitted_models()) {
       if (!first_app) out += ',';
       first_app = false;
-      out += "{\"app\":\"" + app + "\",\"kernels\":[";
+      out += "{\"app\":\"" + support::json::escape(app) +
+             "\",\"kernels\":[";
       for (std::size_t k = 0; k < kernels.size(); ++k) {
         const model::PiecewiseModel& pw = kernels[k];
         if (k > 0) out += ',';
@@ -1267,7 +1268,8 @@ int cmd_fit(const Args& args) {
     for (const model::CouplingTransition& t : snapshot->transitions()) {
       if (!first_t) out += ',';
       first_t = false;
-      out += "{\"app\":\"" + t.application + "\",\"config\":\"" + t.config +
+      out += "{\"app\":\"" + support::json::escape(t.application) +
+             "\",\"config\":\"" + support::json::escape(t.config) +
              "\",\"chain\":" + std::to_string(t.chain_length) +
              ",\"start\":" + std::to_string(t.chain_start) +
              ",\"ranks_lo\":" + std::to_string(t.ranks_lo) +
@@ -1411,94 +1413,6 @@ int cmd_query(const Args& args) {
   return any_failed ? 1 : 0;
 }
 
-/// Pull every *top-level* `"name":<number>` pair out of a JSON object —
-/// the flat shape of the server's stats frame.  The scanner tracks nesting
-/// depth, so nested objects and arrays (the stats frame's "windows" /
-/// "sources" / "drift" sections, or any field a future server adds) are
-/// skipped whole rather than having their inner keys mistaken for
-/// top-level fields.  Strings are skipped string-aware: a brace or quote
-/// inside a quoted value never changes depth.  Non-numeric values are
-/// skipped.
-std::map<std::string, double> parse_flat_json_numbers(const std::string& s) {
-  std::map<std::string, double> out;
-  int depth = 0;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    const char c = s[i];
-    if (c == '{' || c == '[') {
-      ++depth;
-      ++i;
-      continue;
-    }
-    if (c == '}' || c == ']') {
-      --depth;
-      ++i;
-      continue;
-    }
-    if (c != '"') {
-      ++i;
-      continue;
-    }
-    std::size_t end = i + 1;
-    while (end < s.size() && s[end] != '"') {
-      end += s[end] == '\\' ? 2 : 1;
-    }
-    if (end >= s.size()) break;
-    if (depth != 1) {  // a string inside a nested value: not a flat key
-      i = end + 1;
-      continue;
-    }
-    const std::string key = s.substr(i + 1, end - i - 1);
-    std::size_t j = end + 1;
-    while (j < s.size() && s[j] == ' ') ++j;
-    if (j < s.size() && s[j] == ':') {
-      ++j;
-      while (j < s.size() && s[j] == ' ') ++j;
-      char* num_end = nullptr;
-      const double v = std::strtod(s.c_str() + j, &num_end);
-      if (num_end != s.c_str() + j) {
-        out[key] = v;
-        i = static_cast<std::size_t>(num_end - s.c_str());
-        continue;
-      }
-    }
-    i = end + 1;
-  }
-  return out;
-}
-
-/// The balanced `{...}` value of the first `"key":{` occurrence (any
-/// depth), or "" when absent — how `kcoup top` digs the nested "windows" /
-/// "sources" / "drift" sections out of the stats frame before handing each
-/// one back to parse_flat_json_numbers.
-std::string extract_json_object(const std::string& s, const std::string& key) {
-  const std::string needle = "\"" + key + "\":{";
-  const std::size_t at = s.find(needle);
-  if (at == std::string::npos) return {};
-  const std::size_t open = at + needle.size() - 1;
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t j = open; j < s.size(); ++j) {
-    const char c = s[j];
-    if (in_string) {
-      if (c == '\\') {
-        ++j;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) return s.substr(open, j - open + 1);
-    }
-  }
-  return {};
-}
-
 // Fetch a live server's stats frame and render it as the ServeMetrics table
 // (or the raw JSON with --raw).  The frame is the extended wire response:
 // request/refusal counters, cache stats, snapshot generation + reload
@@ -1533,15 +1447,16 @@ int cmd_stats(const Args& args) {
     return 0;
   }
 
-  const std::map<std::string, double> fields =
-      parse_flat_json_numbers(*response);
-  auto u64 = [&fields](const char* key) -> std::uint64_t {
-    const auto it = fields.find(key);
-    return it == fields.end() ? 0 : static_cast<std::uint64_t>(it->second);
+  const auto frame = support::json::Object::parse(*response);
+  if (!frame.has_value()) {
+    throw std::runtime_error("stats: malformed response from " + host + ":" +
+                             std::to_string(port));
+  }
+  auto num = [&frame](const char* key) {
+    return frame->number(key).value_or(0.0);
   };
-  auto num = [&fields](const char* key) -> double {
-    const auto it = fields.find(key);
-    return it == fields.end() ? 0.0 : it->second;
+  auto u64 = [&num](const char* key) {
+    return static_cast<std::uint64_t>(num(key));
   };
   serve::ServeMetrics m;
   m.workers = static_cast<std::size_t>(u64("workers"));
@@ -1616,11 +1531,13 @@ int cmd_top(const Args& args) {
       throw std::runtime_error("top: no response from " + host + ":" +
                                std::to_string(port));
     }
-    const std::map<std::string, double> totals =
-        parse_flat_json_numbers(*response);
-    auto total = [&totals](const char* key) -> double {
-      const auto it = totals.find(key);
-      return it == totals.end() ? 0.0 : it->second;
+    const auto frame = support::json::Object::parse(*response);
+    if (!frame.has_value()) {
+      throw std::runtime_error("top: malformed response from " + host + ":" +
+                               std::to_string(port));
+    }
+    const auto total = [&frame](const char* key) {
+      return frame->number(key).value_or(0.0);
     };
     if (tty) std::printf("\033[2J\033[H");
     std::printf(
@@ -1632,13 +1549,11 @@ int cmd_top(const Args& args) {
     report::Table t("rolling windows");
     t.set_header({"window", "rps", "requests", "errors", "err%", "p50",
                   "p95", "p99"});
-    const std::string windows = extract_json_object(*response, "windows");
+    const auto windows = frame->object("windows");
     for (const char* name : {"1s", "10s", "60s"}) {
-      const std::map<std::string, double> w =
-          parse_flat_json_numbers(extract_json_object(windows, name));
-      auto field = [&w](const char* key) -> double {
-        const auto it = w.find(key);
-        return it == w.end() ? 0.0 : it->second;
+      const auto w = windows ? windows->object(name) : std::nullopt;
+      const auto field = [&w](const char* key) {
+        return w ? w->number(key).value_or(0.0) : 0.0;
       };
       char rps[32];
       std::snprintf(rps, sizeof(rps), "%.1f", field("rps"));
@@ -1654,11 +1569,9 @@ int cmd_top(const Args& args) {
     }
     std::printf("%s\n", t.to_string().c_str());
 
-    const std::map<std::string, double> sources =
-        parse_flat_json_numbers(extract_json_object(*response, "sources"));
-    auto source = [&sources](const char* key) -> double {
-      const auto it = sources.find(key);
-      return it == sources.end() ? 0.0 : it->second;
+    const auto sources = frame->object("sources");
+    const auto source = [&sources](const char* key) {
+      return sources ? sources->number(key).value_or(0.0) : 0.0;
     };
     std::printf(
         "sources (snapshot v%.0f): exact %.0f  nearest-donor %.0f  "
@@ -1666,12 +1579,9 @@ int cmd_top(const Args& args) {
         source("snapshot_version"), source("exact"), source("nearest_donor"),
         source("model"), source("none"));
 
-    const std::string drift = extract_json_object(*response, "drift");
-    if (!drift.empty()) {
-      const std::map<std::string, double> d = parse_flat_json_numbers(drift);
-      auto dv = [&d](const char* key) -> double {
-        const auto it = d.find(key);
-        return it == d.end() ? 0.0 : it->second;
+    if (const auto drift = frame->object("drift")) {
+      const auto dv = [&drift](const char* key) {
+        return drift->number(key).value_or(0.0);
       };
       std::printf(
           "drift v%.0f→v%.0f: %.0f new records, %.0f compared, "
