@@ -7,8 +7,11 @@
 
 namespace kcoup::machine {
 
-CacheModel::CacheModel(const MachineConfig* config) : config_(config) {
-  assert(config_ != nullptr);
+CacheModel::CacheModel(const MachineConfig& config) {
+  capacities_.resize(config.cache.size());
+  for (std::size_t i = 0; i < config.cache.size(); ++i) {
+    capacities_[i] = config.cache[i].capacity_bytes;
+  }
 }
 
 RegionId CacheModel::register_region(std::string name, std::size_t bytes) {
@@ -16,6 +19,7 @@ RegionId CacheModel::register_region(std::string name, std::size_t bytes) {
   regions_.push_back(RegionInfo{std::move(name), bytes});
   last_toucher_.push_back(kInvalidKernel);
   producer_footprint_.push_back(0);
+  stack_.reserve(regions_.size());  // touches then never grow the stack
   return id;
 }
 
@@ -24,19 +28,19 @@ std::size_t CacheModel::effective_footprint(const RegionAccess& a) const {
 }
 
 std::size_t CacheModel::level_for_distance(std::size_t distance) const {
-  const auto& levels = config_->cache;
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    if (distance <= levels[i].capacity_bytes) return i;
+  for (std::size_t i = 0; i < capacities_.size(); ++i) {
+    if (distance <= capacities_[i]) return i;
   }
-  return levels.size();  // main memory
+  return capacities_.size();  // main memory
 }
 
 std::size_t CacheModel::stack_distance(RegionId r) const {
-  auto it = in_stack_.find(r);
-  if (it == in_stack_.end()) return std::numeric_limits<std::size_t>::max();
   std::size_t d = 0;
-  for (auto e = stack_.begin(); e != it->second; ++e) d += e->footprint;
-  return d;
+  for (auto e = stack_.rbegin(); e != stack_.rend(); ++e) {
+    if (e->region == r) return d;
+    d += e->footprint;
+  }
+  return std::numeric_limits<std::size_t>::max();
 }
 
 KernelId CacheModel::last_toucher(RegionId r) const {
@@ -44,10 +48,11 @@ KernelId CacheModel::last_toucher(RegionId r) const {
 }
 
 void CacheModel::touch(RegionId r, std::size_t footprint) {
-  auto it = in_stack_.find(r);
-  if (it != in_stack_.end()) stack_.erase(it->second);
-  stack_.push_front(StackEntry{r, footprint});
-  in_stack_[r] = stack_.begin();
+  const auto it =
+      std::find_if(stack_.begin(), stack_.end(),
+                   [r](const StackEntry& e) { return e.region == r; });
+  if (it != stack_.end()) stack_.erase(it);
+  stack_.push_back(StackEntry{r, footprint});
 }
 
 CacheModel::AccessCost CacheModel::access(KernelId self, KernelId prev_kernel,
@@ -56,9 +61,9 @@ CacheModel::AccessCost CacheModel::access(KernelId self, KernelId prev_kernel,
                                           std::size_t pipeline_stages) {
   assert(a.region < regions_.size());
   assert(pipeline_stages >= 1);
-  const std::size_t nlevels = config_->cache.size();
+  const std::size_t nlevels = capacities_.size();
   AccessCost cost;
-  cost.level_bytes.assign(nlevels, 0);
+  cost.level_bytes.resize(nlevels);
   if (a.bytes == 0) {
     // Zero-byte accesses still record data-flow (e.g. a kernel invocation
     // that degenerated on this rank) but generate no traffic.
@@ -127,7 +132,6 @@ void CacheModel::end_invocation(KernelId k, std::size_t invocation_footprint) {
 
 void CacheModel::reset() {
   stack_.clear();
-  in_stack_.clear();
   touched_this_invocation_.clear();
   std::fill(last_toucher_.begin(), last_toucher_.end(), kInvalidKernel);
   std::fill(producer_footprint_.begin(), producer_footprint_.end(),

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/config.hpp"
@@ -46,10 +44,15 @@ namespace kcoup::machine {
 ///    not manufacture phantom coupling between kernels, while still
 ///    occupying stack space and evicting other data.
 ///
-/// The model is deterministic and independent of host behaviour.
+/// The model is deterministic and independent of host behaviour.  It keeps
+/// the cache capacities by value and refers to nothing outside itself, so it
+/// may be copied or moved.  Its containers keep their capacity, so once the
+/// regions have been touched, pricing allocates nothing.
 class CacheModel {
  public:
-  explicit CacheModel(const MachineConfig* config);
+  /// Takes the config's cache capacities.  Throws std::length_error when
+  /// the config declares more than kMaxCacheLevels levels.
+  explicit CacheModel(const MachineConfig& config);
 
   /// Register an application array of `bytes` total size.
   RegionId register_region(std::string name, std::size_t bytes);
@@ -65,7 +68,7 @@ class CacheModel {
   /// Bytes served from each cache level (index into config cache levels)
   /// plus main memory for one access.
   struct AccessCost {
-    std::vector<std::size_t> level_bytes;
+    PerLevel<std::size_t> level_bytes;
     std::size_t memory_bytes = 0;
   };
 
@@ -111,10 +114,11 @@ class CacheModel {
 
   void touch(RegionId r, std::size_t footprint);
 
-  const MachineConfig* config_;
+  PerLevel<std::size_t> capacities_;
   std::vector<RegionInfo> regions_;
-  std::list<StackEntry> stack_;  // front = most recently touched
-  std::unordered_map<RegionId, std::list<StackEntry>::iterator> in_stack_;
+  /// The LRU stack, back = most recently touched; each touched region
+  /// appears once.
+  std::vector<StackEntry> stack_;
   std::vector<KernelId> last_toucher_;
   std::vector<std::size_t> producer_footprint_;
   std::vector<RegionId> touched_this_invocation_;

@@ -1,10 +1,53 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace kcoup::machine {
+
+/// Most cache levels a MachineConfig may declare (L1 through L4).
+inline constexpr std::size_t kMaxCacheLevels = 4;
+
+/// One value per cache level, L1 first: a vector of at most kMaxCacheLevels
+/// entries stored in place, so pricing an access or an invocation never
+/// allocates.
+template <class T>
+class PerLevel {
+ public:
+  PerLevel() = default;
+  PerLevel(std::initializer_list<T> values) {
+    resize(values.size());
+    std::copy(values.begin(), values.end(), values_.begin());
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  T& operator[](std::size_t i) { return values_[i]; }
+  const T& operator[](std::size_t i) const { return values_[i]; }
+  [[nodiscard]] const T* begin() const { return values_.data(); }
+  [[nodiscard]] const T* end() const { return values_.data() + size_; }
+
+  /// New entries are value-initialised (zero).  Throws std::length_error
+  /// past kMaxCacheLevels.
+  void resize(std::size_t levels) {
+    if (levels > kMaxCacheLevels) {
+      throw std::length_error("machine: " + std::to_string(levels) +
+                              " cache levels, at most " +
+                              std::to_string(kMaxCacheLevels) +
+                              " are supported");
+    }
+    for (std::size_t i = size_; i < levels; ++i) values_[i] = T{};
+    size_ = levels;
+  }
+
+ private:
+  std::array<T, kMaxCacheLevels> values_{};
+  std::size_t size_ = 0;
+};
 
 /// One level of the data-cache hierarchy.
 struct CacheLevel {
@@ -28,7 +71,8 @@ struct MachineConfig {
   double flops_per_second = 1.0;
 
   // --- Memory hierarchy ----------------------------------------------------
-  /// Cache levels ordered from fastest/smallest (L1) to slowest/largest.
+  /// Cache levels ordered from fastest/smallest (L1) to slowest/largest;
+  /// at most kMaxCacheLevels (a Machine refuses more).
   std::vector<CacheLevel> cache;
   /// Cost of data served from main memory, seconds per byte.
   double memory_seconds_per_byte = 0.0;

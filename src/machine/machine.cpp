@@ -28,13 +28,13 @@ CostBreakdown& CostBreakdown::operator+=(const CostBreakdown& o) {
   memory_s += o.memory_s;
   comm_s += o.comm_s;
   sync_s += o.sync_s;
-  if (cache_s.size() < o.cache_s.size()) cache_s.resize(o.cache_s.size(), 0.0);
+  if (cache_s.size() < o.cache_s.size()) cache_s.resize(o.cache_s.size());
   for (std::size_t i = 0; i < o.cache_s.size(); ++i) cache_s[i] += o.cache_s[i];
   return *this;
 }
 
 Machine::Machine(MachineConfig config)
-    : config_(std::move(config)), cache_(&config_) {
+    : config_(std::move(config)), cache_(config_) {
   assert(config_.flops_per_second > 0.0);
   assert(config_.ranks >= 1);
 }
@@ -56,7 +56,7 @@ double Machine::skew_correlation(KernelId a, KernelId b) {
 
 CostBreakdown Machine::execute(const WorkProfile& profile) {
   CostBreakdown cost;
-  cost.cache_s.assign(config_.cache.size(), 0.0);
+  cost.cache_s.resize(config_.cache.size());
 
   // --- Compute. --------------------------------------------------------
   cost.compute_s = profile.flops / config_.flops_per_second;

@@ -14,7 +14,7 @@ namespace kcoup::machine {
 struct CostBreakdown {
   double compute_s = 0.0;
   /// Seconds of data traffic served by each cache level (L1 first).
-  std::vector<double> cache_s;
+  PerLevel<double> cache_s;
   double memory_s = 0.0;
   double comm_s = 0.0;
   double sync_s = 0.0;
@@ -51,8 +51,13 @@ struct CostBreakdown {
 ///               number of messages and load balancing issues are affecting
 ///               the coupling more than the message sizes and cache effects"
 ///               (section 4.1.1).
+///
+/// A Machine owns all of its state, so it may be copied or moved: the copy
+/// prices exactly like the original would from the same history.
 class Machine {
  public:
+  /// Throws std::length_error when `config` declares more than
+  /// kMaxCacheLevels cache levels.
   explicit Machine(MachineConfig config);
 
   [[nodiscard]] const MachineConfig& config() const { return config_; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <utility>
 
 namespace kcoup::model {
@@ -37,10 +38,22 @@ struct Builder {
   const PiecewiseOptions& options;
   std::size_t splits_left = 0;
   PiecewiseModel out;
+  /// select_model per sample range [lo, hi).  The split scan scores both
+  /// sides of every boundary, so the accepted split's two sides, and most
+  /// ranges their own scans visit, are already scored; the search is a
+  /// pure function of the range's samples, so a stored result is exact.
+  std::map<std::pair<std::size_t, std::size_t>, SelectedModel> selected;
+
+  const SelectedModel& select(std::size_t lo, std::size_t hi) {
+    auto [it, fresh] = selected.try_emplace({lo, hi});
+    if (fresh) {
+      it->second = select_model(samples.subspan(lo, hi - lo), options.select);
+    }
+    return it->second;
+  }
 
   void fit_range(std::size_t lo, std::size_t hi) {
-    const auto range = samples.subspan(lo, hi - lo);
-    SelectedModel parent = select_model(range, options.select);
+    const SelectedModel& parent = select(lo, hi);
 
     if (splits_left > 0 && !parent.degenerate &&
         std::isfinite(parent.cv_rmse) && parent.cv_rmse > 0.0) {
@@ -56,8 +69,8 @@ struct Builder {
             distinct_p(right) < options.min_distinct_p) {
           continue;
         }
-        const SelectedModel ml = select_model(left, options.select);
-        const SelectedModel mr = select_model(right, options.select);
+        const SelectedModel& ml = select(lo, b);
+        const SelectedModel& mr = select(b, hi);
         if (ml.degenerate || mr.degenerate || !std::isfinite(ml.cv_rmse) ||
             !std::isfinite(mr.cv_rmse)) {
           continue;
@@ -90,7 +103,7 @@ struct Builder {
     seg.p_min = samples[lo].p;
     seg.p_max = samples[hi - 1].p;
     seg.sample_count = hi - lo;
-    seg.model = std::move(parent);
+    seg.model = parent;
     out.segments.push_back(std::move(seg));
   }
 };
@@ -151,7 +164,7 @@ PiecewiseModel fit_piecewise(std::span<const ModelSample> samples,
 
   Builder builder{sorted, options,
                   options.max_segments > 0 ? options.max_segments - 1 : 0,
-                  {}};
+                  {}, {}};
   if (sorted.empty()) {
     // No data at all: a single flagged constant segment, never an empty
     // (and thus unevaluable) model.

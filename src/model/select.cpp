@@ -17,54 +17,102 @@ namespace {
 /// that noise instead of tying (and resolving to the simpler form).
 constexpr double kExactScoreClamp = 1e-12;
 
+/// The samples' values of every registry term, row-major.
 struct Design {
-  std::vector<std::vector<double>> rows;  ///< rows[i][t]: term t at sample i
-  std::vector<double> w;                  ///< 1/y^2 (1 when y == 0)
+  std::size_t terms = 0;     ///< registry size
+  std::vector<double> rows;  ///< rows[s * terms + t]: term t at sample s
+  std::vector<double> w;     ///< 1/y^2 (1 when y == 0)
   std::vector<double> y;
+
+  [[nodiscard]] std::size_t size() const { return y.size(); }
+  [[nodiscard]] const double* row(std::size_t s) const {
+    return rows.data() + s * terms;
+  }
 };
 
 Design build_design(std::span<const ModelSample> samples) {
   const auto registry = term_registry();
   Design d;
-  d.rows.reserve(samples.size());
+  d.terms = registry.size();
+  d.rows.reserve(samples.size() * d.terms);
   d.w.reserve(samples.size());
   d.y.reserve(samples.size());
   for (const ModelSample& s : samples) {
-    std::vector<double> row(registry.size());
-    for (const Term& t : registry) row[t.id] = t.eval(s.n, s.p);
-    d.rows.push_back(std::move(row));
+    for (const Term& t : registry) d.rows.push_back(t.eval(s.n, s.p));
     d.w.push_back(s.seconds != 0.0 ? 1.0 / (s.seconds * s.seconds) : 1.0);
     d.y.push_back(s.seconds);
   }
   return d;
 }
 
-constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
+/// Weighted normal equations of every ordered registry term pair (a, b),
+/// once per leave-one-out fold and once for the full sample set.  Slot f
+/// < m leaves sample f out; slot m holds all samples.  Each entry is
+/// summed from 0.0 in sample order, as (w_s * r_a) * r_b and
+/// (w_s * r_a) * y_s, so a candidate's k x k system, read off at its term
+/// ids, is the same additions in the same order as building it from the
+/// samples directly: the solver sees bit-identical input.  (a, b) and
+/// (b, a) are separate entries because their products round differently.
+struct FoldEquations {
+  std::size_t terms = 0;
+  /// Per slot: the terms x terms sums of (w_s * r_a) * r_b, row a and
+  /// column b, then the terms sums of (w_s * r_a) * y_s.
+  std::vector<double> sums;
 
-/// Weighted least squares over the candidate columns, optionally leaving
-/// sample `skip` out.  False when the normal equations are singular or the
-/// solution is non-finite.
-bool fit_candidate(const Design& d, std::span<const std::uint32_t> ids,
-                   std::size_t skip, std::vector<double>* coefficients) {
-  const std::size_t k = ids.size();
-  std::vector<double> ata(k * k, 0.0);
-  std::vector<double> atb(k, 0.0);
-  for (std::size_t s = 0; s < d.rows.size(); ++s) {
-    if (s == skip) continue;
-    const std::vector<double>& full_row = d.rows[s];
-    for (std::size_t i = 0; i < k; ++i) {
-      const double ri = full_row[ids[i]];
-      atb[i] += d.w[s] * ri * d.y[s];
-      for (std::size_t j = 0; j < k; ++j) {
-        ata[i * k + j] += d.w[s] * ri * full_row[ids[j]];
-      }
+  [[nodiscard]] std::size_t stride() const { return terms * (terms + 1); }
+  double* slot(std::size_t i) { return sums.data() + i * stride(); }
+  [[nodiscard]] const double* slot(std::size_t i) const {
+    return sums.data() + i * stride();
+  }
+
+  void add_sample(const Design& d, std::size_t into, std::size_t s) {
+    double* ata = slot(into);
+    double* atb = ata + terms * terms;
+    const double* r = d.row(s);
+    for (std::size_t a = 0; a < terms; ++a) {
+      const double wr = d.w[s] * r[a];
+      atb[a] += wr * d.y[s];
+      for (std::size_t b = 0; b < terms; ++b) ata[a * terms + b] += wr * r[b];
     }
   }
-  if (!coupling::solve_dense(ata, atb, k)) return false;
-  for (const double c : atb) {
+};
+
+FoldEquations build_fold_equations(const Design& d) {
+  const std::size_t m = d.size();
+  FoldEquations e{d.terms, {}};
+  e.sums.assign((m + 1) * e.stride(), 0.0);
+  // The full slot doubles as the running prefix: fold f starts from the
+  // sums over samples [0, f), skips f in place and adds f+1 .. m-1.
+  for (std::size_t f = 0; f < m; ++f) {
+    std::copy_n(e.slot(m), e.stride(), e.slot(f));
+    for (std::size_t s = f + 1; s < m; ++s) e.add_sample(d, f, s);
+    e.add_sample(d, m, f);
+  }
+  return e;
+}
+
+/// Weighted least squares over the candidate columns from slot `slot` of
+/// the shared equations; `ata` is a work buffer.  False when the system is
+/// singular or the solution non-finite.
+bool fit_candidate(const FoldEquations& e, std::size_t slot,
+                   std::span<const std::uint32_t> ids, std::vector<double>& ata,
+                   std::vector<double>& coefficients) {
+  const std::size_t k = ids.size();
+  const std::size_t t = e.terms;
+  const double* full_ata = e.slot(slot);
+  const double* full_atb = full_ata + t * t;
+  ata.resize(k * k);
+  coefficients.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    coefficients[i] = full_atb[ids[i]];
+    for (std::size_t j = 0; j < k; ++j) {
+      ata[i * k + j] = full_ata[ids[i] * t + ids[j]];
+    }
+  }
+  if (!coupling::solve_dense(ata, coefficients, k)) return false;
+  for (const double c : coefficients) {
     if (!std::isfinite(c)) return false;
   }
-  *coefficients = std::move(atb);
   return true;
 }
 
@@ -73,7 +121,7 @@ double predict_row(const Design& d, std::size_t s,
                    std::span<const double> coefficients) {
   double t = 0.0;
   for (std::size_t j = 0; j < ids.size(); ++j) {
-    t += coefficients[j] * d.rows[s][ids[j]];
+    t += coefficients[j] * d.row(s)[ids[j]];
   }
   return t;
 }
@@ -83,13 +131,13 @@ double predict_row(const Design& d, std::size_t s,
 double rms_relative_error(const Design& d, std::span<const std::uint32_t> ids,
                           std::span<const double> coefficients) {
   double err2 = 0.0;
-  for (std::size_t s = 0; s < d.rows.size(); ++s) {
+  for (std::size_t s = 0; s < d.size(); ++s) {
     const double pred = predict_row(d, s, ids, coefficients);
     const double rel =
         d.y[s] != 0.0 ? (pred - d.y[s]) / d.y[s] : pred;
     err2 += rel * rel;
   }
-  return std::sqrt(err2 / static_cast<double>(d.rows.size()));
+  return std::sqrt(err2 / static_cast<double>(d.size()));
 }
 
 SelectedModel constant_fallback(const Design& d) {
@@ -97,7 +145,7 @@ SelectedModel constant_fallback(const Design& d) {
   // always well defined, always finite.
   double sw = 0.0;
   double swy = 0.0;
-  for (std::size_t s = 0; s < d.rows.size(); ++s) {
+  for (std::size_t s = 0; s < d.size(); ++s) {
     sw += d.w[s];
     swy += d.w[s] * d.y[s];
   }
@@ -106,7 +154,7 @@ SelectedModel constant_fallback(const Design& d) {
   m.terms = {{kConstantTermId, sw > 0.0 ? swy / sw : 0.0}};
   const std::uint32_t ids[] = {kConstantTermId};
   const double coefficients[] = {m.terms[0].coefficient};
-  m.fit_rmse = d.rows.empty() ? 0.0 : rms_relative_error(d, ids, coefficients);
+  m.fit_rmse = d.size() == 0 ? 0.0 : rms_relative_error(d, ids, coefficients);
   return m;
 }
 
@@ -149,50 +197,57 @@ SelectedModel select_model(std::span<const ModelSample> samples,
   for (const ModelSample& s : samples) distinct.insert({s.n, s.p});
   if (distinct.size() < 2) return constant_fallback(d);
 
+  const FoldEquations equations = build_fold_equations(d);
+  const std::size_t m = samples.size();
   const std::size_t registry_size = term_registry().size();
   SelectedModel best;
   double best_cv = std::numeric_limits<double>::infinity();
+  std::vector<double> ata;
   std::vector<double> coefficients;
-  std::vector<double> loo;
 
   const std::size_t max_terms = std::min(options.max_terms, registry_size);
   for (std::size_t k = 1; k <= max_terms; ++k) {
     // Leave-one-out fits use m-1 samples; require strictly more samples
     // than terms so no fold is underdetermined by count alone.
-    if (samples.size() < k + 1 || distinct.size() < k) continue;
+    if (m < k + 1 || distinct.size() < k) continue;
     std::vector<std::uint32_t> ids(k);
     for (std::size_t i = 0; i < k; ++i) ids[i] = static_cast<std::uint32_t>(i);
     bool more = true;
     while (more) {
-      if (fit_candidate(d, ids, kNoSkip, &coefficients)) {
-        double cv2 = 0.0;
-        bool valid = true;
-        for (std::size_t s = 0; s < samples.size(); ++s) {
-          if (!fit_candidate(d, ids, s, &loo)) {
-            valid = false;
-            break;
-          }
-          const double pred = predict_row(d, s, ids, loo);
-          const double rel =
-              d.y[s] != 0.0 ? (pred - d.y[s]) / d.y[s] : pred;
-          cv2 += rel * rel;
+      double cv2 = 0.0;
+      bool valid = true;
+      for (std::size_t s = 0; s < m; ++s) {
+        // cv2 only grows, and / and sqrt are monotone, so once this bound
+        // reaches the incumbent the final score cannot beat it under the
+        // strict < below.  The clamp cannot revive the candidate either:
+        // an incumbent is 0 or above kExactScoreClamp.
+        if (std::sqrt(cv2 / static_cast<double>(m)) >= best_cv ||
+            !fit_candidate(equations, s, ids, ata, coefficients)) {
+          valid = false;
+          break;
         }
-        if (valid) {
-          double cv = std::sqrt(cv2 / static_cast<double>(samples.size()));
-          if (cv <= kExactScoreClamp) cv = 0.0;
-          // Strict <: the enumeration order (size ascending, ids
-          // lexicographic) makes the first of any tie — fewest terms, then
-          // smallest id set — the deterministic winner.
-          if (std::isfinite(cv) && cv < best_cv) {
-            best_cv = cv;
-            best.terms.clear();
-            for (std::size_t i = 0; i < k; ++i) {
-              best.terms.push_back({ids[i], coefficients[i]});
-            }
-            best.cv_rmse = cv;
-            best.fit_rmse = rms_relative_error(d, ids, coefficients);
-            best.degenerate = false;
+        const double pred = predict_row(d, s, ids, coefficients);
+        const double rel = d.y[s] != 0.0 ? (pred - d.y[s]) / d.y[s] : pred;
+        cv2 += rel * rel;
+      }
+      if (valid) {
+        double cv = std::sqrt(cv2 / static_cast<double>(m));
+        if (cv <= kExactScoreClamp) cv = 0.0;
+        // Strict <: the enumeration order (size ascending, ids
+        // lexicographic) makes the first of any tie — fewest terms, then
+        // smallest id set — the deterministic winner.  The full-sample fit
+        // runs only for a candidate about to win, and a singular one
+        // disqualifies it.
+        if (std::isfinite(cv) && cv < best_cv &&
+            fit_candidate(equations, m, ids, ata, coefficients)) {
+          best_cv = cv;
+          best.terms.clear();
+          for (std::size_t i = 0; i < k; ++i) {
+            best.terms.push_back({ids[i], coefficients[i]});
           }
+          best.cv_rmse = cv;
+          best.fit_rmse = rms_relative_error(d, ids, coefficients);
+          best.degenerate = false;
         }
       }
       more = false;

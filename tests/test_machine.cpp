@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <utility>
+
 #include "machine/cache_model.hpp"
 #include "machine/config.hpp"
 #include "machine/machine.hpp"
@@ -34,7 +38,7 @@ std::size_t total_cached(const CacheModel::AccessCost& c) {
 
 TEST(CacheModelTest, CompulsoryMissGoesToMemory) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId r = cache.register_region("a", 500);
   const CacheModel::AccessCost c =
       cache.access(0, kInvalidKernel, RegionAccess{r, AccessKind::kRead, 500},
@@ -45,7 +49,7 @@ TEST(CacheModelTest, CompulsoryMissGoesToMemory) {
 
 TEST(CacheModelTest, SelfReuseHitsLevelThatFits) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId r = cache.register_region("a", 500);
   const RegionAccess a{r, AccessKind::kRead, 500};
   (void)cache.access(0, kInvalidKernel, a, 0, 1);
@@ -58,7 +62,7 @@ TEST(CacheModelTest, SelfReuseHitsLevelThatFits) {
 
 TEST(CacheModelTest, CyclicScanIsAllOrNothing) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   // A region larger than L1 but fitting L2: re-traversals never hit L1.
   const RegionId r = cache.register_region("big", 2000);
   const RegionAccess a{r, AccessKind::kRead, 2000};
@@ -70,7 +74,7 @@ TEST(CacheModelTest, CyclicScanIsAllOrNothing) {
 
 TEST(CacheModelTest, InterveningTrafficEvicts) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId a = cache.register_region("a", 600);
   const RegionId b = cache.register_region("b", 600);
   const RegionAccess ra{a, AccessKind::kRead, 600};
@@ -86,7 +90,7 @@ TEST(CacheModelTest, InterveningTrafficEvicts) {
 
 TEST(CacheModelTest, StackDistanceTracksRecency) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId a = cache.register_region("a", 100);
   const RegionId b = cache.register_region("b", 200);
   EXPECT_EQ(cache.stack_distance(a), SIZE_MAX);
@@ -98,7 +102,7 @@ TEST(CacheModelTest, StackDistanceTracksRecency) {
 
 TEST(CacheModelTest, StreamingWritePricedByFootprint) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId small = cache.register_region("small", 800);
   const RegionId large = cache.register_region("large", 5000);
   // First-touch writes: no read-for-ownership; priced by landing level.
@@ -112,7 +116,7 @@ TEST(CacheModelTest, StreamingWritePricedByFootprint) {
 
 TEST(CacheModelTest, ScratchBufferStreamsAtItsFootprintLevel) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   // 400-byte buffer streaming 100x its size: footprint, not traffic, decides.
   const RegionId buf = cache.register_region("buf", 400);
   (void)cache.access(0, kInvalidKernel,
@@ -125,7 +129,7 @@ TEST(CacheModelTest, ScratchBufferStreamsAtItsFootprintLevel) {
 
 TEST(CacheModelTest, FreshRuleRequiresImmediatePredecessor) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId r = cache.register_region("data", 3000);  // > L1
   // Kernel 1 writes the region.
   (void)cache.access(1, kInvalidKernel,
@@ -158,7 +162,7 @@ TEST(CacheModelTest, FreshRuleRequiresImmediatePredecessor) {
 
 TEST(CacheModelTest, IsolatedLoopNeverQualifiesAsFresh) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId r = cache.register_region("data", 3000);
   RegionAccess read{r, AccessKind::kRead, 3000};
   read.fresh_fraction = 1.0;
@@ -173,7 +177,7 @@ TEST(CacheModelTest, IsolatedLoopNeverQualifiesAsFresh) {
 
 TEST(CacheModelTest, ResetColdStartsEverything) {
   const MachineConfig cfg = tiny_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const RegionId r = cache.register_region("a", 500);
   (void)cache.access(0, kInvalidKernel, RegionAccess{r, AccessKind::kRead, 500}, 0, 1);
   cache.end_invocation(0, 500);
@@ -270,6 +274,84 @@ TEST(MachineTest, ResetStateRestoresColdBehaviour) {
   EXPECT_LT(warm, cold);
   m.reset_state();
   EXPECT_DOUBLE_EQ(m.execute_seconds(p), cold);
+}
+
+// --- Copying and moving ------------------------------------------------------
+//
+// A Machine owns its whole state, so a copy, or a machine moved into, must
+// price exactly like a fresh machine that lived through the same history.
+
+constexpr std::size_t kWarmBytes = 64 * 1024;  // fits the preset's 128 KiB L1
+
+WorkProfile reread(RegionId r) {
+  WorkProfile p;
+  p.kernel = 0;
+  p.accesses = {RegionAccess{r, AccessKind::kRead, kWarmBytes}};
+  return p;
+}
+
+void expect_same_cost(const CostBreakdown& got, const CostBreakdown& want) {
+  EXPECT_EQ(got.compute_s, want.compute_s);
+  ASSERT_EQ(got.cache_s.size(), want.cache_s.size());
+  for (std::size_t i = 0; i < want.cache_s.size(); ++i) {
+    EXPECT_EQ(got.cache_s[i], want.cache_s[i]) << "level " << i;
+  }
+  EXPECT_EQ(got.memory_s, want.memory_s);
+  EXPECT_EQ(got.comm_s, want.comm_s);
+  EXPECT_EQ(got.sync_s, want.sync_s);
+  EXPECT_EQ(got.total(), want.total());
+}
+
+TEST(MachineTest, CopyOutlivesItsOriginal) {
+  Machine fresh(ibm_sp_p2sc());
+  const WorkProfile p = reread(fresh.register_region("a", kWarmBytes));
+  (void)fresh.execute(p);
+
+  std::optional<Machine> original(std::in_place, ibm_sp_p2sc());
+  (void)original->register_region("a", kWarmBytes);
+  (void)original->execute(p);
+  Machine copy(*original);
+  // Destroy the original and build a cacheless machine in its storage: a
+  // copy that still read its original's config would now price the warm
+  // re-read at main-memory speed.
+  MachineConfig cacheless = ibm_sp_p2sc();
+  cacheless.cache.clear();
+  original.emplace(cacheless);
+
+  const CostBreakdown warm = fresh.execute(p);
+  EXPECT_GT(warm.cache_s[0], 0.0);  // the re-read hits L1
+  EXPECT_EQ(warm.memory_s, 0.0);
+  expect_same_cost(copy.execute(p), warm);
+}
+
+TEST(MachineTest, MovedToMachinePricesLikeAFreshOne) {
+  Machine fresh(ibm_sp_p2sc());
+  const WorkProfile p = reread(fresh.register_region("a", kWarmBytes));
+  (void)fresh.execute(p);
+
+  Machine source(ibm_sp_p2sc());
+  (void)source.register_region("a", kWarmBytes);
+  (void)source.execute(p);
+  Machine moved(std::move(source));
+
+  const CostBreakdown warm = fresh.execute(p);
+  EXPECT_GT(warm.cache_s[0], 0.0);  // the re-read hits L1
+  EXPECT_EQ(warm.memory_s, 0.0);
+  expect_same_cost(moved.execute(p), warm);
+  // Move assignment too: the target takes the source's history.
+  Machine assigned(generic_smp());
+  assigned = std::move(moved);
+  expect_same_cost(assigned.execute(p), fresh.execute(p));
+}
+
+TEST(MachineTest, RefusesMoreCacheLevelsThanItStoresInPlace) {
+  MachineConfig cfg = generic_smp();
+  while (cfg.cache.size() < kMaxCacheLevels) {
+    cfg.cache.push_back(cfg.cache.back());
+  }
+  EXPECT_NO_THROW(Machine{cfg});
+  cfg.cache.push_back(cfg.cache.back());
+  EXPECT_THROW(Machine{cfg}, std::length_error);
 }
 
 TEST(MachineTest, CostBreakdownAccumulates) {

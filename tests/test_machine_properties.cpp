@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <list>
 #include <random>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "machine/cache_model.hpp"
@@ -62,7 +70,7 @@ class CacheFuzzTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(CacheFuzzTest, EveryByteIsPricedExactlyOnce) {
   std::mt19937 rng(GetParam());
   const MachineConfig cfg = small_machine();
-  CacheModel cache(&cfg);
+  CacheModel cache(cfg);
   const FuzzWorkload w = random_workload(rng, 6, 300);
   for (std::size_t r = 0; r < w.region_sizes.size(); ++r) {
     (void)cache.register_region("r" + std::to_string(r), w.region_sizes[r]);
@@ -93,7 +101,7 @@ TEST_P(CacheFuzzTest, DeterministicReplay) {
     return random_workload(rng, 5, 200);
   }();
   auto run_once = [&] {
-    CacheModel cache(&cfg);
+    CacheModel cache(cfg);
     for (std::size_t r = 0; r < w.region_sizes.size(); ++r) {
       (void)cache.register_region("r", w.region_sizes[r]);
     }
@@ -167,6 +175,318 @@ TEST_P(CacheFuzzTest, ResetRestoresInitialBehaviour) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// --- Differential pin against the list-based reference ---------------------
+//
+// The cache model used to keep its LRU stack as a std::list indexed by an
+// unordered_map, and CostBreakdown::cache_s was a std::vector.  That
+// algorithm is kept here as the reference: the flat stack and the inline
+// per-level storage must price every access bit for bit like it.
+
+namespace reference {
+
+struct CostBreakdown {
+  double compute_s = 0.0;
+  std::vector<double> cache_s;
+  double memory_s = 0.0;
+  double comm_s = 0.0;
+  double sync_s = 0.0;
+
+  [[nodiscard]] double total() const {
+    double t = compute_s + memory_s + comm_s + sync_s;
+    for (double c : cache_s) t += c;
+    return t;
+  }
+};
+
+class CacheModel {
+ public:
+  explicit CacheModel(const MachineConfig* config) : config_(config) {}
+
+  void register_region(std::size_t bytes) {
+    region_bytes_.push_back(bytes);
+    last_toucher_.push_back(kInvalidKernel);
+    producer_footprint_.push_back(0);
+  }
+
+  struct AccessCost {
+    std::vector<std::size_t> level_bytes;
+    std::size_t memory_bytes = 0;
+  };
+
+  AccessCost access(KernelId self, KernelId prev_kernel, const RegionAccess& a,
+                    std::size_t footprint_so_far,
+                    std::size_t pipeline_stages) {
+    const std::size_t nlevels = config_->cache.size();
+    AccessCost cost;
+    cost.level_bytes.assign(nlevels, 0);
+    if (a.bytes == 0) {
+      touched_this_invocation_.push_back(a.region);
+      return cost;
+    }
+    const std::size_t footprint = effective_footprint(a);
+
+    auto charge = [&](std::size_t level, std::size_t bytes) {
+      if (level < nlevels) {
+        cost.level_bytes[level] += bytes;
+      } else {
+        cost.memory_bytes += bytes;
+      }
+    };
+
+    if (a.kind == AccessKind::kWrite) {
+      charge(level_for_distance(footprint), a.bytes);
+    } else if (a.pipelined_self_reuse) {
+      charge(level_for_distance(2 * footprint / pipeline_stages), a.bytes);
+    } else {
+      std::size_t fresh_bytes = 0;
+      if (a.fresh_fraction > 0.0 && prev_kernel != kInvalidKernel &&
+          prev_kernel != self && last_toucher_[a.region] == prev_kernel) {
+        fresh_bytes = static_cast<std::size_t>(
+            static_cast<double>(a.bytes) * std::min(a.fresh_fraction, 1.0));
+        const std::size_t window =
+            (producer_footprint_[a.region] + footprint_so_far + footprint) /
+            pipeline_stages;
+        charge(level_for_distance(window), fresh_bytes);
+      }
+      const std::size_t normal_bytes = a.bytes - fresh_bytes;
+      if (normal_bytes > 0) {
+        const std::size_t d_above = stack_distance(a.region);
+        if (d_above == std::numeric_limits<std::size_t>::max()) {
+          cost.memory_bytes += normal_bytes;
+        } else {
+          charge(level_for_distance(d_above + footprint), normal_bytes);
+        }
+      }
+    }
+
+    touch(a.region, footprint);
+    touched_this_invocation_.push_back(a.region);
+    return cost;
+  }
+
+  void end_invocation(KernelId k, std::size_t invocation_footprint) {
+    for (RegionId r : touched_this_invocation_) {
+      last_toucher_[r] = k;
+      producer_footprint_[r] = invocation_footprint;
+    }
+    touched_this_invocation_.clear();
+  }
+
+  void reset() {
+    stack_.clear();
+    in_stack_.clear();
+    touched_this_invocation_.clear();
+    std::fill(last_toucher_.begin(), last_toucher_.end(), kInvalidKernel);
+    std::fill(producer_footprint_.begin(), producer_footprint_.end(),
+              std::size_t{0});
+  }
+
+  [[nodiscard]] std::size_t effective_footprint(const RegionAccess& a) const {
+    return std::min(a.bytes, region_bytes_.at(a.region));
+  }
+
+  [[nodiscard]] std::size_t stack_distance(RegionId r) const {
+    auto it = in_stack_.find(r);
+    if (it == in_stack_.end()) return std::numeric_limits<std::size_t>::max();
+    std::size_t d = 0;
+    for (auto e = stack_.begin(); e != it->second; ++e) d += e->footprint;
+    return d;
+  }
+
+  [[nodiscard]] KernelId last_toucher(RegionId r) const {
+    return last_toucher_.at(r);
+  }
+
+ private:
+  struct StackEntry {
+    RegionId region = kInvalidRegion;
+    std::size_t footprint = 0;
+  };
+
+  [[nodiscard]] std::size_t level_for_distance(std::size_t distance) const {
+    const auto& levels = config_->cache;
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      if (distance <= levels[i].capacity_bytes) return i;
+    }
+    return levels.size();
+  }
+
+  void touch(RegionId r, std::size_t footprint) {
+    auto it = in_stack_.find(r);
+    if (it != in_stack_.end()) stack_.erase(it->second);
+    stack_.push_front(StackEntry{r, footprint});
+    in_stack_[r] = stack_.begin();
+  }
+
+  const MachineConfig* config_;
+  std::vector<std::size_t> region_bytes_;
+  std::list<StackEntry> stack_;
+  std::unordered_map<RegionId, std::list<StackEntry>::iterator> in_stack_;
+  std::vector<KernelId> last_toucher_;
+  std::vector<std::size_t> producer_footprint_;
+  std::vector<RegionId> touched_this_invocation_;
+};
+
+double log2p(int ranks) {
+  return ranks > 1 ? std::log2(static_cast<double>(ranks)) : 0.0;
+}
+
+/// Machine::execute over the reference cache model.  Not copyable: the
+/// cache model points at config_.
+class Machine {
+ public:
+  explicit Machine(MachineConfig config)
+      : config_(std::move(config)), cache_(&config_) {}
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
+
+  void register_region(std::size_t bytes) { cache_.register_region(bytes); }
+
+  CostBreakdown execute(const WorkProfile& profile) {
+    CostBreakdown cost;
+    cost.cache_s.assign(config_.cache.size(), 0.0);
+    cost.compute_s = profile.flops / config_.flops_per_second;
+
+    std::size_t footprint_so_far = 0;
+    for (const RegionAccess& a : profile.accesses) {
+      const CacheModel::AccessCost ac =
+          cache_.access(profile.kernel, prev_kernel_, a, footprint_so_far,
+                        profile.pipeline_stages);
+      for (std::size_t i = 0; i < ac.level_bytes.size(); ++i) {
+        cost.cache_s[i] += static_cast<double>(ac.level_bytes[i]) *
+                           config_.cache[i].seconds_per_byte;
+      }
+      cost.memory_s += static_cast<double>(ac.memory_bytes) *
+                       config_.memory_seconds_per_byte;
+      footprint_so_far += cache_.effective_footprint(a);
+    }
+    cache_.end_invocation(profile.kernel, footprint_so_far);
+
+    const double contention =
+        1.0 + config_.net_contention_coeff * log2p(config_.ranks);
+    double latency_bound_s = 0.0;
+    for (const MessageOp& m : profile.messages) {
+      const double n = static_cast<double>(m.count);
+      latency_bound_s += n * config_.net_latency_s;
+      cost.comm_s += n * (config_.net_latency_s +
+                          static_cast<double>(m.bytes_each) *
+                              config_.net_seconds_per_byte * contention);
+    }
+
+    if (profile.synchronizes && config_.ranks > 1) {
+      const double tree_depth =
+          std::ceil(std::log2(static_cast<double>(config_.ranks)));
+      cost.sync_s += config_.sync_latency_s * tree_depth;
+      const double corr =
+          machine::Machine::skew_correlation(prev_kernel_, profile.kernel);
+      const double scale = (1.0 - 1.0 / static_cast<double>(config_.ranks)) *
+                           log2p(config_.ranks);
+      cost.sync_s += (1.0 - corr) * config_.imbalance_coeff * scale *
+                     profile.imbalance_weight *
+                     (latency_bound_s + config_.sync_latency_s * tree_depth);
+    }
+
+    prev_kernel_ = profile.kernel;
+    return cost;
+  }
+
+  void reset_state() {
+    cache_.reset();
+    prev_kernel_ = kInvalidKernel;
+  }
+
+  [[nodiscard]] const CacheModel& cache() const { return cache_; }
+
+ private:
+  MachineConfig config_;
+  CacheModel cache_;
+  KernelId prev_kernel_ = kInvalidKernel;
+};
+
+}  // namespace reference
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// A random invocation over `regions` regions: every access kind,
+/// zero-byte accesses, fresh fractions up to 1.25 and pipelined self-reuse.
+WorkProfile random_invocation(std::mt19937_64& rng,
+                              const std::vector<std::size_t>& regions) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  auto below = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  WorkProfile p;
+  p.kernel = static_cast<KernelId>(below(6));
+  p.flops = unit(rng) < 0.8 ? std::ldexp(unit(rng), 30) : 0.0;
+  p.pipeline_stages = 1 + below(8);
+  const std::size_t accesses = below(9);
+  for (std::size_t i = 0; i < accesses; ++i) {
+    RegionAccess a;
+    a.region = static_cast<RegionId>(below(regions.size()));
+    a.kind = static_cast<AccessKind>(below(3));
+    a.bytes = unit(rng) < 0.1 ? 0 : below(3 * regions[a.region] + 1);
+    a.fresh_fraction = unit(rng) < 0.5 ? 1.25 * unit(rng) : 0.0;
+    a.pipelined_self_reuse = unit(rng) < 0.15;
+    p.accesses.push_back(a);
+  }
+  for (std::size_t i = below(3); i > 0; --i) {
+    p.messages.push_back(MessageOp{below(64), below(1 << 20)});
+  }
+  p.synchronizes = unit(rng) < 0.5;
+  p.imbalance_weight = unit(rng);
+  return p;
+}
+
+TEST(CacheReferenceTest, MachineMatchesListReferenceBitForBit) {
+  std::mt19937_64 rng(20021);
+  const int rank_choices[] = {1, 2, 4, 9, 16, 64};
+  std::size_t invocations = 0;
+  for (int trace = 0; trace < 200; ++trace) {
+    MachineConfig cfg = trace % 2 == 0 ? ibm_sp_p2sc() : generic_smp();
+    cfg.ranks = rank_choices[rng() % std::size(rank_choices)];
+    Machine m(cfg);
+    reference::Machine ref(cfg);
+    // 1-24 regions, log-uniform from 64 B to 64 MiB: every cache level and
+    // main memory is reachable on both presets.
+    std::vector<std::size_t> regions(1 + rng() % 24);
+    for (std::size_t& bytes : regions) {
+      const double log2_bytes =
+          6.0 + 20.0 * static_cast<double>(rng() % 1000) / 1000.0;
+      bytes = static_cast<std::size_t>(std::exp2(log2_bytes));
+      (void)m.register_region("r", bytes);
+      ref.register_region(bytes);
+    }
+    for (int step = 0; step < 300; ++step, ++invocations) {
+      if (rng() % 40 == 0) {
+        m.reset_state();
+        ref.reset_state();
+      }
+      const WorkProfile p = random_invocation(rng, regions);
+      const CostBreakdown got = m.execute(p);
+      const reference::CostBreakdown want = ref.execute(p);
+      ASSERT_TRUE(same_bits(got.compute_s, want.compute_s));
+      ASSERT_EQ(got.cache_s.size(), want.cache_s.size());
+      for (std::size_t i = 0; i < want.cache_s.size(); ++i) {
+        ASSERT_TRUE(same_bits(got.cache_s[i], want.cache_s[i]))
+            << "trace " << trace << " step " << step << " level " << i;
+      }
+      ASSERT_TRUE(same_bits(got.memory_s, want.memory_s))
+          << "trace " << trace << " step " << step;
+      ASSERT_TRUE(same_bits(got.comm_s, want.comm_s));
+      ASSERT_TRUE(same_bits(got.sync_s, want.sync_s));
+      ASSERT_TRUE(same_bits(got.total(), want.total()));
+      for (RegionId r = 0; r < regions.size(); ++r) {
+        ASSERT_EQ(m.cache().stack_distance(r), ref.cache().stack_distance(r))
+            << "trace " << trace << " step " << step << " region " << r;
+        ASSERT_EQ(m.cache().last_toucher(r), ref.cache().last_toucher(r));
+      }
+    }
+  }
+  EXPECT_EQ(invocations, 200u * 300u);
+}
 
 TEST(MachinePropertyTest, CostsScaleMonotonicallyWithWork) {
   Machine m(small_machine());
