@@ -19,6 +19,13 @@ namespace kcoup::serve {
 
 namespace {
 
+/// Largest response payload the client accepts, far above any response the
+/// server writes.  It bounds what a peer's length prefix can make the
+/// client buffer.
+constexpr std::size_t kMaxResponseBytes = std::size_t{64} << 20;
+/// Most bytes one recv(2) asks for.
+constexpr std::size_t kRecvChunk = 64 * 1024;
+
 bool send_all(int fd, const std::string& data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
@@ -37,13 +44,17 @@ bool send_all(int fd, const std::string& data) {
 
 Client::~Client() { close(); }
 
-Client::Client(Client&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+Client::Client(Client&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      rx_(std::exchange(other.rx_, {})),
+      rx_pos_(std::exchange(other.rx_pos_, 0)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_ = std::exchange(other.fd_, -1);
+    rx_ = std::exchange(other.rx_, {});
+    rx_pos_ = std::exchange(other.rx_pos_, 0);
   }
   return *this;
 }
@@ -77,44 +88,36 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  rx_.clear();  // a later connect() must not replay this stream's bytes
+  rx_pos_ = 0;
 }
 
 std::optional<std::string> Client::read_frame() {
-  std::size_t length = 0;
-  std::size_t digits = 0;
+  std::string payload;
   for (;;) {
-    char c = 0;
-    const ssize_t r = ::recv(fd_, &c, 1, 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
+    switch (decode_frame(rx_, &rx_pos_, kMaxResponseBytes, &payload)) {
+      case FrameDecodeStatus::kFrame:
+        return payload;
+      case FrameDecodeStatus::kNeedMore:
+        break;
+      case FrameDecodeStatus::kMalformed:
+      case FrameDecodeStatus::kOversized:
+        return std::nullopt;
+    }
+    rx_.erase(0, rx_pos_);
+    rx_pos_ = 0;
+    char chunk[kRecvChunk];
+    const ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (r > 0) {
+      rx_.append(chunk, static_cast<std::size_t>(r));
+    } else if (r == 0 || errno != EINTR) {
       return std::nullopt;
     }
-    if (c == '\n') {
-      if (digits == 0) return std::nullopt;
-      break;
-    }
-    // Same hardened rule as the server's decoder: a length whose decimal
-    // value would wrap std::size_t is malformed, never silently small.
-    if (digits >= 20 || !accumulate_length_digit(&length, c)) {
-      return std::nullopt;
-    }
-    ++digits;
   }
-  std::string payload(length, '\0');
-  std::size_t got = 0;
-  while (got < length) {
-    const ssize_t r = ::recv(fd_, payload.data() + got, length - got, 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return std::nullopt;
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return payload;
 }
 
 std::optional<std::string> Client::roundtrip(const std::string& payload) {
-  return roundtrip_raw(std::to_string(payload.size()) + "\n" + payload);
+  return roundtrip_raw(encode_frame(payload));
 }
 
 std::optional<std::string> Client::roundtrip_raw(const std::string& bytes) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,6 +11,10 @@ namespace kcoup::serve {
 
 /// Minimal blocking client for the serve protocol (one frame out, one frame
 /// in).  Used by `kcoup query`, the server tests, and the throughput bench.
+/// Responses are read through the server's own frame decoder from a
+/// per-connection receive buffer, so pipelined responses that arrive in one
+/// segment cost one recv(2), and a response announcing more than 64 MiB is
+/// refused as soon as its length arrives, with nothing allocated for it.
 /// Not thread-safe; open one Client per thread.
 class Client {
  public:
@@ -77,12 +82,17 @@ class Client {
   }
 
  private:
+  /// The next frame from rx_, receiving more bytes only while rx_ lacks a
+  /// whole one.  Nullopt on EOF, a socket error, or a malformed or
+  /// oversized length prefix.
   [[nodiscard]] std::optional<std::string> read_frame();
   /// The trace id for the next request: the fixed id, a generated one, or
   /// "".  Records it as last_trace_id().
   [[nodiscard]] const std::string& next_trace_id();
 
   int fd_ = -1;
+  std::string rx_;          ///< received bytes not yet returned as frames
+  std::size_t rx_pos_ = 0;  ///< offset of the first undecoded byte in rx_
   std::string trace_id_;
   std::string auto_prefix_;
   std::uint64_t auto_seq_ = 0;

@@ -11,8 +11,8 @@ namespace {
 
 constexpr std::size_t kMaxLengthDigits = 20;
 
-}  // namespace
-
+/// Accumulate one ASCII digit into a length.  False when c is not a digit
+/// or the new value would wrap.
 bool accumulate_length_digit(std::size_t* length, char c) {
   if (c < '0' || c > '9') return false;
   const auto digit = static_cast<std::size_t>(c - '0');
@@ -21,6 +21,8 @@ bool accumulate_length_digit(std::size_t* length, char c) {
   *length = *length * 10 + digit;
   return true;
 }
+
+}  // namespace
 
 FrameDecodeStatus decode_frame(const std::string& buf, std::size_t* pos,
                                std::size_t max_payload, std::string* payload) {

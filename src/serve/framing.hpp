@@ -9,7 +9,9 @@ namespace kcoup::serve {
 /// the payload byte count in ASCII decimal, '\n', then exactly that many
 /// payload bytes.  decode_frame() works over an append-only buffer, so the
 /// event-driven server can feed it whatever recv() returned and pull out
-/// every complete frame without ever blocking on a partial one.
+/// every complete frame without ever blocking on a partial one.  The
+/// blocking client reads its responses through the same decoder, so both
+/// sides of the wire enforce one hardened length rule.
 
 enum class FrameDecodeStatus {
   kNeedMore,   ///< no complete frame in the buffer yet
@@ -34,12 +36,6 @@ enum class FrameDecodeStatus {
                                              std::size_t* pos,
                                              std::size_t max_payload,
                                              std::string* payload);
-
-/// Accumulate one ASCII digit into a length, rejecting overflow.  Shared by
-/// decode_frame and the blocking client's byte-at-a-time reader so both
-/// sides of the wire enforce the same hardened rule.  Returns false when c
-/// is not a digit or the new value would wrap.
-[[nodiscard]] bool accumulate_length_digit(std::size_t* length, char c);
 
 /// length + '\n' + payload, ready to send.
 [[nodiscard]] std::string encode_frame(const std::string& payload);

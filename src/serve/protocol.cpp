@@ -55,15 +55,34 @@ std::optional<QueryKey> parse_query(const support::json::Object& json) {
   return q;
 }
 
-Prediction prediction_from(const support::json::Object& json) {
+/// Store integer field `name`, when present, into *out.  False when the
+/// value lies outside T's range, where the cast would be undefined
+/// behaviour.  The cast truncates toward zero, so exactly the values in
+/// (min - 1, max + 1) convert; both bounds are exact doubles.
+template <typename T>
+bool read_integer(const support::json::Object& json, const char* name,
+                  T* out) {
+  const auto v = json.number(name);
+  if (!v) return true;
+  const double past_max = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double before_min =
+      std::numeric_limits<T>::is_signed ? -past_max - 1.0 : -1.0;
+  if (!(*v > before_min && *v < past_max)) return false;
+  *out = static_cast<T>(*v);
+  return true;
+}
+
+std::optional<Prediction> prediction_from(const support::json::Object& json) {
   Prediction p;
   p.ok = json.raw("ok") == "true";
   if (auto v = json.string("error")) p.error = std::move(*v);
   if (auto v = json.string("app")) p.key.application = std::move(*v);
   if (auto v = json.string("config")) p.key.config = std::move(*v);
-  if (const auto v = json.number("ranks")) p.key.ranks = static_cast<int>(*v);
-  if (const auto v = json.number("chain")) {
-    p.key.chain_length = static_cast<std::size_t>(*v);
+  if (!read_integer(json, "ranks", &p.key.ranks) ||
+      !read_integer(json, "chain", &p.key.chain_length) ||
+      !read_integer(json, "donor_ranks", &p.donor_ranks) ||
+      !read_integer(json, "snapshot", &p.snapshot_version)) {
+    return std::nullopt;
   }
   if (const auto v = json.number("coupling_s")) p.coupling_s = *v;
   if (const auto v = json.number("summation_s")) p.summation_s = *v;
@@ -74,13 +93,7 @@ Prediction prediction_from(const support::json::Object& json) {
   if (auto v = json.string("inputs")) p.inputs_source = std::move(*v);
   if (auto v = json.string("source")) p.source = std::move(*v);
   if (auto v = json.string("model_form")) p.model_form = std::move(*v);
-  if (const auto v = json.number("donor_ranks")) {
-    p.donor_ranks = static_cast<int>(*v);
-  }
   if (const auto v = json.string("cache")) p.cache_hit = (*v == "hit");
-  if (const auto v = json.number("snapshot")) {
-    p.snapshot_version = static_cast<std::uint64_t>(*v);
-  }
   return p;
 }
 
@@ -232,7 +245,9 @@ std::optional<std::vector<Prediction>> parse_batch_response(
   std::vector<Prediction> out;
   out.reserve(elements->size());
   for (const support::json::Object& element : *elements) {
-    out.push_back(prediction_from(element));
+    auto p = prediction_from(element);
+    if (!p.has_value()) return std::nullopt;
+    out.push_back(std::move(*p));
   }
   return out;
 }

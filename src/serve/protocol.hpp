@@ -76,11 +76,15 @@ struct Request {
 /// malformed frame, bad request).
 [[nodiscard]] std::string error_json(const std::string& error, int code);
 
-/// Parse one prediction object (the client's inverse of prediction_json).
+/// Parse one prediction object (the client's inverse of prediction_json);
+/// nullopt when the text is not one JSON object, or when "ranks",
+/// "donor_ranks", "chain" or "snapshot" lies outside the range of its
+/// field's type.
 [[nodiscard]] std::optional<Prediction> parse_prediction(
     const std::string& json);
 /// Parse a batch response (the client's inverse of batch_json); nullopt
-/// when the frame carries no "results" array.
+/// when the frame carries no "results" array or an element fails as in
+/// parse_prediction.
 [[nodiscard]] std::optional<std::vector<Prediction>> parse_batch_response(
     const std::string& json);
 

@@ -1,30 +1,47 @@
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <locale>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace kcoup::support {
 
-/// Locale-independent double formatting: always the "C" locale's '.' decimal
-/// point, never digit grouping.  The default precision (max_digits10 = 17
-/// significant digits) round-trips every finite double exactly, which the
-/// campaign journal relies on for bit-identical resume.
-[[nodiscard]] inline std::string format_double(double v, int precision = 17) {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out.precision(precision);
-  out << v;
-  return out.str();
+/// Locale-independent double formatting: '.' decimal point, no digit
+/// grouping, 17 significant digits in the shortest of fixed and exponent
+/// notation (printf's "%.17g"; non-finite values print as "inf", "-inf",
+/// "nan" or "-nan").  Seventeen digits (max_digits10) round-trip every
+/// finite double exactly, which the campaign journal relies on for
+/// bit-identical resume.  std::to_chars never consults a locale.
+[[nodiscard]] inline std::string format_double(double v) {
+  // The longest output is 24 bytes: "-1.7976931348623157e+308".
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  return std::string(buf, end);
 }
 
 /// Locale-independent strict double parse: the whole string must be
 /// consumed.  Returns nullopt on malformed input instead of throwing so
 /// callers can attach their own context.
+///
+/// Accepts exactly what the classic-locale stream extractor accepts, with
+/// the same bits.  std::from_chars answers every plain decimal that reads
+/// to a finite value; everything else goes to the stream, which alone
+/// accepts a leading '+', surrounding whitespace and underflow to zero,
+/// and which refuses what from_chars alone would accept: "inf" and "nan".
 [[nodiscard]] inline std::optional<double> parse_double(std::string_view s) {
   if (s.empty()) return std::nullopt;
+  double fast = 0.0;
+  const char* const last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, fast);
+  if (ec == std::errc{} && ptr == last && std::isfinite(fast)) return fast;
+
   std::istringstream in{std::string(s)};
   in.imbue(std::locale::classic());
   double v = 0.0;

@@ -1,13 +1,18 @@
 // Wire-level tests for the event-driven serve path: the hardened frame
 // decoder (length overflow, incremental feeding), the best-effort
-// non-blocking reject send, JSON escaping of control characters, the
-// string- and depth-aware JSON reader with its truncation and bit-flip
-// sweep, request pipelining order, mid-pipeline framing errors, and the
-// poll(2) fallback backend.
+// non-blocking reject send, the client's buffered frame reader against a
+// scripted peer, JSON escaping of control characters, the string- and
+// depth-aware JSON reader with its truncation and bit-flip sweep, request
+// pipelining order, mid-pipeline framing errors, and the poll(2) fallback
+// backend.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -119,17 +124,23 @@ TEST(FramingTest, OversizedLengthReportsBeforePayloadArrives) {
             serve::FrameDecodeStatus::kOversized);
 }
 
-TEST(FramingTest, AccumulateLengthDigitSharedRule) {
-  std::size_t length = 0;
-  for (char c : std::string("1234")) {
-    EXPECT_TRUE(serve::accumulate_length_digit(&length, c));
-  }
-  EXPECT_EQ(length, 1234u);
-  EXPECT_FALSE(serve::accumulate_length_digit(&length, 'x'));
-
-  length = std::numeric_limits<std::size_t>::max() / 10;
-  EXPECT_TRUE(serve::accumulate_length_digit(&length, '5'));  // == max
-  EXPECT_FALSE(serve::accumulate_length_digit(&length, '0'));  // wraps
+TEST(FramingTest, MultiDigitLengthsDecodeToTheirValue) {
+  std::size_t pos = 0;
+  std::string payload;
+  const std::string body(1234, 'b');
+  ASSERT_EQ(decode("1234\n" + body, &pos, &payload, 4096),
+            serve::FrameDecodeStatus::kFrame);
+  EXPECT_EQ(payload, body);
+  pos = 0;
+  EXPECT_EQ(decode("1234x\n", &pos, &payload, 4096),
+            serve::FrameDecodeStatus::kMalformed);
+  // std::size_t's maximum itself is a length, not a wrap: with no cap below
+  // it the frame just waits for its payload.
+  pos = 0;
+  EXPECT_EQ(serve::decode_frame("18446744073709551615\nx", &pos,
+                                std::numeric_limits<std::size_t>::max(),
+                                &payload),
+            serve::FrameDecodeStatus::kNeedMore);
 }
 
 // --- Best-effort reject send ------------------------------------------------
@@ -167,6 +178,160 @@ TEST(SendFrameBestEffortTest, GivesUpInsteadOfBlockingOnAFullBuffer) {
       serve::send_frame_best_effort(fds[0], std::string(8192, 'y')));
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// --- Client frame reader ----------------------------------------------------
+
+/// A one-shot loopback peer: accepts one connection and writes `chunks` to
+/// it, one send(2) each with a short pause between so the client sees them
+/// as separate segments.  It then half-closes, so the client reads EOF
+/// after the last chunk, and drains until the client hangs up: closing with
+/// the client's request unread would reset the connection instead.
+class ScriptedPeer {
+ public:
+  explicit ScriptedPeer(std::vector<std::string> chunks) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                            &len),
+              0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, chunks = std::move(chunks)] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;  // the test ended without connecting
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      // Bounds the drain below if a test keeps its client open.
+      const timeval timeout{10, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      for (const std::string& chunk : chunks) {
+        std::size_t sent = 0;
+        while (sent < chunk.size()) {
+          const ssize_t n = ::send(fd, chunk.data() + sent,
+                                   chunk.size() - sent, MSG_NOSIGNAL);
+          if (n <= 0) break;
+          sent += static_cast<std::size_t>(n);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      ::shutdown(fd, SHUT_WR);
+      char sink[256];
+      while (::recv(fd, sink, sizeof(sink), 0) > 0) {
+      }
+      ::close(fd);
+    });
+  }
+
+  ~ScriptedPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes accept() if nobody came
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  [[nodiscard]] int port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+serve::Client connect_to(const ScriptedPeer& peer) {
+  serve::Client client;
+  client.connect("127.0.0.1", peer.port());
+  return client;
+}
+
+serve::Prediction reader_prediction() {
+  serve::Prediction p;
+  p.ok = true;
+  p.key = {"APP", "X", 4, 2};
+  p.coupling_s = 0.26123873079507093;
+  p.summation_s = 0.27503180720945508;
+  p.alpha_source = "exact";
+  p.source = "exact";
+  p.snapshot_version = 3;
+  return p;
+}
+
+TEST(ClientReaderTest, ResponseSentOneBytePerSendIsReassembled) {
+  const serve::Prediction want = reader_prediction();
+  std::vector<std::string> bytes;
+  for (char c : serve::encode_frame(serve::prediction_json(want))) {
+    bytes.emplace_back(1, c);
+  }
+  const ScriptedPeer peer(std::move(bytes));
+  serve::Client client = connect_to(peer);
+  const auto got = client.predict(want.key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(serve::prediction_json(*got), serve::prediction_json(want));
+}
+
+TEST(ClientReaderTest, PipelinedResponsesInOneSendArriveInOrder) {
+  const ScriptedPeer peer({"5\nfirst6\nsecond5\nthird"});
+  serve::Client client = connect_to(peer);
+  EXPECT_EQ(client.read_response(), "first");
+  // A move carries the bytes already buffered.
+  serve::Client moved = std::move(client);
+  EXPECT_EQ(moved.read_response(), "second");
+  serve::Client assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.read_response(), "third");
+  EXPECT_FALSE(assigned.read_response().has_value());  // then EOF
+}
+
+TEST(ClientReaderTest, EofInsideLengthOrPayloadIsNullopt) {
+  {
+    const ScriptedPeer peer({"1", "2"});
+    serve::Client client = connect_to(peer);
+    EXPECT_FALSE(client.read_response().has_value());
+  }
+  {
+    const ScriptedPeer peer({"12\nabc", "def"});
+    serve::Client client = connect_to(peer);
+    EXPECT_FALSE(client.read_response().has_value());
+  }
+}
+
+TEST(ClientReaderTest, MalformedLengthIsNullopt) {
+  for (const char* frame : {"1x\nab", "\nab", "-2\nab", "banana\n"}) {
+    const ScriptedPeer peer({frame});
+    serve::Client client = connect_to(peer);
+    EXPECT_FALSE(client.read_response().has_value()) << frame;
+  }
+}
+
+TEST(ClientReaderTest, HugeLengthPrefixIsRefusedNotAllocated) {
+  // A peer's length prefix alone used to size the payload buffer: 2^64 - 1
+  // threw std::length_error out of predict(), 10^15 threw std::bad_alloc,
+  // and 4 GiB was allocated and zero-filled.  Each is now a failed read.
+  for (const char* length :
+       {"18446744073709551615\n", "1000000000000000\n", "4294967296\n"}) {
+    const ScriptedPeer peer({length, "{\"ok\":true}"});
+    serve::Client client = connect_to(peer);
+    EXPECT_FALSE(client.predict({"APP", "X", 4, 2}).has_value()) << length;
+  }
+}
+
+TEST(ClientReaderTest, ReconnectDropsBytesBufferedFromTheOldConnection) {
+  const ScriptedPeer first({"5\nfirst5\nstale"});
+  const ScriptedPeer second({"5\nfresh"});
+  serve::Client client = connect_to(first);
+  EXPECT_EQ(client.read_response(), "first");
+  client.close();
+  client.connect("127.0.0.1", second.port());
+  EXPECT_EQ(client.read_response(), "fresh");
 }
 
 // --- JSON escaping ----------------------------------------------------------
@@ -357,6 +522,52 @@ TEST(JsonFieldTest, OutOfRangeRanksAreRefusedNotCast) {
   EXPECT_FALSE(serve::parse_request(
                    "{\"op\":\"predict\",\"app\":\"APP\",\"config\":\"X\","
                    "\"ranks\":4,\"chain\":1e300}")
+                   .has_value());
+}
+
+TEST(JsonFieldTest, OutOfRangeIntegersInPredictionsAreRefusedNotCast) {
+  const auto prediction = [](const std::string& fields) {
+    return serve::parse_prediction("{\"ok\":true,\"app\":\"APP\"," +
+                                   fields + "}");
+  };
+  // Each value lies outside its field's type: int ranks and donor_ranks,
+  // std::size_t chain, std::uint64_t snapshot.  Casting any of them is
+  // undefined behaviour; "ranks":1e300 used to read as INT_MIN and
+  // "chain":-5 as 2^64 - 5.
+  for (const char* fields :
+       {"\"ranks\":1e300,\"chain\":2", "\"ranks\":4,\"chain\":-5",
+        "\"ranks\":2147483648", "\"ranks\":-2147483649",
+        "\"chain\":-1", "\"chain\":18446744073709551616",
+        "\"donor_ranks\":1e10", "\"donor_ranks\":-3e9",
+        "\"snapshot\":-1", "\"snapshot\":1e20"}) {
+    EXPECT_FALSE(prediction(fields).has_value()) << fields;
+  }
+  // The ends of each range still parse, as before.
+  const auto low = prediction(
+      "\"ranks\":-2147483648,\"chain\":0,\"donor_ranks\":-2147483648,"
+      "\"snapshot\":0");
+  ASSERT_TRUE(low.has_value());
+  EXPECT_EQ(low->key.ranks, std::numeric_limits<int>::min());
+  EXPECT_EQ(low->key.chain_length, 0u);
+  EXPECT_EQ(low->donor_ranks, std::numeric_limits<int>::min());
+  EXPECT_EQ(low->snapshot_version, 0u);
+  const auto high = prediction(
+      "\"ranks\":2147483647,\"chain\":1.8e19,\"donor_ranks\":2147483647,"
+      "\"snapshot\":18446744073709549568");
+  ASSERT_TRUE(high.has_value());
+  EXPECT_EQ(high->key.ranks, std::numeric_limits<int>::max());
+  EXPECT_EQ(high->key.chain_length, 18000000000000000000u);
+  EXPECT_EQ(high->donor_ranks, std::numeric_limits<int>::max());
+  EXPECT_EQ(high->snapshot_version, 18446744073709549568u);
+
+  // One bad element refuses the whole batch.
+  const std::string good = serve::prediction_json(reader_prediction());
+  ASSERT_TRUE(serve::parse_batch_response(
+                  "{\"ok\":true,\"results\":[" + good + "]}")
+                  .has_value());
+  EXPECT_FALSE(serve::parse_batch_response(
+                   "{\"ok\":true,\"results\":[" + good +
+                   ",{\"ok\":true,\"ranks\":1e300}]}")
                    .has_value());
 }
 
