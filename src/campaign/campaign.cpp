@@ -1,11 +1,11 @@
 #include "campaign/campaign.hpp"
 
-#include <cstdio>
 #include <istream>
 #include <locale>
 #include <sstream>
 #include <stdexcept>
 
+#include "report/record.hpp"
 #include "support/num_format.hpp"
 
 namespace kcoup::campaign {
@@ -30,23 +30,37 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-int parse_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
+[[noreturn]] void reject(std::size_t line_no, const std::string& key,
+                         const std::string& why) {
+  throw std::runtime_error("campaign spec line " + std::to_string(line_no) +
+                           ": '" + key + "' " + why);
+}
+
+/// The integer `value` of `key`, refused below `min`.  `subject` prefixes
+/// the reason ("entries " for a list item).
+int parse_int(std::size_t line_no, const std::string& key,
+              const std::string& value, int min, const char* subject = "") {
+  const auto v = support::parse_int<int>(value);
+  if (!v.has_value()) {
     throw std::runtime_error("campaign spec: bad integer for '" + key +
                              "': '" + value + "'");
   }
+  if (*v < min) {
+    reject(line_no, key,
+           std::string(subject) + "must be >= " + std::to_string(min));
+  }
+  return *v;
 }
 
-double parse_double(const std::string& key, const std::string& value) {
+double parse_double(std::size_t line_no, const std::string& key,
+                    const std::string& value, double min) {
   const auto v = support::parse_double(value);
   if (!v.has_value()) {
     throw std::runtime_error("campaign spec: bad number for '" + key + "': '" +
                              value + "'");
+  }
+  if (!(*v >= min)) {
+    reject(line_no, key, "must be >= " + support::format_double(min));
   }
   return *v;
 }
@@ -62,15 +76,10 @@ bool parse_bool(const std::string& key, const std::string& value) {
                            value + "' (use on/off)");
 }
 
-[[noreturn]] void reject(std::size_t line_no, const std::string& key,
-                         const std::string& why) {
-  throw std::runtime_error("campaign spec line " + std::to_string(line_no) +
-                           ": '" + key + "' " + why);
-}
-
 }  // namespace
 
 CampaignTextSpec parse_campaign_text(std::istream& in) {
+  using Min = TextSpecMinimum;
   CampaignTextSpec spec;
   std::string line;
   std::size_t line_no = 0;
@@ -91,6 +100,9 @@ CampaignTextSpec parse_campaign_text(std::istream& in) {
       throw std::runtime_error("campaign spec line " + std::to_string(line_no) +
                                ": empty key or value");
     }
+    const auto int_value = [&](int min) {
+      return parse_int(line_no, key, value, min);
+    };
     if (key == "apps") {
       spec.applications = split_list(value);
     } else if (key == "classes" || key == "configs") {
@@ -98,45 +110,33 @@ CampaignTextSpec parse_campaign_text(std::istream& in) {
     } else if (key == "procs" || key == "ranks") {
       spec.ranks.clear();
       for (const std::string& item : split_list(value)) {
-        const int r = parse_int(key, item);
-        if (r < 1) reject(line_no, key, "entries must be >= 1");
-        spec.ranks.push_back(r);
+        spec.ranks.push_back(
+            parse_int(line_no, key, item, Min::kRanks, "entries "));
       }
     } else if (key == "chains") {
       spec.chain_lengths.clear();
       for (const std::string& item : split_list(value)) {
-        const int q = parse_int(key, item);
-        if (q < 1) reject(line_no, key, "entries must be >= 1");
-        spec.chain_lengths.push_back(static_cast<std::size_t>(q));
+        spec.chain_lengths.push_back(static_cast<std::size_t>(
+            parse_int(line_no, key, item, Min::kChainLength, "entries ")));
       }
     } else if (key == "repetitions") {
-      const int r = parse_int(key, value);
-      if (r < 1) reject(line_no, key, "must be >= 1");
-      spec.measurement.repetitions = r;
+      spec.measurement.repetitions = int_value(Min::kRepetitions);
     } else if (key == "warmup") {
-      const int w = parse_int(key, value);
-      if (w < 0) reject(line_no, key, "must be >= 0");
-      spec.measurement.warmup = w;
+      spec.measurement.warmup = int_value(Min::kWarmup);
     } else if (key == "epilogue_repetitions") {
-      const int r = parse_int(key, value);
-      if (r < 1) reject(line_no, key, "must be >= 1");
-      spec.measurement.epilogue_repetitions = r;
+      spec.measurement.epilogue_repetitions =
+          int_value(Min::kEpilogueRepetitions);
     } else if (key == "pool") {
       spec.pool_handles = parse_bool(key, value);
     } else if (key == "workers") {
-      const int w = parse_int(key, value);
-      if (w < 0) reject(line_no, key, "must be >= 0");
-      spec.workers = static_cast<std::size_t>(w);
+      spec.workers = static_cast<std::size_t>(int_value(Min::kWorkers));
     } else if (key == "machine") {
       spec.machine = value;
     } else if (key == "retry_rsd") {
-      const double rsd = parse_double(key, value);
-      if (!(rsd >= 0.0)) reject(line_no, key, "must be >= 0");
-      spec.retry.max_relative_stddev = rsd;
+      spec.retry.max_relative_stddev =
+          parse_double(line_no, key, value, Min::kRetryRsd);
     } else if (key == "retry_max") {
-      const int m = parse_int(key, value);
-      if (m < 1) reject(line_no, key, "must be >= 1");
-      spec.retry.max_attempts = m;
+      spec.retry.max_attempts = int_value(Min::kRetryMax);
     } else {
       throw std::runtime_error("campaign spec line " + std::to_string(line_no) +
                                ": unknown key '" + key + "'");
@@ -184,132 +184,75 @@ std::string to_text(const CampaignTextSpec& spec) {
   return out.str();
 }
 
+namespace {
+
+using Count = report::Field<CampaignMetrics, std::size_t>;
+using Seconds = report::Field<CampaignMetrics, double>;
+
+constexpr Count kCounts[] = {
+    {"studies", "studies", &CampaignMetrics::studies},
+    {"workers", "workers", &CampaignMetrics::workers},
+    {"tasks_requested", "tasks requested", &CampaignMetrics::tasks_requested},
+    {"tasks_planned", "tasks planned", &CampaignMetrics::tasks_planned},
+    {"tasks_deduplicated", "tasks deduplicated",
+     &CampaignMetrics::tasks_deduplicated},
+    {"cache_hits", "cache hits", &CampaignMetrics::cache_hits},
+    {"journal_hits", "journal hits", &CampaignMetrics::journal_hits},
+    {"tasks_executed", "tasks executed", &CampaignMetrics::tasks_executed},
+    {"tasks_retried", "tasks retried", &CampaignMetrics::tasks_retried},
+    {"tasks_failed", "tasks failed", &CampaignMetrics::tasks_failed},
+    {"handles_created", "handles created", &CampaignMetrics::handles_created},
+    {"handles_reused", "handles reused", &CampaignMetrics::handles_reused},
+};
+
+constexpr Seconds kSeconds[] = {
+    {"plan_s", "plan time", &CampaignMetrics::plan_s},
+    {"measure_s", "measure time", &CampaignMetrics::measure_s},
+    {"assemble_s", "assemble time", &CampaignMetrics::assemble_s},
+    {"wall_s", "wall time", &CampaignMetrics::wall_s},
+    {"task_min_s", "task time min", &CampaignMetrics::task_min_s},
+    {"task_max_s", "task time max", &CampaignMetrics::task_max_s},
+    {"task_mean_s", "task time mean", &CampaignMetrics::task_mean_s},
+};
+
+constexpr report::RecordFields<CampaignMetrics, std::size_t> kFields{kCounts,
+                                                                     kSeconds};
+
+/// A field's registry name: "campaign." and its key.
+std::string registry_name(const char* key) {
+  return std::string("campaign.") + key;
+}
+
+}  // namespace
+
 void CampaignMetrics::publish(obs::MetricsRegistry& registry) const {
-  auto count = [&registry](const char* name, std::size_t v) {
-    registry.counter(name).add(static_cast<std::uint64_t>(v));
-  };
-  auto level = [&registry](const char* name, double v) {
-    registry.gauge(name).set(v);
-  };
-  count("campaign.studies", studies);
-  count("campaign.workers", workers);
-  count("campaign.tasks_requested", tasks_requested);
-  count("campaign.tasks_planned", tasks_planned);
-  count("campaign.tasks_deduplicated", tasks_deduplicated);
-  count("campaign.cache_hits", cache_hits);
-  count("campaign.journal_hits", journal_hits);
-  count("campaign.tasks_executed", tasks_executed);
-  count("campaign.tasks_retried", tasks_retried);
-  count("campaign.tasks_failed", tasks_failed);
-  count("campaign.handles_created", handles_created);
-  count("campaign.handles_reused", handles_reused);
-  level("campaign.plan_s", plan_s);
-  level("campaign.measure_s", measure_s);
-  level("campaign.assemble_s", assemble_s);
-  level("campaign.wall_s", wall_s);
-  level("campaign.task_min_s", task_min_s);
-  level("campaign.task_max_s", task_max_s);
-  level("campaign.task_mean_s", task_mean_s);
+  for (const Count& f : kCounts) {
+    registry.counter(registry_name(f.key))
+        .add(static_cast<std::uint64_t>(this->*f.value));
+  }
+  for (const Seconds& f : kSeconds) {
+    registry.gauge(registry_name(f.key)).set(this->*f.value);
+  }
 }
 
 CampaignMetrics CampaignMetrics::from_registry(obs::MetricsRegistry& registry) {
-  auto count = [&registry](const char* name) {
-    return static_cast<std::size_t>(registry.counter(name).value());
-  };
-  auto level = [&registry](const char* name) {
-    return registry.gauge(name).value();
-  };
   CampaignMetrics m;
-  m.studies = count("campaign.studies");
-  m.workers = count("campaign.workers");
-  m.tasks_requested = count("campaign.tasks_requested");
-  m.tasks_planned = count("campaign.tasks_planned");
-  m.tasks_deduplicated = count("campaign.tasks_deduplicated");
-  m.cache_hits = count("campaign.cache_hits");
-  m.journal_hits = count("campaign.journal_hits");
-  m.tasks_executed = count("campaign.tasks_executed");
-  m.tasks_retried = count("campaign.tasks_retried");
-  m.tasks_failed = count("campaign.tasks_failed");
-  m.handles_created = count("campaign.handles_created");
-  m.handles_reused = count("campaign.handles_reused");
-  m.plan_s = level("campaign.plan_s");
-  m.measure_s = level("campaign.measure_s");
-  m.assemble_s = level("campaign.assemble_s");
-  m.wall_s = level("campaign.wall_s");
-  m.task_min_s = level("campaign.task_min_s");
-  m.task_max_s = level("campaign.task_max_s");
-  m.task_mean_s = level("campaign.task_mean_s");
+  for (const Count& f : kCounts) {
+    m.*f.value =
+        static_cast<std::size_t>(registry.counter(registry_name(f.key)).value());
+  }
+  for (const Seconds& f : kSeconds) {
+    m.*f.value = registry.gauge(registry_name(f.key)).value();
+  }
   return m;
 }
 
 report::Table CampaignMetrics::to_table() const {
-  report::Table t("Campaign metrics");
-  t.set_header({"metric", "value"});
-  auto count = [&t](const char* name, std::size_t v) {
-    t.add_row({name, std::to_string(v)});
-  };
-  auto secs = [&t](const char* name, double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f s", v);
-    t.add_row({name, buf});
-  };
-  count("studies", studies);
-  count("workers", workers);
-  count("tasks requested", tasks_requested);
-  count("tasks planned", tasks_planned);
-  count("tasks deduplicated", tasks_deduplicated);
-  count("cache hits", cache_hits);
-  count("journal hits", journal_hits);
-  count("tasks executed", tasks_executed);
-  count("tasks retried", tasks_retried);
-  count("tasks failed", tasks_failed);
-  count("handles created", handles_created);
-  count("handles reused", handles_reused);
-  secs("plan time", plan_s);
-  secs("measure time", measure_s);
-  secs("assemble time", assemble_s);
-  secs("wall time", wall_s);
-  secs("task time min", task_min_s);
-  secs("task time max", task_max_s);
-  secs("task time mean", task_mean_s);
-  return t;
+  return kFields.table("Campaign metrics", *this);
 }
 
-std::string CampaignMetrics::to_csv() const {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out << "studies,workers,tasks_requested,tasks_planned,tasks_deduplicated,"
-         "cache_hits,journal_hits,tasks_executed,tasks_retried,tasks_failed,"
-         "handles_created,handles_reused,plan_s,measure_s,assemble_s,wall_s,"
-         "task_min_s,task_max_s,task_mean_s\n"
-      << studies << ',' << workers << ',' << tasks_requested << ','
-      << tasks_planned << ',' << tasks_deduplicated << ',' << cache_hits << ','
-      << journal_hits << ',' << tasks_executed << ',' << tasks_retried << ','
-      << tasks_failed << ',' << handles_created << ',' << handles_reused << ','
-      << plan_s << ',' << measure_s << ',' << assemble_s << ',' << wall_s
-      << ',' << task_min_s << ',' << task_max_s << ',' << task_mean_s << '\n';
-  return out.str();
-}
+std::string CampaignMetrics::to_csv() const { return kFields.csv(*this); }
 
-std::string CampaignMetrics::to_jsonl() const {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out << "{\"studies\":" << studies << ",\"workers\":" << workers
-      << ",\"tasks_requested\":" << tasks_requested
-      << ",\"tasks_planned\":" << tasks_planned
-      << ",\"tasks_deduplicated\":" << tasks_deduplicated
-      << ",\"cache_hits\":" << cache_hits
-      << ",\"journal_hits\":" << journal_hits
-      << ",\"tasks_executed\":" << tasks_executed
-      << ",\"tasks_retried\":" << tasks_retried
-      << ",\"tasks_failed\":" << tasks_failed
-      << ",\"handles_created\":" << handles_created
-      << ",\"handles_reused\":" << handles_reused << ",\"plan_s\":" << plan_s
-      << ",\"measure_s\":" << measure_s << ",\"assemble_s\":" << assemble_s
-      << ",\"wall_s\":" << wall_s << ",\"task_min_s\":" << task_min_s
-      << ",\"task_max_s\":" << task_max_s
-      << ",\"task_mean_s\":" << task_mean_s << "}\n";
-  return out.str();
-}
+std::string CampaignMetrics::to_jsonl() const { return kFields.jsonl(*this); }
 
 }  // namespace kcoup::campaign

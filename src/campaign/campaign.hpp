@@ -117,9 +117,24 @@ struct CampaignTextSpec {
   std::string machine = "ibm-sp";
 };
 
+/// The smallest value each numeric field of the text form accepts.
+/// parse_campaign_text refuses a line below it, and every `kcoup campaign`
+/// flag that sets the same field checks the same bound, so a flag accepts
+/// nothing its spec key refuses.
+struct TextSpecMinimum {
+  static constexpr int kRanks = 1;        ///< each procs entry
+  static constexpr int kChainLength = 1;  ///< each chains entry
+  static constexpr int kRepetitions = 1;
+  static constexpr int kWarmup = 0;
+  static constexpr int kEpilogueRepetitions = 1;
+  static constexpr int kWorkers = 0;  ///< 0 = hardware concurrency
+  static constexpr double kRetryRsd = 0.0;
+  static constexpr int kRetryMax = 1;
+};
+
 /// Parses the text form; throws std::runtime_error (naming the offending
-/// key) on unknown keys, malformed values, or nonsensical values
-/// (repetitions < 1, negative warmup, retry_max < 1, ...).
+/// key) on unknown keys, malformed values, or values below their
+/// TextSpecMinimum.
 [[nodiscard]] CampaignTextSpec parse_campaign_text(std::istream& in);
 
 /// Serializes a CampaignTextSpec back to the text form parse_campaign_text

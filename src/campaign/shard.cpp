@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -12,6 +11,7 @@
 #include "campaign/journal.hpp"
 #include "campaign/planner.hpp"
 #include "obs/trace.hpp"
+#include "support/atomic_file.hpp"
 
 namespace kcoup::campaign {
 
@@ -114,28 +114,11 @@ void write_shard_count(const std::string& dir, std::size_t shards,
     return;
   }
   // Concurrent shard launches may race here: give each writer its own temp
-  // name (write_file_atomic uses a fixed ".tmp" suffix) and let rename pick
-  // a winner.  Every writer writes the same bytes, so any winner is correct.
-  const std::string tmp = path + ".tmp." + zero_padded(shard_id, 3);
-  const std::string content = std::to_string(shards) + "\n";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      throw std::runtime_error("write_shard_count: cannot open " + tmp);
-    }
-    out << content;
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("write_shard_count: write to " + tmp +
-                               " failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("write_shard_count: rename to " + path +
-                             " failed");
-  }
+  // name and let rename pick a winner.  Every writer writes the same bytes,
+  // so any winner is correct.
+  const std::string tmp_suffix = ".tmp." + zero_padded(shard_id, 3);
+  support::write_file_atomic(path, std::to_string(shards) + "\n",
+                             tmp_suffix.c_str());
 }
 
 std::size_t read_shard_count(const std::string& dir) {

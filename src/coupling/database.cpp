@@ -280,33 +280,6 @@ void CouplingDatabase::load_csv_file(const std::string& path) {
   }
 }
 
-namespace {
-
-// Strict field parsers: the whole field must be consumed, so trailing
-// garbage ("4x", "1.0extra") is rejected instead of silently truncated.
-int parse_int_field(const std::string& s) {
-  std::size_t pos = 0;
-  const int v = std::stoi(s, &pos);
-  if (pos != s.size()) throw std::invalid_argument(s);
-  return v;
-}
-
-std::size_t parse_size_field(const std::string& s) {
-  std::size_t pos = 0;
-  const unsigned long v = std::stoul(s, &pos);
-  if (pos != s.size()) throw std::invalid_argument(s);
-  return static_cast<std::size_t>(v);
-}
-
-double parse_double_field(const std::string& s) {
-  std::size_t pos = 0;
-  const double v = std::stod(s, &pos);
-  if (pos != s.size()) throw std::invalid_argument(s);
-  return v;
-}
-
-}  // namespace
-
 void CouplingDatabase::load_csv(std::istream& in) {
   std::string line;
   if (!std::getline(in, line)) {
@@ -326,22 +299,25 @@ void CouplingDatabase::load_csv(std::istream& in) {
                                std::to_string(line_no) + " (expected 7 fields, got " +
                                std::to_string(fields.size()) + ")");
     }
-    CouplingRecord r;
-    r.key.application = fields[0];
-    r.key.config = fields[1];
-    try {
-      r.key.ranks = parse_int_field(fields[2]);
-      r.key.chain_length = parse_size_field(fields[3]);
-      r.key.chain_start = parse_size_field(fields[4]);
-      r.chain_time = parse_double_field(fields[5]);
-      r.isolated_sum = parse_double_field(fields[6]);
-    } catch (const std::exception&) {
+    // Whole-field, locale-independent reads: trailing garbage ("4x"), a
+    // negative size, ranks below 1, hex and inf/nan are refused, not
+    // truncated or wrapped.
+    const auto ranks = support::parse_int<int>(fields[2]);
+    const auto chain_length = support::parse_int<std::size_t>(fields[3]);
+    const auto chain_start = support::parse_int<std::size_t>(fields[4]);
+    const auto chain_time = support::parse_double(fields[5]);
+    const auto isolated_sum = support::parse_double(fields[6]);
+    if (!ranks || *ranks < 1 || !chain_length || !chain_start ||
+        !chain_time || !isolated_sum) {
       throw std::runtime_error(
           "CouplingDatabase::load_csv: bad number on line " +
           std::to_string(line_no));
     }
     try {
-      record(std::move(r));
+      record(CouplingRecord{
+          {fields[0], fields[1], *ranks, *chain_length, *chain_start},
+          *chain_time,
+          *isolated_sum});
     } catch (const std::invalid_argument& e) {
       throw std::runtime_error("CouplingDatabase::load_csv: line " +
                                std::to_string(line_no) + ": " + e.what());

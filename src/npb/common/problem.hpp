@@ -1,7 +1,9 @@
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace kcoup::npb {
 
@@ -33,6 +35,25 @@ struct ProblemSize {
     case Benchmark::kLU: return "LU";
   }
   return "?";
+}
+
+/// to_string's inverses.  Each also accepts the lower-case spelling ("bt",
+/// "w"); nullopt for any other text.
+[[nodiscard]] inline std::optional<Benchmark> parse_benchmark(
+    std::string_view s) {
+  if (s == "BT" || s == "bt") return Benchmark::kBT;
+  if (s == "SP" || s == "sp") return Benchmark::kSP;
+  if (s == "LU" || s == "lu") return Benchmark::kLU;
+  return std::nullopt;
+}
+
+[[nodiscard]] inline std::optional<ProblemClass> parse_class(
+    std::string_view s) {
+  if (s == "S" || s == "s") return ProblemClass::kS;
+  if (s == "W" || s == "w") return ProblemClass::kW;
+  if (s == "A" || s == "a") return ProblemClass::kA;
+  if (s == "B" || s == "b") return ProblemClass::kB;
+  return std::nullopt;
 }
 
 /// Data-set sizes exactly as the paper reports them (Tables 1, 5 and 7) and

@@ -61,6 +61,10 @@ Client& Client::operator=(Client&& other) noexcept {
 
 void Client::connect(const std::string& host, int port) {
   close();
+  if (port < 0 || port > 65535) {
+    throw std::runtime_error("client: port " + std::to_string(port) +
+                             " is outside [0, 65535]");
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     throw std::runtime_error("client: cannot create socket: " +

@@ -26,7 +26,8 @@ class Client {
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;
 
-  /// Connect to host:port; throws std::runtime_error on failure.
+  /// Connect to host:port; throws std::runtime_error on failure, and for
+  /// a port outside [0, 65535].
   void connect(const std::string& host, int port);
   void close();
   [[nodiscard]] bool connected() const { return fd_ >= 0; }

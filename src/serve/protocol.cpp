@@ -11,6 +11,7 @@ namespace kcoup::serve {
 namespace {
 
 using support::json::escape;
+using support::json::read_integer;
 
 void append_number(std::string& out, const char* name, double v) {
   if (!std::isfinite(v)) return;  // absent => NaN on the reader's side
@@ -53,23 +54,6 @@ std::optional<QueryKey> parse_query(const support::json::Object& json) {
   q.ranks = static_cast<int>(*ranks);
   q.chain_length = static_cast<std::size_t>(*chain);
   return q;
-}
-
-/// Store integer field `name`, when present, into *out.  False when the
-/// value lies outside T's range, where the cast would be undefined
-/// behaviour.  The cast truncates toward zero, so exactly the values in
-/// (min - 1, max + 1) convert; both bounds are exact doubles.
-template <typename T>
-bool read_integer(const support::json::Object& json, const char* name,
-                  T* out) {
-  const auto v = json.number(name);
-  if (!v) return true;
-  const double past_max = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  const double before_min =
-      std::numeric_limits<T>::is_signed ? -past_max - 1.0 : -1.0;
-  if (!(*v > before_min && *v < past_max)) return false;
-  *out = static_cast<T>(*v);
-  return true;
 }
 
 std::optional<Prediction> prediction_from(const support::json::Object& json) {

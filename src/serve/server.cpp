@@ -83,8 +83,20 @@ Server::Server(SnapshotSource* source, QueryEngine* engine,
 
 Server::~Server() { stop(); }
 
+namespace {
+
+// Out of line and cold, so the check leaves the compiler's inlining of
+// this file's request path as it was.
+[[noreturn, gnu::cold, gnu::noinline]] void refuse_port(int port) {
+  throw BindError("serve: port " + std::to_string(port) +
+                  " is outside [0, 65535]");
+}
+
+}  // namespace
+
 void Server::start() {
   if (listen_fd_ >= 0) return;
+  if (config_.port < 0 || config_.port > 65535) refuse_port(config_.port);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {

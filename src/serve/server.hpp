@@ -27,7 +27,9 @@ namespace kcoup::serve {
 
 struct ServerConfig {
   std::string host = "127.0.0.1";  ///< loopback only by design
-  int port = 0;                    ///< 0 = kernel-assigned ephemeral port
+  /// 0 = kernel-assigned ephemeral port; start() throws BindError for a
+  /// port outside [0, 65535].
+  int port = 0;
   /// Event-loop shards (one thread each); connections are assigned
   /// round-robin at accept and stay on their shard for life.
   std::size_t workers = 4;

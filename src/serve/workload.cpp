@@ -11,62 +11,43 @@
 
 namespace kcoup::serve {
 
-namespace {
-
-std::optional<npb::Benchmark> parse_benchmark(const std::string& s) {
-  if (s == "bt" || s == "BT") return npb::Benchmark::kBT;
-  if (s == "sp" || s == "SP") return npb::Benchmark::kSP;
-  if (s == "lu" || s == "LU") return npb::Benchmark::kLU;
-  return std::nullopt;
-}
-
-std::optional<npb::ProblemClass> parse_class(const std::string& s) {
-  if (s == "S" || s == "s") return npb::ProblemClass::kS;
-  if (s == "W" || s == "w") return npb::ProblemClass::kW;
-  if (s == "A" || s == "a") return npb::ProblemClass::kA;
-  if (s == "B" || s == "b") return npb::ProblemClass::kB;
-  return std::nullopt;
-}
-
-std::unique_ptr<npb::ModeledApp> make_app(npb::Benchmark bench,
-                                          npb::ProblemClass cls, int ranks,
-                                          const machine::MachineConfig& cfg) {
+std::unique_ptr<coupling::ModeledApp> make_modeled_app(
+    npb::Benchmark bench, npb::ProblemClass cls, int ranks,
+    const machine::MachineConfig& cfg) {
   switch (bench) {
     case npb::Benchmark::kBT: return npb::bt::make_modeled_bt(cls, ranks, cfg);
     case npb::Benchmark::kSP: return npb::sp::make_modeled_sp(cls, ranks, cfg);
     case npb::Benchmark::kLU: return npb::lu::make_modeled_lu(cls, ranks, cfg);
   }
-  throw std::logic_error("NpbWorkload: unknown benchmark");
+  throw std::logic_error("make_modeled_app: unknown benchmark");
 }
-
-}  // namespace
 
 std::optional<std::pair<std::string, std::string>> NpbWorkload::canonical(
     const std::string& application, const std::string& config) const {
-  const auto bench = parse_benchmark(application);
-  const auto cls = parse_class(config);
+  const auto bench = npb::parse_benchmark(application);
+  const auto cls = npb::parse_class(config);
   if (!bench || !cls) return std::nullopt;
   return std::make_pair(npb::to_string(*bench), npb::to_string(*cls));
 }
 
 bool NpbWorkload::valid_cell(const std::string& application,
                              const std::string& config, int ranks) const {
-  const auto bench = parse_benchmark(application);
-  const auto cls = parse_class(config);
+  const auto bench = npb::parse_benchmark(application);
+  const auto cls = npb::parse_class(config);
   return bench && cls && npb::valid_rank_count(*bench, ranks);
 }
 
 CellInputs NpbWorkload::measure_cell(const std::string& application,
                                      const std::string& config,
                                      int ranks) const {
-  const auto bench = parse_benchmark(application);
-  const auto cls = parse_class(config);
+  const auto bench = npb::parse_benchmark(application);
+  const auto cls = npb::parse_class(config);
   if (!bench || !cls || !npb::valid_rank_count(*bench, ranks)) {
     throw std::invalid_argument("NpbWorkload::measure_cell: invalid cell " +
                                 application + "/" + config + "/P=" +
                                 std::to_string(ranks));
   }
-  const auto modeled = make_app(*bench, *cls, ranks, machine_);
+  const auto modeled = make_modeled_app(*bench, *cls, ranks, machine_);
   // A chain-free study: the same planner/executor/assembly as a campaign
   // cell, so every value here is bit-identical to what run_study() computes
   // for the cell — the serving layer only skips the expensive chains.
@@ -88,8 +69,8 @@ CellInputs NpbWorkload::measure_cell(const std::string& application,
 
 std::optional<CellShape> NpbWorkload::shape(const std::string& application,
                                             const std::string& config) const {
-  const auto bench = parse_benchmark(application);
-  const auto cls = parse_class(config);
+  const auto bench = npb::parse_benchmark(application);
+  const auto cls = npb::parse_class(config);
   if (!bench || !cls) return std::nullopt;
   const npb::ProblemSize size = npb::problem_size(*bench, *cls);
   return CellShape{static_cast<double>(size.n), size.iterations};

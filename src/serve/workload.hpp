@@ -1,13 +1,16 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "coupling/analysis.hpp"
 #include "coupling/measurement.hpp"
+#include "coupling/modeled_app.hpp"
 #include "machine/config.hpp"
+#include "npb/common/problem.hpp"
 
 namespace kcoup::serve {
 
@@ -66,6 +69,12 @@ class Workload {
   [[nodiscard]] virtual std::optional<CellShape> shape(
       const std::string& application, const std::string& config) const = 0;
 };
+
+/// One modeled NPB application instance — the factory NpbWorkload and
+/// `kcoup` build every modeled cell with.
+[[nodiscard]] std::unique_ptr<coupling::ModeledApp> make_modeled_app(
+    npb::Benchmark bench, npb::ProblemClass cls, int ranks,
+    const machine::MachineConfig& cfg);
 
 /// The modeled NPB suite (BT/SP/LU x S/W/A/B on a machine config) — the
 /// same universe `kcoup campaign` sweeps, so a campaign-produced database

@@ -13,9 +13,11 @@ namespace kcoup::support {
 /// pattern CouplingDatabase::save_csv_file uses): readers — and crash
 /// recovery — see either the previous complete file or the new complete
 /// file, never a truncated one.  Throws std::runtime_error naming the path.
+/// Writers that may race on one path each pass their own `tmp_suffix`.
 inline void write_file_atomic(const std::string& path,
-                              std::string_view content) {
-  const std::string tmp = path + ".tmp";
+                              std::string_view content,
+                              const char* tmp_suffix = ".tmp") {
+  const std::string tmp = path + tmp_suffix;
   {
     std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
     if (!out) {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -232,6 +234,24 @@ inline std::optional<double> Object::number(std::string_view key) const {
   const auto v = raw(key);
   if (!v) return std::nullopt;
   return parse_double(*v);
+}
+
+/// Store integer field `name` of `json`, when present, into *out.  False
+/// when the value lies outside T's range, where the cast would be undefined
+/// behaviour.  The cast truncates toward zero, so exactly the values in
+/// (min - 1, max + 1) convert; both bounds are exact doubles.  Static, so
+/// callers inline it like a file-local helper (parse_prediction's code).
+template <typename T>
+[[nodiscard]] static bool read_integer(const Object& json, const char* name,
+                                       T* out) {
+  const auto v = json.number(name);
+  if (!v) return true;
+  const double past_max = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double before_min =
+      std::numeric_limits<T>::is_signed ? -past_max - 1.0 : -1.0;
+  if (!(*v > before_min && *v < past_max)) return false;
+  *out = static_cast<T>(*v);
+  return true;
 }
 
 inline std::optional<Object> Object::object(std::string_view key) const {

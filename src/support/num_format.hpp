@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 
 namespace kcoup::support {
 
@@ -49,6 +50,32 @@ namespace kcoup::support {
   if (in.fail()) return std::nullopt;
   in >> std::ws;
   if (!in.eof()) return std::nullopt;
+  return v;
+}
+
+/// Locale-independent strict base-10 integer parse: leading whitespace,
+/// an optional sign, then digits to the end; nullopt otherwise or out of
+/// Int's range.  That is what std::stoi/stoul accept with a whole-string
+/// check, except that a '-' before an unsigned type's nonzero value is
+/// refused, where std::stoul would wrap it to a huge value.
+template <typename Int>
+[[nodiscard]] std::optional<Int> parse_int(std::string_view s) {
+  const std::size_t first = s.find_first_not_of(" \t\n\v\f\r");
+  if (first == std::string_view::npos) return std::nullopt;
+  s.remove_prefix(first);
+  // from_chars reads no '+', and no '-' into an unsigned type.
+  bool minus = false;
+  if (s.front() == '+' || (std::is_unsigned_v<Int> && s.front() == '-')) {
+    minus = s.front() == '-';
+    s.remove_prefix(1);
+    if (s.empty() || s.front() == '-') return std::nullopt;
+  }
+  Int v{};
+  const char* const last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc{} || ptr != last || (minus && v != 0)) {
+    return std::nullopt;
+  }
   return v;
 }
 

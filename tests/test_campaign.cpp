@@ -816,6 +816,32 @@ TEST(CampaignMetricsTest, JsonlGoldenOutput) {
   EXPECT_EQ(golden_metrics().to_jsonl(), expected);
 }
 
+TEST(CampaignMetricsTest, TableGoldenOutput) {
+  EXPECT_EQ(golden_metrics().to_table().to_string(),
+            "Campaign metrics\n"
+            "  metric              value     \n"
+            "  ------------------------------\n"
+            "  studies             4         \n"
+            "  workers             8         \n"
+            "  tasks requested     100       \n"
+            "  tasks planned       42        \n"
+            "  tasks deduplicated  50        \n"
+            "  cache hits          5         \n"
+            "  journal hits        3         \n"
+            "  tasks executed      42        \n"
+            "  tasks retried       2         \n"
+            "  tasks failed        1         \n"
+            "  handles created     9         \n"
+            "  handles reused      33        \n"
+            "  plan time           0.500000 s\n"
+            "  measure time        1.250000 s\n"
+            "  assemble time       0.125000 s\n"
+            "  wall time           2.000000 s\n"
+            "  task time min       0.031250 s\n"
+            "  task time max       0.250000 s\n"
+            "  task time mean      0.062500 s\n");
+}
+
 TEST(CampaignMetricsTest, ExportsIgnoreTheGlobalLocale) {
   // A locale whose decimal point is ',' would corrupt both the CSV (extra
   // separators) and the JSON (invalid numbers) if the exports used it.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <clocale>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -180,6 +181,58 @@ TEST(DatabaseTest, MalformedCsvThrows) {
       "application,config,ranks,chain_length,chain_start,chain_time,"
       "isolated_sum\nBT,W,4\n");
   EXPECT_THROW(db.load_csv(short_line), std::runtime_error);
+}
+
+TEST(DatabaseTest, LoadCsvRefusesNegativeSizesHexAndRanksBelowOne) {
+  const std::string head =
+      "application,config,ranks,chain_length,chain_start,chain_time,"
+      "isolated_sum\nBT,S,4,2,1,8.0,10.0\n";
+  // A negative size used to wrap to 2^64 - 1, and std::stod read hex.
+  for (const std::string bad :
+       {"BT,S,4,-1,-1,0x1p3,8", "BT,S,4,-1,0,8.0,10.0", "BT,S,4,2,-1,8.0,10.0",
+        "BT,S,4,2,0,0x1p3,10.0", "BT,S,4,2,0,8.0,inf", "BT,S,0,2,0,8.0,10.0",
+        "BT,S,-4,2,0,8.0,10.0"}) {
+    std::stringstream in(head + bad + "\n");
+    CouplingDatabase db;
+    try {
+      db.load_csv(in);
+      FAIL() << "accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+  // Integers keep std::stoi's leading whitespace and sign.
+  std::stringstream signed_fields(head + "BT,S, +9, 2,+0,8.0,10.0\n");
+  CouplingDatabase db;
+  db.load_csv(signed_fields);
+  EXPECT_TRUE(db.find(CouplingKey{"BT", "S", 9, 2, 0}).has_value());
+}
+
+TEST(DatabaseTest, LoadCsvIgnoresTheCLocaleDecimalPoint) {
+  // std::stod followed LC_NUMERIC: under a ',' decimal point it read "8.5"
+  // as 8 and refused the field.
+  const char* comma_locale = nullptr;
+  for (const char* name : {"de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8",
+                           "fr_FR.utf8", "nl_NL.UTF-8", "nl_NL.utf8"}) {
+    if (std::setlocale(LC_NUMERIC, name) != nullptr) {
+      comma_locale = name;
+      break;
+    }
+  }
+  if (comma_locale == nullptr) {
+    GTEST_SKIP() << "no locale with a ',' decimal point is installed";
+  }
+  std::stringstream in(
+      "application,config,ranks,chain_length,chain_start,chain_time,"
+      "isolated_sum\nBT,S,4,2,0,8.5,10.25\n");
+  CouplingDatabase db;
+  EXPECT_NO_THROW(db.load_csv(in)) << comma_locale;
+  std::setlocale(LC_NUMERIC, "C");
+  const auto r = db.find(CouplingKey{"BT", "S", 4, 2, 0});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->chain_time, 8.5);
+  EXPECT_EQ(r->isolated_sum, 10.25);
 }
 
 TEST(DatabaseTest, LoadCsvFileRoundTripsThroughDisk) {

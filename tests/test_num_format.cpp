@@ -1,7 +1,8 @@
 // Differential pin of the number codecs (support/num_format.hpp): every
 // byte format_double writes and every accept/reject decision and bit
 // parse_double returns must match the string-stream codecs they replaced,
-// kept here verbatim as the reference.
+// kept here verbatim as the reference; parse_int must match std::stoi and
+// std::stoull, less the latter's wrap of negative values.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/num_format.hpp"
@@ -191,6 +193,76 @@ TEST(NumFormatTest, RandomShortStringsParseLikeTheStream) {
     }
     expect_same_parse(text);
     if (HasFatalFailure()) return;
+  }
+}
+
+// --- parse_int against std::stoi / std::stoull ----------------------------
+
+/// What std::stoi (int) or std::stoull (uint64) accepted once the caller
+/// checked that the whole string was read.
+template <typename Int>
+std::optional<Int> reference_parse_int(const std::string& s) {
+  try {
+    std::size_t pos = 0;
+    Int v{};
+    if constexpr (std::is_signed_v<Int>) {
+      v = std::stoi(s, &pos);
+    } else {
+      v = std::stoull(s, &pos);
+    }
+    if (pos != s.size()) return std::nullopt;
+    return v;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// parse_int accepts exactly what the reference does, with the same value,
+/// except that it refuses the reference's wrap of a negative unsigned.
+template <typename Int>
+void expect_int_like_reference(const std::string& text) {
+  const std::optional<Int> want = reference_parse_int<Int>(text);
+  const std::optional<Int> got = support::parse_int<Int>(text);
+  const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
+  const bool wrapped = std::is_unsigned_v<Int> && want.has_value() &&
+                       *want != 0 && text[first] == '-';
+  if (wrapped) {
+    EXPECT_FALSE(got.has_value()) << "'" << text << "'";
+  } else {
+    EXPECT_EQ(got, want) << "'" << text << "'";
+  }
+}
+
+TEST(NumFormatTest, ParseIntAcceptsWhatStoiAndStoullAccept) {
+  const std::vector<std::string> texts = {
+      "0", "-0", "+0", "42", "-42", "+42", " 42", " \t\n\v\f\r42", "42 ",
+      "4x", "x4", "", " ", "+", "-", "+-1", "-+1", "--1", "++1", "- 1",
+      "2147483647", "2147483648", "-2147483648", "-2147483649", "0x10",
+      "1e3", "1.0", "007", "18446744073709551615", "18446744073709551616",
+      "-1", "-5", "-18446744073709551615", std::string("1\0", 2)};
+  for (const std::string& text : texts) {
+    expect_int_like_reference<int>(text);
+    expect_int_like_reference<std::uint64_t>(text);
+  }
+  // The one departure from std::stoull: no negative wraps to 2^64 - 1.
+  EXPECT_FALSE(support::parse_int<std::uint64_t>("-1").has_value());
+  EXPECT_EQ(support::parse_int<std::uint64_t>("-0"), 0u);
+  EXPECT_EQ(support::parse_int<int>(" -7"), -7);
+}
+
+TEST(NumFormatTest, RandomShortStringsParseIntLikeStoiAndStoull) {
+  static constexpr std::string_view kAlphabet = "0123456789+- \tx";
+  XorShift rng{0x2b7e151628aed2a6ull};
+  std::string text;
+  for (int i = 0; i < 200000; ++i) {
+    text.clear();
+    const std::size_t length = 1 + rng.next() % 8;
+    for (std::size_t k = 0; k < length; ++k) {
+      text += kAlphabet[rng.next() % kAlphabet.size()];
+    }
+    expect_int_like_reference<int>(text);
+    expect_int_like_reference<std::uint64_t>(text);
+    if (HasFailure()) return;
   }
 }
 

@@ -20,6 +20,7 @@
 #include "coupling/study.hpp"
 #include "machine/config.hpp"
 #include "npb/bt/bt_model.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sharded_lru.hpp"
@@ -302,6 +303,113 @@ TEST(Protocol, ErrorPredictionRoundTrips) {
   ASSERT_TRUE(back.has_value());
   EXPECT_FALSE(back->ok);
   EXPECT_EQ(back->error, p.error);
+}
+
+serve::ServeMetrics sample_serve_metrics() {
+  serve::ServeMetrics m;
+  m.workers = 4;
+  m.connections = 3;
+  m.requests = 1234567;
+  m.predictions = 8;
+  m.errors = 1;
+  m.rejected_overload = 2;
+  m.malformed_frames = 3;
+  m.oversized_frames = 4;
+  m.cache_hits = 5;
+  m.cache_misses = 6;
+  m.cache_evictions = 7;
+  m.cache_size = 8;
+  m.snapshot_reloads = 9;
+  m.snapshot_reload_failures = 10;
+  m.snapshot_version = 11;
+  m.db_records = 12;
+  m.latency_count = 13;
+  m.latency_p50_s = 0.000123456789;
+  m.latency_p95_s = 0.5;
+  m.latency_p99_s = 1234567.125;
+  m.latency_mean_s = 1e-9;
+  m.latency_max_s = 1.5;
+  m.uptime_s = 12.5;
+  return m;
+}
+
+TEST(ServeMetricsTest, RenderersKeepTheirBytes) {
+  const serve::ServeMetrics m = sample_serve_metrics();
+  EXPECT_EQ(m.to_jsonl(),
+            R"({"workers":4,"connections":3,"requests":1234567,)"
+            R"("predictions":8,"errors":1,"rejected_overload":2,)"
+            R"("malformed_frames":3,"oversized_frames":4,"cache_hits":5,)"
+            R"("cache_misses":6,"cache_evictions":7,"cache_size":8,)"
+            R"("snapshot_reloads":9,"snapshot_reload_failures":10,)"
+            R"("snapshot_version":11,"db_records":12,"latency_count":13,)"
+            R"("latency_p50_s":0.000123457,"latency_p95_s":0.5,)"
+            R"("latency_p99_s":1.23457e+06,"latency_mean_s":1e-09,)"
+            R"("latency_max_s":1.5,"uptime_s":12.5})"
+            "\n");
+  EXPECT_EQ(m.to_csv(),
+            "workers,connections,requests,predictions,errors,"
+            "rejected_overload,malformed_frames,oversized_frames,cache_hits,"
+            "cache_misses,cache_evictions,cache_size,snapshot_reloads,"
+            "snapshot_reload_failures,snapshot_version,db_records,"
+            "latency_count,latency_p50_s,latency_p95_s,latency_p99_s,"
+            "latency_mean_s,latency_max_s,uptime_s\n"
+            "4,3,1234567,8,1,2,3,4,5,6,7,8,9,10,11,12,13,0.000123457,0.5,"
+            "1.23457e+06,1e-09,1.5,12.5\n");
+  EXPECT_EQ(m.to_table().to_string(),
+            "Serve metrics\n"
+            "  metric                    value           \n"
+            "  ------------------------------------------\n"
+            "  workers                   4               \n"
+            "  connections               3               \n"
+            "  requests                  1234567         \n"
+            "  predictions               8               \n"
+            "  errors                    1               \n"
+            "  rejected overload         2               \n"
+            "  malformed frames          3               \n"
+            "  oversized frames          4               \n"
+            "  cache hits                5               \n"
+            "  cache misses              6               \n"
+            "  cache evictions           7               \n"
+            "  cache size                8               \n"
+            "  snapshot reloads          9               \n"
+            "  snapshot reload failures  10              \n"
+            "  snapshot version          11              \n"
+            "  db records                12              \n"
+            "  latency samples           13              \n"
+            "  latency p50               0.000123 s      \n"
+            "  latency p95               0.500000 s      \n"
+            "  latency p99               1234567.125000 s\n"
+            "  latency mean              0.000000 s      \n"
+            "  latency max               1.500000 s      \n"
+            "  uptime                    12.500000 s     \n");
+}
+
+TEST(ServeMetricsTest, FromJsonlInvertsToJsonl) {
+  serve::ServeMetrics m = sample_serve_metrics();
+  m.latency_p50_s = 0.25;  // to_jsonl keeps 6 significant digits
+  m.latency_p99_s = 0.75;
+  m.latency_mean_s = 0.125;
+  const auto back = serve::ServeMetrics::from_jsonl(m.to_jsonl());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->to_jsonl(), m.to_jsonl());
+  EXPECT_EQ(back->latency_mean_s, 0.125);
+}
+
+TEST(ServeMetricsTest, FromJsonlRefusesIntegersOutsideTheirType) {
+  // A stats frame extends the record: extra keys are skipped, and a
+  // missing one reads as 0.
+  const auto frame = serve::ServeMetrics::from_jsonl(
+      R"({"ok":true,"requests":5,"windows":{"1s":{"requests":-5}}})");
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->requests, 5u);
+  EXPECT_EQ(frame->errors, 0u);
+  // -5 used to print as 18446744073709551611; 1e300 was an undefined cast.
+  for (const char* bad :
+       {R"({"ok":true,"requests":-5})", R"({"ok":true,"requests":1e300})",
+        R"({"workers":-1})", R"({"latency_count":18446744073709551616})",
+        "not json"}) {
+    EXPECT_FALSE(serve::ServeMetrics::from_jsonl(bad).has_value()) << bad;
+  }
 }
 
 // --- Synthetic workload for engine/snapshot tests ---------------------------

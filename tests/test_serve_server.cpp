@@ -149,6 +149,27 @@ TEST_F(ServerTest, BindsEphemeralPortAndAnswersPing) {
   EXPECT_TRUE(client.ping());
 }
 
+TEST_F(ServerTest, PortsOutsideTheTcpRangeAreRefusedNotWrapped) {
+  // 70000 used to bind 70000 mod 65536 = 4464, and -1 bound 65535.
+  for (const int port : {70000, 65536, -1}) {
+    serve::ServerConfig config;
+    config.port = port;
+    EXPECT_THROW(start_server(config), serve::BindError) << port;
+    EXPECT_FALSE(server_->running()) << port;
+  }
+}
+
+TEST_F(ServerTest, ClientRefusesAPortOutsideTheTcpRange) {
+  start_server();
+  // This server's port + 65536 used to wrap onto it and connect.
+  serve::Client client;
+  EXPECT_THROW(client.connect("127.0.0.1", server_->port() + 65536),
+               std::runtime_error);
+  EXPECT_FALSE(client.connected());
+  client.connect("127.0.0.1", server_->port());
+  EXPECT_TRUE(client.ping());
+}
+
 TEST_F(ServerTest, ServedPredictionIsBitIdenticalToRunStudy) {
   start_server();
   serve::Client client = connect();
