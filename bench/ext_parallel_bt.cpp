@@ -14,9 +14,8 @@
 #include "coupling/study.hpp"
 #include "machine/config.hpp"
 #include "npb/bt/bt_model.hpp"
-#include "npb/bt/bt_timed.hpp"
-#include "npb/lu/lu_timed.hpp"
-#include "npb/sp/sp_timed.hpp"
+#include "npb/lu/lu_model.hpp"
+#include "npb/sp/sp_model.hpp"
 #include "report/table.hpp"
 
 using namespace kcoup;
@@ -54,7 +53,7 @@ int main() {
     const coupling::StudyResult m =
         coupling::run_study(modeled->app(), options);
 
-    npb::bt::TimedBtOptions topt;
+    npb::TimedOptions topt;
     topt.machine = machine::ibm_sp_p2sc();
     const coupling::ParallelStudyResult par =
         npb::bt::run_bt_parallel_study(n, iterations, p, topt, options);
@@ -75,14 +74,14 @@ int main() {
 
   std::printf("Timed parallel studies of the other two benchmarks:\n");
   {
-    npb::sp::TimedSpOptions o;
+    npb::TimedOptions o;
     o.machine = machine::ibm_sp_p2sc();
     parallel_summary("SP n=36 P=9  (q=5)",
                      npb::sp::run_sp_parallel_study(
                          36, 400, 9, o, coupling::StudyOptions{{5}, {}}));
   }
   {
-    npb::lu::TimedLuOptions o;
+    npb::TimedOptions o;
     o.machine = machine::ibm_sp_p2sc();
     parallel_summary("LU n=33 P=8  (q=3)",
                      npb::lu::run_lu_parallel_study(

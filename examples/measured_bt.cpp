@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "npb/bt/bt_measured.hpp"
+#include "npb/bt/bt_app.hpp"
 #include "report/table.hpp"
 
 using namespace kcoup;

@@ -40,6 +40,13 @@ double task_cost(const TaskKey& key, const StudyShape& shape,
 
 CampaignPlan plan_campaign(const CampaignSpec& spec,
                            const coupling::CouplingDatabase* db) {
+  std::set<std::size_t> lengths;
+  for (std::size_t q : spec.chain_lengths) {
+    if (!lengths.insert(q).second) {
+      throw std::invalid_argument("plan_campaign: chain length " +
+                                  std::to_string(q) + " given twice");
+    }
+  }
   CampaignPlan plan;
   plan.shapes.reserve(spec.studies.size());
   for (const CampaignStudy& s : spec.studies) {

@@ -61,7 +61,8 @@ struct CampaignPlan {
 ///    cache entries instead of tasks.
 ///
 /// Throws std::invalid_argument for chain lengths outside [1, loop size]
-/// (mirroring measure_chains) or an empty loop.
+/// (mirroring measure_chains), a chain length given twice, or an empty
+/// loop.
 [[nodiscard]] CampaignPlan plan_campaign(
     const CampaignSpec& spec, const coupling::CouplingDatabase* db = nullptr);
 

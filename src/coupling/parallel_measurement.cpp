@@ -1,8 +1,11 @@
 #include "coupling/parallel_measurement.hpp"
 
+#include <mutex>
+#include <set>
 #include <stdexcept>
 
 #include "trace/stats.hpp"
+#include "trace/stopwatch.hpp"
 
 namespace kcoup::coupling {
 namespace {
@@ -32,6 +35,17 @@ ParallelStudyResult run_parallel_study(simmpi::Comm& comm,
   const std::size_t n = app.loop.size();
   if (n == 0) {
     throw std::invalid_argument("run_parallel_study: empty loop");
+  }
+  std::set<std::size_t> seen;
+  for (std::size_t q : options.chain_lengths) {
+    if (q == 0 || q > n) {
+      throw std::invalid_argument(
+          "run_parallel_study: chain length must be in [1, N]");
+    }
+    if (!seen.insert(q).second) {
+      throw std::invalid_argument("run_parallel_study: chain length " +
+                                  std::to_string(q) + " given twice");
+    }
   }
   const MeasurementOptions& m = options.measurement;
   ParallelStudyResult result;
@@ -89,10 +103,6 @@ ParallelStudyResult run_parallel_study(simmpi::Comm& comm,
       trace::relative_error(result.summation_s, result.actual_s);
 
   for (std::size_t q : options.chain_lengths) {
-    if (q == 0 || q > n) {
-      throw std::invalid_argument(
-          "run_parallel_study: chain length must be in [1, N]");
-    }
     ChainLengthResult cl;
     cl.length = q;
     for (std::size_t start = 0; start < n; ++start) {
@@ -118,6 +128,38 @@ ParallelStudyResult run_parallel_study(simmpi::Comm& comm,
     result.by_length.push_back(std::move(cl));
   }
   return result;
+}
+
+ParallelStudyResult run_simmpi_study(
+    int ranks, const simmpi::NetworkParams& net,
+    const std::function<ParallelStudyResult(simmpi::Comm&)>& per_rank) {
+  ParallelStudyResult result;
+  std::mutex mu;
+  (void)simmpi::run(ranks, net, [&](simmpi::Comm& comm) {
+    ParallelStudyResult r = per_rank(comm);
+    if (comm.rank() == 0) {
+      std::lock_guard lock(mu);
+      result = std::move(r);
+    }
+  });
+  return result;
+}
+
+ParallelLoopApp charge_thread_cpu_time(ParallelLoopApp app,
+                                       simmpi::Comm& comm) {
+  app.reset = [prologue = app.prologue] {
+    for (const ParallelKernel& k : prologue) k.body();
+  };
+  for (auto* kernels : {&app.prologue, &app.loop, &app.epilogue}) {
+    for (ParallelKernel& k : *kernels) {
+      k.body = [&comm, body = std::move(k.body)] {
+        trace::ThreadCpuTimer t;
+        body();
+        comm.advance(t.elapsed_s());
+      };
+    }
+  }
+  return app;
 }
 
 }  // namespace kcoup::coupling

@@ -49,8 +49,25 @@ struct ParallelStudyResult {
 /// region, so pipeline fill, message waiting and load imbalance show up in
 /// the measured values instead of being modeled analytically.  Must be
 /// called collectively from every rank's simmpi body with structurally
-/// identical apps; returns the same result on every rank.
+/// identical apps; returns the same result on every rank.  Throws
+/// std::invalid_argument for a chain length outside [1, N] or one given
+/// twice.
 [[nodiscard]] ParallelStudyResult run_parallel_study(
     simmpi::Comm& comm, const ParallelLoopApp& app, const StudyOptions& options);
+
+/// Run `per_rank` on `ranks` simmpi ranks and return rank 0's result.
+/// `per_rank` builds its rank's state and app and returns
+/// run_parallel_study's result, which is the same on every rank.
+[[nodiscard]] ParallelStudyResult run_simmpi_study(
+    int ranks, const simmpi::NetworkParams& net,
+    const std::function<ParallelStudyResult(simmpi::Comm&)>& per_rank);
+
+/// The host-measured form of a numeric rank's app: every kernel body is
+/// charged its thread CPU time on `comm`'s virtual clock (simmpi prices the
+/// messages), and reset() reruns the prologue untimed to restore the
+/// start-of-run state.  Host caches cannot be reset, which is part of what
+/// makes measured couplings noisy.
+[[nodiscard]] ParallelLoopApp charge_thread_cpu_time(ParallelLoopApp app,
+                                                     simmpi::Comm& comm);
 
 }  // namespace kcoup::coupling

@@ -55,11 +55,12 @@ struct MessageOp {
 
 /// Structural description of one invocation of one kernel on one rank.
 ///
-/// WorkProfiles are produced by the per-application work models (BtWorkModel,
-/// SpWorkModel, LuWorkModel) from the code structure of the numeric kernels:
-/// flop counts, the arrays each kernel streams and in which order, the
-/// data-flow edges between adjacent kernels, and the communication pattern.
-/// They contain no timing — the Machine prices them.
+/// WorkProfiles are produced by the per-application work models
+/// (npb/common/adi_model.cpp for BT and SP, npb/lu/lu_model.cpp for LU)
+/// from the code structure of the numeric kernels: flop counts, the arrays
+/// each kernel streams and in which order, the data-flow edges between
+/// adjacent kernels, and the communication pattern.  They contain no
+/// timing — the Machine prices them.
 struct WorkProfile {
   std::string label;
   KernelId kernel = kInvalidKernel;

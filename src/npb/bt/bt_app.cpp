@@ -1,18 +1,12 @@
 #include "npb/bt/bt_app.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
 
 namespace kcoup::npb::bt {
 namespace {
-
-// Message tags (direction of travel).
-constexpr int kTagYPlus = 101, kTagYMinus = 102;
-constexpr int kTagZPlus = 103, kTagZMinus = 104;
-constexpr int kTagYFwd = 111, kTagYBwd = 112;
-constexpr int kTagZFwd = 113, kTagZBwd = 114;
 
 constexpr std::size_t kStateDoubles = 30;  // Block5 (25) + Vec5 (5)
 
@@ -28,40 +22,20 @@ BlockTriState unpack_state(const double* in) {
   return s;
 }
 
-/// Deterministic smooth perturbation, a function of global indices only so
-/// runs are identical for every rank count.
-double perturbation(int gi, int gj, int gk) {
-  return 0.3 * std::sin(12.9898 * gi + 78.233 * gj + 37.719 * gk);
-}
-
 }  // namespace
 
 BtRank::BtRank(const BtConfig& config, simmpi::Comm& comm)
-    : config_(config),
-      comm_(&comm),
-      decomp_(comm.size()),
-      layout_(decomp_.layout(comm.rank(), config.n, config.n)),
-      nx_(config.n),
-      ny_(layout_.y.count),
-      nz_(layout_.z.count),
-      u_(nx_, ny_, nz_, 1),
-      rhs_(nx_, ny_, nz_, 1),
-      forcing_(nx_, ny_, nz_, 1),
-      coupling_(OperatorSpec::coupling()) {
+    : AdiRank(config.n, config.tau, config.op, comm), config_(config) {
   if (config_.n < 3) throw std::invalid_argument("BT: grid too small");
-  const std::size_t max_lines = static_cast<std::size_t>(nx_) *
-                                static_cast<std::size_t>(std::max(ny_, nz_));
-  const std::size_t max_len = static_cast<std::size_t>(
-      std::max(nx_, std::max(ny_, nz_)));
-  rows_.resize(max_len);
-  xline_.resize(max_len);
-  states_.resize(max_lines * max_len);
-  msg_fwd_.resize(max_lines * kStateDoubles);
-  msg_bwd_.resize(max_lines * 5);
+  rows_.resize(max_len());
+  xline_.resize(max_len());
+  states_.resize(max_lines() * max_len());
+  msg_fwd_.resize(max_lines() * kStateDoubles);
+  msg_bwd_.resize(max_lines() * 5);
 }
 
-BlockTriRow BtRank::make_row(int /*dir*/, int global_m, int global_n,
-                             const Vec5& u_point, double coeff) const {
+BlockTriRow BtRank::make_row(int global_m, int global_n, const Vec5& u_point,
+                             double coeff) const {
   const double tau = config_.tau;
   BlockTriRow row;
   Block5 off{};
@@ -87,177 +61,6 @@ BlockTriRow BtRank::make_row(int /*dir*/, int global_m, int global_n,
   return row;
 }
 
-void BtRank::fill_analytic_ghosts() {
-  const int n = config_.n;
-  auto set_exact = [&](int i, int j, int k) {
-    const int gi = i;
-    const int gj = layout_.y.begin + j;
-    const int gk = layout_.z.begin + k;
-    u_.set(i, j, k,
-           exact_solution(grid_coord(gi, n), grid_coord(gj, n),
-                          grid_coord(gk, n)));
-  };
-  // x ghosts (never exchanged: x is not decomposed).
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      set_exact(-1, j, k);
-      set_exact(nx_, j, k);
-    }
-  }
-  // Physical y/z boundary ghosts (interior ones get overwritten by halos).
-  for (int k = 0; k < nz_; ++k) {
-    for (int i = 0; i < nx_; ++i) {
-      if (layout_.y_prev < 0) set_exact(i, -1, k);
-      if (layout_.y_next < 0) set_exact(i, ny_, k);
-    }
-  }
-  for (int j = 0; j < ny_; ++j) {
-    for (int i = 0; i < nx_; ++i) {
-      if (layout_.z_prev < 0) set_exact(i, j, -1);
-      if (layout_.z_next < 0) set_exact(i, j, nz_);
-    }
-  }
-}
-
-void BtRank::initialize() {
-  const int n = config_.n;
-  // Exact solution + perturbation in the interior.
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const int gi = i, gj = layout_.y.begin + j, gk = layout_.z.begin + k;
-        Vec5 v = exact_solution(grid_coord(gi, n), grid_coord(gj, n),
-                                grid_coord(gk, n));
-        const double p = perturbation(gi, gj, gk);
-        for (std::size_t c = 0; c < 5; ++c) v[c] += p;
-        u_.set(i, j, k, v);
-      }
-    }
-  }
-  fill_analytic_ghosts();
-
-  // Manufactured forcing f = A(u*), evaluated on an exact-filled field so
-  // the discrete operator's fixed point is exactly u*.
-  Field5 exact(nx_, ny_, nz_, 1);
-  for (int k = -1; k <= nz_; ++k) {
-    for (int j = -1; j <= ny_; ++j) {
-      for (int i = -1; i <= nx_; ++i) {
-        const int gi = i, gj = layout_.y.begin + j, gk = layout_.z.begin + k;
-        exact.set(i, j, k,
-                  exact_solution(grid_coord(gi, n), grid_coord(gj, n),
-                                 grid_coord(gk, n)));
-      }
-    }
-  }
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        forcing_.set(i, j, k,
-                     apply_operator(exact, i, j, k, config_.op, coupling_));
-      }
-    }
-  }
-}
-
-void BtRank::exchange_halo() {
-  // Pack a y face (nx * nz points) or z face (nx * ny points).
-  auto pack_y = [&](int j, std::vector<double>& buf) {
-    buf.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5);
-    std::size_t p = 0;
-    for (int k = 0; k < nz_; ++k) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 v = u_.get(i, j, k);
-        for (std::size_t c = 0; c < 5; ++c) buf[p++] = v[c];
-      }
-    }
-  };
-  auto unpack_y = [&](int j, const std::vector<double>& buf) {
-    std::size_t p = 0;
-    for (int k = 0; k < nz_; ++k) {
-      for (int i = 0; i < nx_; ++i) {
-        Vec5 v;
-        for (std::size_t c = 0; c < 5; ++c) v[c] = buf[p++];
-        u_.set(i, j, k, v);
-      }
-    }
-  };
-  auto pack_z = [&](int k, std::vector<double>& buf) {
-    buf.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5);
-    std::size_t p = 0;
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 v = u_.get(i, j, k);
-        for (std::size_t c = 0; c < 5; ++c) buf[p++] = v[c];
-      }
-    }
-  };
-  auto unpack_z = [&](int k, const std::vector<double>& buf) {
-    std::size_t p = 0;
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        Vec5 v;
-        for (std::size_t c = 0; c < 5; ++c) v[c] = buf[p++];
-        u_.set(i, j, k, v);
-      }
-    }
-  };
-
-  std::vector<double> sy0, sy1, sz0, sz1, r;
-  // Sends first (buffered), then receives: deadlock-free symmetric exchange.
-  if (layout_.y_prev >= 0) {
-    pack_y(0, sy0);
-    comm_->send<double>(layout_.y_prev, kTagYMinus, sy0);
-  }
-  if (layout_.y_next >= 0) {
-    pack_y(ny_ - 1, sy1);
-    comm_->send<double>(layout_.y_next, kTagYPlus, sy1);
-  }
-  if (layout_.z_prev >= 0) {
-    pack_z(0, sz0);
-    comm_->send<double>(layout_.z_prev, kTagZMinus, sz0);
-  }
-  if (layout_.z_next >= 0) {
-    pack_z(nz_ - 1, sz1);
-    comm_->send<double>(layout_.z_next, kTagZPlus, sz1);
-  }
-  if (layout_.y_prev >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5);
-    comm_->recv<double>(layout_.y_prev, kTagYPlus, r);
-    unpack_y(-1, r);
-  }
-  if (layout_.y_next >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5);
-    comm_->recv<double>(layout_.y_next, kTagYMinus, r);
-    unpack_y(ny_, r);
-  }
-  if (layout_.z_prev >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5);
-    comm_->recv<double>(layout_.z_prev, kTagZPlus, r);
-    unpack_z(-1, r);
-  }
-  if (layout_.z_next >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5);
-    comm_->recv<double>(layout_.z_next, kTagZMinus, r);
-    unpack_z(nz_, r);
-  }
-}
-
-void BtRank::copy_faces() {
-  exchange_halo();
-  const double tau = config_.tau;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 au = apply_operator(u_, i, j, k, config_.op, coupling_);
-        const Vec5 f = forcing_.get(i, j, k);
-        Vec5 r;
-        for (std::size_t c = 0; c < 5; ++c) r[c] = tau * (f[c] - au[c]);
-        rhs_.set(i, j, k, r);
-      }
-    }
-  }
-}
-
 void BtRank::x_solve() {
   const int n = config_.n;
   auto rows = std::span(rows_).first(static_cast<std::size_t>(nx_));
@@ -266,7 +69,7 @@ void BtRank::x_solve() {
   for (int k = 0; k < nz_; ++k) {
     for (int j = 0; j < ny_; ++j) {
       for (int i = 0; i < nx_; ++i) {
-        BlockTriRow row = make_row(0, i, n, u_.get(i, j, k), config_.op.cx);
+        BlockTriRow row = make_row(i, n, u_.get(i, j, k), config_.op.cx);
         row.r = rhs_.get(i, j, k);
         rows_[static_cast<std::size_t>(i)] = row;
       }
@@ -297,7 +100,7 @@ void BtRank::y_solve() {
   for (int k = 0; k < nz_; ++k) {
     for (int i = 0; i < nx_; ++i, ++line) {
       for (int j = 0; j < ny_; ++j) {
-        BlockTriRow row = make_row(1, layout_.y.begin + j, n, u_.get(i, j, k),
+        BlockTriRow row = make_row(layout_.y.begin + j, n, u_.get(i, j, k),
                                    config_.op.cy);
         row.r = rhs_.get(i, j, k);
         rows_[static_cast<std::size_t>(j)] = row;
@@ -368,7 +171,7 @@ void BtRank::z_solve() {
   for (int j = 0; j < ny_; ++j) {
     for (int i = 0; i < nx_; ++i, ++line) {
       for (int k = 0; k < nz_; ++k) {
-        BlockTriRow row = make_row(2, layout_.z.begin + k, n, u_.get(i, j, k),
+        BlockTriRow row = make_row(layout_.z.begin + k, n, u_.get(i, j, k),
                                    config_.op.cz);
         row.r = rhs_.get(i, j, k);
         rows_[static_cast<std::size_t>(k)] = row;
@@ -431,44 +234,6 @@ void BtRank::add() {
   }
 }
 
-double BtRank::final_verify() {
-  const int n = config_.n;
-  double max_err = 0.0;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const int gi = i, gj = layout_.y.begin + j, gk = layout_.z.begin + k;
-        const Vec5 ex = exact_solution(grid_coord(gi, n), grid_coord(gj, n),
-                                       grid_coord(gk, n));
-        const Vec5 uv = u_.get(i, j, k);
-        for (std::size_t c = 0; c < 5; ++c) {
-          max_err = std::max(max_err, std::fabs(uv[c] - ex[c]));
-        }
-      }
-    }
-  }
-  return comm_->allreduce_max(max_err);
-}
-
-double BtRank::residual_norm() {
-  exchange_halo();
-  double sum = 0.0;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 au = apply_operator(u_, i, j, k, config_.op, coupling_);
-        const Vec5 f = forcing_.get(i, j, k);
-        sum += norm2sq5(sub5(f, au));
-      }
-    }
-  }
-  const double total = comm_->allreduce_sum(sum);
-  const double npts = static_cast<double>(config_.n) *
-                      static_cast<double>(config_.n) *
-                      static_cast<double>(config_.n) * 5.0;
-  return std::sqrt(total / npts);
-}
-
 BtRunResult run_bt(const BtConfig& config, int ranks,
                    const simmpi::NetworkParams& net) {
   BtRunResult result;
@@ -494,6 +259,19 @@ BtRunResult run_bt(const BtConfig& config, int ranks,
     }
   });
   return result;
+}
+
+coupling::ParallelStudyResult run_bt_measured_study(
+    const BtConfig& config, int ranks, const simmpi::NetworkParams& net,
+    const coupling::StudyOptions& study) {
+  return coupling::run_simmpi_study(ranks, net, [&](simmpi::Comm& comm) {
+    BtRank rank(config, comm);
+    return coupling::run_parallel_study(
+        comm,
+        coupling::charge_thread_cpu_time(bt_kernels(rank, config.iterations),
+                                         comm),
+        study);
+  });
 }
 
 }  // namespace kcoup::npb::bt

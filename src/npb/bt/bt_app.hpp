@@ -2,10 +2,9 @@
 
 #include <vector>
 
+#include "coupling/parallel_measurement.hpp"
+#include "npb/common/adi.hpp"
 #include "npb/common/blocktri.hpp"
-#include "npb/common/decomp.hpp"
-#include "npb/common/field.hpp"
-#include "npb/common/problem.hpp"
 #include "npb/common/stencil.hpp"
 #include "simmpi/simmpi.hpp"
 
@@ -29,18 +28,14 @@ struct BtConfig {
   OperatorSpec op;      ///< the manufactured operator
 };
 
-/// Per-rank BT solver: state plus the paper's seven kernels as methods.
-/// The main loop executes copy_faces .. add; initialize runs once before,
-/// final_verify once after (paper §4.1).
-class BtRank {
+/// Per-rank BT solver: the paper's seven kernels as methods.  The main loop
+/// executes copy_faces .. add; initialize runs once before, final_verify
+/// once after (paper §4.1).  Kernels 1, 2 and 7 (initialize, copy_faces,
+/// final_verify) are the shared ADI ones.
+class BtRank : public AdiRank {
  public:
   BtRank(const BtConfig& config, simmpi::Comm& comm);
 
-  // Kernel 1: INITIALIZATION — manufactured forcing, perturbed initial u,
-  // analytic Dirichlet ghost values.
-  void initialize();
-  // Kernel 2: COPY_FACES — halo exchange of u, then rhs = tau (f - A u).
-  void copy_faces();
   // Kernels 3-5: block-tridiagonal line solves updating rhs in place.
   // x is local to every rank; y and z are distributed pipelined solves.
   void x_solve();
@@ -48,36 +43,16 @@ class BtRank {
   void z_solve();
   // Kernel 6: ADD — u += rhs.
   void add();
-  // Kernel 7: FINAL — global max error vs the manufactured solution.
-  double final_verify();
-
-  /// Global RMS residual ||f - A u||; synchronising diagnostic.
-  double residual_norm();
 
   [[nodiscard]] const BtConfig& config() const { return config_; }
-  [[nodiscard]] const Field5& u() const { return u_; }
-  [[nodiscard]] const SquareDecomp::RankLayout& layout() const {
-    return layout_;
-  }
 
  private:
-  void exchange_halo();
-  void fill_analytic_ghosts();
-  /// Build the block-tridiagonal row for local line position `m` along
-  /// direction `dir` (0=x,1=y,2=z) at the line anchored by (i,j,k).
-  [[nodiscard]] BlockTriRow make_row(int dir, int global_m, int global_n,
+  /// Build the block-tridiagonal row for global line position `global_m`
+  /// of a line of `global_n` points, with the u-dependent diagonal.
+  [[nodiscard]] BlockTriRow make_row(int global_m, int global_n,
                                      const Vec5& u_point, double coeff) const;
 
   BtConfig config_;
-  simmpi::Comm* comm_;
-  SquareDecomp decomp_;
-  SquareDecomp::RankLayout layout_;
-  int nx_, ny_, nz_;  // local interior extents
-
-  Field5 u_;
-  Field5 rhs_;
-  Field5 forcing_;
-  Block5 coupling_;
 
   // Reusable solve scratch (the original's lhs arrays).
   std::vector<BlockTriRow> rows_;
@@ -85,6 +60,26 @@ class BtRank {
   std::vector<Vec5> xline_;
   std::vector<double> msg_fwd_, msg_bwd_;
 };
+
+/// BT's kernel table (§4.1): the seven kernels in program order over any
+/// rank with BT's kernel methods — BtRank for the host-measured study, the
+/// timed ADI rank for the timed one.  The caller sets reset().
+template <typename Rank>
+[[nodiscard]] coupling::ParallelLoopApp bt_kernels(Rank& rank,
+                                                   int iterations) {
+  coupling::ParallelLoopApp app;
+  app.prologue = {{"Initialization", [&rank] { rank.initialize(); }}};
+  app.loop = {
+      {"Copy_Faces", [&rank] { rank.copy_faces(); }},
+      {"X_Solve", [&rank] { rank.x_solve(); }},
+      {"Y_Solve", [&rank] { rank.y_solve(); }},
+      {"Z_Solve", [&rank] { rank.z_solve(); }},
+      {"Add", [&rank] { rank.add(); }},
+  };
+  app.epilogue = {{"Final", [&rank] { (void)rank.final_verify(); }}};
+  app.iterations = iterations;
+  return app;
+}
 
 /// Result of one full BT run.
 struct BtRunResult {
@@ -98,5 +93,17 @@ struct BtRunResult {
 /// simmpi ranks.
 [[nodiscard]] BtRunResult run_bt(const BtConfig& config, int ranks,
                                  const simmpi::NetworkParams& net = {});
+
+/// Host-measured parallel BT: the real numeric BtRank kernels, each charged
+/// its thread CPU time (coupling::charge_thread_cpu_time), under the
+/// parallel measurement protocol.  Each rank's measured compute meets a
+/// controlled virtual network, the third measurement path next to the
+/// analytic model and the timed path (bt_model.hpp).
+///
+/// Host timings are inherently noisy; use this for demonstrations and
+/// structural tests, not for regenerating the deterministic paper tables.
+[[nodiscard]] coupling::ParallelStudyResult run_bt_measured_study(
+    const BtConfig& config, int ranks, const simmpi::NetworkParams& net,
+    const coupling::StudyOptions& study);
 
 }  // namespace kcoup::npb::bt

@@ -1,187 +1,17 @@
 #include "npb/bt/bt_model.hpp"
 
-#include <algorithm>
-
-#include "npb/common/decomp.hpp"
-
 namespace kcoup::npb::bt {
-namespace {
 
-using machine::AccessKind;
-using machine::MessageOp;
-using machine::RegionAccess;
-using machine::RegionId;
-using machine::WorkProfile;
-
-/// Kernel identities for data-flow freshness and skew patterns.
-enum BtKernel : machine::KernelId {
-  kInit = 0,
-  kCopyFaces,
-  kXSolve,
-  kYSolve,
-  kZSolve,
-  kAdd,
-  kFinal,
-};
-
-}  // namespace
-
-BtKernelProfiles bt_kernel_profiles(machine::Machine& m, int nx, int ny,
-                                    int nz, const BtWorkConstants& k) {
-  const auto pts = static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
-                   static_cast<std::size_t>(nz);
-  const double fpts = static_cast<double>(pts);
-  const std::size_t field_bytes = pts * k.comp_bytes;
-  const auto stages = static_cast<std::size_t>(std::max(2, nz));
-
-  // Regions, mirroring BtRank's arrays.  The x-sweep reuses one line of
-  // scratch; the distributed y/z sweeps keep per-point elimination states
-  // between their forward and backward phases (states_ in bt_app.cpp).
-  const RegionId u = m.register_region("u", field_bytes);
-  const RegionId rhs = m.register_region("rhs", field_bytes);
-  const RegionId forcing = m.register_region("forcing", field_bytes);
-  const RegionId exact_tmp = m.register_region("exact_tmp", field_bytes);
-  const RegionId lhs_x =
-      m.register_region("lhs_x", static_cast<std::size_t>(nx) * k.state_bytes);
-  const RegionId lhs_y = m.register_region("lhs_y", pts * k.state_bytes);
-  const RegionId lhs_z = m.register_region("lhs_z", pts * k.state_bytes);
-
-  BtKernelProfiles p;
-
-  p.init.label = "Initialization";
-  p.init.kernel = kInit;
-  p.init.flops = k.flops_init_per_point * fpts;
-  p.init.accesses = {
-      RegionAccess{u, AccessKind::kWrite, field_bytes},
-      RegionAccess{exact_tmp, AccessKind::kWrite, field_bytes},
-      RegionAccess{exact_tmp, AccessKind::kRead, field_bytes},
-      RegionAccess{forcing, AccessKind::kWrite, field_bytes},
-  };
-  p.init.pipeline_stages = stages;
-
-  p.copy_faces.label = "Copy_Faces";
-  p.copy_faces.kernel = kCopyFaces;
-  p.copy_faces.flops = k.flops_rhs_per_point * fpts;
-  p.copy_faces.accesses = {
-      RegionAccess{u, AccessKind::kRead, field_bytes, 1.0},
-      RegionAccess{forcing, AccessKind::kRead, field_bytes},
-      RegionAccess{rhs, AccessKind::kWrite, field_bytes},
-  };
-  p.copy_faces.pipeline_stages = stages;
-
-  auto make_solve = [&](const char* label, machine::KernelId id, RegionId lhs) {
-    WorkProfile s;
-    s.label = label;
-    s.kernel = id;
-    s.flops = k.flops_solve_per_point * fpts;
-    // The backward sweep walks lines in the reverse of the forward sweep's
-    // order (bt_app.cpp does the same), so the state read-back is pipelined.
-    RegionAccess lhs_read{lhs, AccessKind::kRead, pts * k.state_bytes};
-    lhs_read.pipelined_self_reuse = true;
-    s.accesses = {
-        RegionAccess{rhs, AccessKind::kRead, field_bytes, 1.0},
-        RegionAccess{u, AccessKind::kRead, field_bytes, 1.0},
-        RegionAccess{lhs, AccessKind::kWrite, pts * k.state_bytes},
-        lhs_read,
-        RegionAccess{rhs, AccessKind::kWrite, field_bytes},
-    };
-    s.pipeline_stages = stages;
-    return s;
-  };
-  p.x_solve = make_solve("X_Solve", kXSolve, lhs_x);
-  p.y_solve = make_solve("Y_Solve", kYSolve, lhs_y);
-  p.z_solve = make_solve("Z_Solve", kZSolve, lhs_z);
-
-  p.add.label = "Add";
-  p.add.kernel = kAdd;
-  p.add.flops = k.flops_add_per_point * fpts;
-  p.add.accesses = {
-      RegionAccess{rhs, AccessKind::kRead, field_bytes, 1.0},
-      RegionAccess{u, AccessKind::kRead, field_bytes, 1.0},
-      RegionAccess{u, AccessKind::kWrite, field_bytes},
-  };
-  p.add.pipeline_stages = stages;
-
-  p.final.label = "Final";
-  p.final.kernel = kFinal;
-  p.final.flops = k.flops_final_per_point * fpts;
-  p.final.accesses = {RegionAccess{u, AccessKind::kRead, field_bytes}};
-  p.final.pipeline_stages = stages;
-
-  return p;
-}
-
-std::unique_ptr<ModeledApp> make_modeled_bt_grid(int n, int iterations,
-                                                 int ranks,
-                                                 machine::MachineConfig config,
-                                                 const BtWorkConstants& k) {
-  SquareDecomp decomp(ranks);  // validates squareness
-  config.ranks = ranks;
-  auto modeled = std::make_unique<ModeledApp>(
-      "BT n=" + std::to_string(n) + " P=" + std::to_string(ranks),
-      std::move(config), iterations);
-
-  // Representative interior rank: the largest subdomain (rank 0 holds the
-  // remainder) with the full neighbour count; the simulated makespan is set
-  // by the slowest rank.
-  const int q = decomp.q();
-  const int nx = n;
-  const int ny = split_range(n, q, 0).count;
-  const int nz = split_range(n, q, 0).count;
-  BtKernelProfiles p =
-      bt_kernel_profiles(modeled->machine(), nx, ny, nz, k);
-
-  const std::size_t yface_bytes =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(nz) * k.comp_bytes;
-  const std::size_t zface_bytes =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) * k.comp_bytes;
-  const std::size_t ylines =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(nz);
-  const std::size_t zlines =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-
-  modeled->add_prologue(std::move(p.init));
-
-  if (q > 1) {
-    p.copy_faces.messages = {MessageOp{2, yface_bytes},
-                             MessageOp{2, zface_bytes}};
-    p.copy_faces.synchronizes = true;
-    p.copy_faces.imbalance_weight = 1.0;
-  }
-  modeled->add_loop_kernel(std::move(p.copy_faces));
-  modeled->add_loop_kernel(std::move(p.x_solve));
-
-  auto add_distributed_solve = [&](WorkProfile s, std::size_t lines) {
-    if (q > 1) {
-      s.messages = {
-          MessageOp{1, lines * k.fwd_msg_doubles * sizeof(double)},
-          MessageOp{1, lines * k.bwd_msg_doubles * sizeof(double)},
-      };
-      s.synchronizes = true;
-      s.imbalance_weight = 1.0;
-    }
-    modeled->add_loop_kernel(std::move(s));
-  };
-  add_distributed_solve(std::move(p.y_solve), ylines);
-  add_distributed_solve(std::move(p.z_solve), zlines);
-
-  modeled->add_loop_kernel(std::move(p.add));
-
-  if (ranks > 1) {
-    p.final.synchronizes = true;  // global verification reduction
-    p.final.imbalance_weight = 0.5;
-  }
-  modeled->add_epilogue(std::move(p.final));
-
-  return modeled;
+std::unique_ptr<ModeledApp> make_modeled_bt_grid(
+    int n, int iterations, int ranks, machine::MachineConfig config) {
+  return make_modeled_adi(kBtWork, n, iterations, ranks, std::move(config));
 }
 
 std::unique_ptr<ModeledApp> make_modeled_bt(ProblemClass cls, int ranks,
-                                            machine::MachineConfig config,
-                                            const BtWorkConstants& k) {
+                                            machine::MachineConfig config) {
   const ProblemSize size = problem_size(Benchmark::kBT, cls);
   return make_modeled_bt_grid(size.n, size.iterations, ranks,
-                              std::move(config), k);
+                              std::move(config));
 }
 
 }  // namespace kcoup::npb::bt

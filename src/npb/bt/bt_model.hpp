@@ -2,25 +2,28 @@
 
 #include <memory>
 
+#include "coupling/parallel_measurement.hpp"
 #include "machine/config.hpp"
+#include "npb/common/adi_model.hpp"
 #include "npb/common/modeled_app.hpp"
 #include "npb/common/problem.hpp"
+#include "npb/common/timed.hpp"
 
 namespace kcoup::npb::bt {
 
-/// Structural constants of the BT kernels, derived from the numeric port in
-/// bt_app.cpp (operation and traffic counts per grid point).  Exposed so
-/// tests can cross-check them and ablation benches can perturb them.
-struct BtWorkConstants {
-  double flops_rhs_per_point = 135;    ///< copy_faces: stencil + coupling
-  double flops_solve_per_point = 935;  ///< block assembly + block Thomas
-  double flops_add_per_point = 5;
-  double flops_init_per_point = 250;
-  double flops_final_per_point = 60;
-  std::size_t comp_bytes = 5 * sizeof(double);        ///< one field, per point
-  std::size_t state_bytes = 30 * sizeof(double);      ///< BlockTriState
-  std::size_t fwd_msg_doubles = 30;  ///< per line, forward pipeline payload
-  std::size_t bwd_msg_doubles = 5;   ///< per line, backward pipeline payload
+/// BT's work per grid point, counted from the numeric port in bt_app.cpp.
+inline constexpr AdiWork kBtWork{
+    .benchmark = Benchmark::kBT,
+    .flops_init_per_point = 250,
+    .flops_rhs_per_point = 135,
+    .flops_txinvr_per_point = std::nullopt,
+    .flops_solve_per_point = 935,  // block assembly + block Thomas
+    .flops_add_per_point = 5,
+    .flops_final_per_point = 60,
+    .state_bytes = 30 * sizeof(double),    // BlockTriState
+    .x_state_bytes = 30 * sizeof(double),  // BlockTriState
+    .fwd_msg_doubles = 30,  // one BlockTriState per line
+    .bwd_msg_doubles = 5,   // one Vec5 per line
 };
 
 /// Build the modeled BT application (the paper's seven kernels pricing their
@@ -32,26 +35,19 @@ struct BtWorkConstants {
 /// edges and message patterns mirror bt_app.cpp: x lines are rank-local, y
 /// and z solves are distributed pipelined block-Thomas sweeps.
 [[nodiscard]] std::unique_ptr<ModeledApp> make_modeled_bt(
-    ProblemClass cls, int ranks, machine::MachineConfig config,
-    const BtWorkConstants& k = {});
+    ProblemClass cls, int ranks, machine::MachineConfig config);
 
 /// Convenience overload for explicit grid size / iteration count (used by
 /// the coupling-transition sweep bench).
 [[nodiscard]] std::unique_ptr<ModeledApp> make_modeled_bt_grid(
-    int n, int iterations, int ranks, machine::MachineConfig config,
-    const BtWorkConstants& k = {});
+    int n, int iterations, int ranks, machine::MachineConfig config);
 
-/// Compute/traffic-only WorkProfiles of the seven BT kernels for one rank's
-/// local extents (nx, ny, nz), with regions registered on `m`.  No messages,
-/// synchronisation or imbalance annotations: the representative-rank model
-/// (make_modeled_bt*) adds the analytic communication model on top, while
-/// the timed parallel path (bt_timed.hpp) performs real simmpi messaging
-/// instead.
-struct BtKernelProfiles {
-  machine::WorkProfile init, copy_faces, x_solve, y_solve, z_solve, add, final;
-};
-[[nodiscard]] BtKernelProfiles bt_kernel_profiles(machine::Machine& m, int nx,
-                                                  int ny, int nz,
-                                                  const BtWorkConstants& k = {});
+/// Run the full parallel coupling study on `ranks` timed BT ranks (the
+/// timed ADI rank with BT's work and kernel table); network parameters are
+/// taken from options.machine.  Returns rank 0's result (identical on
+/// every rank).
+[[nodiscard]] coupling::ParallelStudyResult run_bt_parallel_study(
+    int n, int iterations, int ranks, const TimedOptions& options,
+    const coupling::StudyOptions& study);
 
 }  // namespace kcoup::npb::bt

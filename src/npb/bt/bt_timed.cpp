@@ -1,174 +1,21 @@
-#include "npb/bt/bt_timed.hpp"
+// The timed BT study, kept out of bt_model.cpp so that code using only
+// the modeled app links no simmpi runtime.
 
-#include <mutex>
-#include <stdexcept>
-#include <utility>
+#include "npb/bt/bt_app.hpp"
+#include "npb/bt/bt_model.hpp"
 
 namespace kcoup::npb::bt {
-namespace {
-
-constexpr int kTagYPlus = 151, kTagYMinus = 152;
-constexpr int kTagZPlus = 153, kTagZMinus = 154;
-constexpr int kTagYFwd = 161, kTagYBwd = 162;
-constexpr int kTagZFwd = 163, kTagZBwd = 164;
-
-}  // namespace
-
-TimedBtRank::TimedBtRank(int n, const TimedBtOptions& options,
-                         simmpi::Comm& comm)
-    : options_(options),
-      comm_(&comm),
-      decomp_(comm.size()),
-      layout_(decomp_.layout(comm.rank(), n, n)),
-      nx_(n),
-      ny_(layout_.y.count),
-      nz_(layout_.z.count),
-      machine_([&] {
-        machine::MachineConfig cfg = options.machine;
-        cfg.ranks = comm.size();
-        // The analytic synchronisation/imbalance model must stay out of the
-        // timed path: skew is emergent here.
-        cfg.imbalance_coeff = 0.0;
-        return cfg;
-      }()),
-      profiles_(bt_kernel_profiles(machine_, nx_, ny_, nz_,
-                                   options.constants)) {
-  std::tie(y_fwd_, y_bwd_) = split_sweep(profiles_.y_solve);
-  std::tie(z_fwd_, z_bwd_) = split_sweep(profiles_.z_solve);
-  ylines_ = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_);
-  zlines_ = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
-  yface_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5,
-                0.0);
-  zface_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5,
-                0.0);
-  const std::size_t max_lines = std::max(ylines_, zlines_);
-  pipe_buf_.assign(
-      max_lines * options_.constants.fwd_msg_doubles, 0.0);
-}
-
-std::pair<machine::WorkProfile, machine::WorkProfile> TimedBtRank::split_sweep(
-    const machine::WorkProfile& sweep) {
-  // Forward: read rhs + u, build/write the elimination states (~70 % of the
-  // arithmetic: block assembly, factorisation, elimination).  Backward:
-  // read the states back, write the solution into rhs.
-  machine::WorkProfile fwd = sweep;
-  machine::WorkProfile bwd = sweep;
-  fwd.label += "/fwd";
-  bwd.label += "/bwd";
-  fwd.flops = 0.7 * sweep.flops;
-  bwd.flops = 0.3 * sweep.flops;
-  // accesses layout from bt_kernel_profiles:
-  //   [0] rhs read, [1] u read, [2] lhs write, [3] lhs read, [4] rhs write
-  fwd.accesses = {sweep.accesses[0], sweep.accesses[1], sweep.accesses[2]};
-  bwd.accesses = {sweep.accesses[3], sweep.accesses[4]};
-  return {std::move(fwd), std::move(bwd)};
-}
-
-void TimedBtRank::charge(const machine::WorkProfile& profile) {
-  double cost = machine_.execute_seconds(profile);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(comm_->rank()) << 40) ^
-      (static_cast<std::uint64_t>(profile.kernel) << 32) ^ invocation_;
-  cost *= 1.0 + options_.jitter * machine::Machine::unit_hash(key);
-  ++invocation_;
-  comm_->advance(cost);
-}
-
-void TimedBtRank::initialize() { charge(profiles_.init); }
-
-void TimedBtRank::copy_faces() {
-  // Halo exchange with real payload sizes (contents irrelevant for timing).
-  if (layout_.y_prev >= 0) comm_->send<double>(layout_.y_prev, kTagYMinus, yface_);
-  if (layout_.y_next >= 0) comm_->send<double>(layout_.y_next, kTagYPlus, yface_);
-  if (layout_.z_prev >= 0) comm_->send<double>(layout_.z_prev, kTagZMinus, zface_);
-  if (layout_.z_next >= 0) comm_->send<double>(layout_.z_next, kTagZPlus, zface_);
-  if (layout_.y_prev >= 0) comm_->recv<double>(layout_.y_prev, kTagYPlus, yface_);
-  if (layout_.y_next >= 0) comm_->recv<double>(layout_.y_next, kTagYMinus, yface_);
-  if (layout_.z_prev >= 0) comm_->recv<double>(layout_.z_prev, kTagZPlus, zface_);
-  if (layout_.z_next >= 0) comm_->recv<double>(layout_.z_next, kTagZMinus, zface_);
-  charge(profiles_.copy_faces);
-}
-
-void TimedBtRank::x_solve() { charge(profiles_.x_solve); }
-
-void TimedBtRank::sweep(const machine::WorkProfile& fwd,
-                        const machine::WorkProfile& bwd, int prev, int next,
-                        int tag_fwd, int tag_bwd, std::size_t fwd_doubles,
-                        std::size_t bwd_doubles) {
-  auto fwd_span = std::span(pipe_buf_).first(fwd_doubles);
-  auto bwd_span = std::span(pipe_buf_).first(bwd_doubles);
-  // Forward sweep: the pipeline serialisation is real — this rank cannot
-  // eliminate before its predecessor's states arrive.
-  if (prev >= 0) comm_->recv<double>(prev, tag_fwd, fwd_span);
-  charge(fwd);
-  if (next >= 0) comm_->send<double>(next, tag_fwd, fwd_span);
-  // Backward sweep in reverse rank order.
-  if (next >= 0) comm_->recv<double>(next, tag_bwd, bwd_span);
-  charge(bwd);
-  if (prev >= 0) comm_->send<double>(prev, tag_bwd, bwd_span);
-}
-
-void TimedBtRank::y_solve() {
-  sweep(y_fwd_, y_bwd_, layout_.y_prev, layout_.y_next, kTagYFwd, kTagYBwd,
-        ylines_ * options_.constants.fwd_msg_doubles,
-        ylines_ * options_.constants.bwd_msg_doubles);
-}
-
-void TimedBtRank::z_solve() {
-  sweep(z_fwd_, z_bwd_, layout_.z_prev, layout_.z_next, kTagZFwd, kTagZBwd,
-        zlines_ * options_.constants.fwd_msg_doubles,
-        zlines_ * options_.constants.bwd_msg_doubles);
-}
-
-void TimedBtRank::add() { charge(profiles_.add); }
-
-void TimedBtRank::final_verify() {
-  charge(profiles_.final);
-  (void)comm_->allreduce_max(0.0);
-}
-
-void TimedBtRank::reset() {
-  machine_.reset_state();
-  invocation_ = 0;
-}
-
-coupling::ParallelLoopApp TimedBtRank::make_app(int iterations) {
-  coupling::ParallelLoopApp app;
-  app.prologue = {{"Initialization", [this] { initialize(); }}};
-  app.loop = {
-      {"Copy_Faces", [this] { copy_faces(); }},
-      {"X_Solve", [this] { x_solve(); }},
-      {"Y_Solve", [this] { y_solve(); }},
-      {"Z_Solve", [this] { z_solve(); }},
-      {"Add", [this] { add(); }},
-  };
-  app.epilogue = {{"Final", [this] { final_verify(); }}};
-  app.iterations = iterations;
-  app.reset = [this] { reset(); };
-  return app;
-}
 
 coupling::ParallelStudyResult run_bt_parallel_study(
-    int n, int iterations, int ranks, const TimedBtOptions& options,
+    int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study) {
-  simmpi::NetworkParams net;
-  net.latency_s = options.machine.net_latency_s;
-  net.seconds_per_byte = options.machine.net_seconds_per_byte;
-  net.sync_latency_s = options.machine.sync_latency_s;
-
-  coupling::ParallelStudyResult result;
-  std::mutex mu;
-  (void)simmpi::run(ranks, net, [&](simmpi::Comm& comm) {
-    TimedBtRank rank(n, options, comm);
-    const coupling::ParallelLoopApp app = rank.make_app(iterations);
-    const coupling::ParallelStudyResult r =
-        coupling::run_parallel_study(comm, app, study);
-    if (comm.rank() == 0) {
-      std::lock_guard lock(mu);
-      result = r;
-    }
-  });
-  return result;
+  return coupling::run_simmpi_study(
+      ranks, options.network(), [&](simmpi::Comm& comm) {
+        TimedAdiRank rank(n, kBtWork, options, comm);
+        coupling::ParallelLoopApp app = bt_kernels(rank, iterations);
+        app.reset = [&rank] { rank.reset(); };
+        return coupling::run_parallel_study(comm, app, study);
+      });
 }
 
 }  // namespace kcoup::npb::bt

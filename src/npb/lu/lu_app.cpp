@@ -453,4 +453,17 @@ LuRunResult run_lu(const LuConfig& config, int ranks,
   return result;
 }
 
+coupling::ParallelStudyResult run_lu_measured_study(
+    const LuConfig& config, int ranks, const simmpi::NetworkParams& net,
+    const coupling::StudyOptions& study) {
+  return coupling::run_simmpi_study(ranks, net, [&](simmpi::Comm& comm) {
+    LuRank rank(config, comm);
+    return coupling::run_parallel_study(
+        comm,
+        coupling::charge_thread_cpu_time(lu_kernels(rank, config.iterations),
+                                         comm),
+        study);
+  });
+}
+
 }  // namespace kcoup::npb::lu

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "coupling/parallel_measurement.hpp"
 #include "npb/common/block5.hpp"
 #include "npb/common/decomp.hpp"
 #include "npb/common/field.hpp"
@@ -65,6 +66,33 @@ class LuRank {
   std::vector<double> col_buf_, row_buf_;
 };
 
+/// LU's kernel table (§4.3) over any rank with LU's kernel methods —
+/// LuRank for the host-measured study, the timed LU rank for the timed
+/// one.  The caller sets reset().
+template <typename Rank>
+[[nodiscard]] coupling::ParallelLoopApp lu_kernels(Rank& rank,
+                                                   int iterations) {
+  coupling::ParallelLoopApp app;
+  app.prologue = {
+      {"Initialization", [&rank] { rank.initialize(); }},
+      {"Erhs", [&rank] { rank.erhs(); }},
+      {"Ssor_Init", [&rank] { rank.ssor_init(); }},
+  };
+  app.loop = {
+      {"Ssor_Iter", [&rank] { rank.ssor_iter(); }},
+      {"Ssor_LT", [&rank] { rank.ssor_lt(); }},
+      {"Ssor_UT", [&rank] { rank.ssor_ut(); }},
+      {"Ssor_RS", [&rank] { (void)rank.ssor_rs(); }},
+  };
+  app.epilogue = {
+      {"Error", [&rank] { (void)rank.error(); }},
+      {"Pintgr", [&rank] { (void)rank.pintgr(); }},
+      {"Final", [&rank] { (void)rank.final_verify(); }},
+  };
+  app.iterations = iterations;
+  return app;
+}
+
 struct LuRunResult {
   double final_error = 0.0;
   double initial_residual = 0.0;
@@ -75,5 +103,12 @@ struct LuRunResult {
 
 [[nodiscard]] LuRunResult run_lu(const LuConfig& config, int ranks,
                                  const simmpi::NetworkParams& net = {});
+
+/// Host-measured parallel LU: the real numeric LuRank kernels (including
+/// the per-plane wavefront sweeps) under the parallel measurement protocol
+/// (see bt::run_bt_measured_study).
+[[nodiscard]] coupling::ParallelStudyResult run_lu_measured_study(
+    const LuConfig& config, int ranks, const simmpi::NetworkParams& net,
+    const coupling::StudyOptions& study);
 
 }  // namespace kcoup::npb::lu

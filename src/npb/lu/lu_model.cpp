@@ -26,6 +26,20 @@ enum LuKernel : machine::KernelId {
   kFinal,
 };
 
+/// LU's work per grid point, counted from the numeric port in lu_app.cpp.
+struct LuWork {
+  double flops_rhs_per_point = 135;   ///< ssor_iter
+  double flops_lt_per_point = 365;    ///< jacobian + lower wavefront solve
+  double flops_ut_per_point = 415;    ///< + the extra D*delta matvec
+  double flops_rs_per_point = 15;
+  double flops_init_per_point = 100;
+  double flops_erhs_per_point = 215;
+  double flops_error_per_point = 60;
+  double flops_final_per_point = 70;
+  std::size_t comp_bytes = 5 * sizeof(double);
+};
+constexpr LuWork kLuWork{};
+
 /// Fraction of the producer's plane-sequential stream still pipeline-warm
 /// when a wavefront-ordered sweep reaches it (the sweeps visit points in
 /// diagonal order, not the order their producer wrote them).
@@ -34,11 +48,11 @@ constexpr double kWavefrontFresh = 0.25;
 }  // namespace
 
 LuKernelProfiles lu_kernel_profiles(machine::Machine& m, int nx, int ny,
-                                    int nz, const LuWorkConstants& k) {
+                                    int nz) {
   const auto pts = static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
                    static_cast<std::size_t>(nz);
   const double fpts = static_cast<double>(pts);
-  const std::size_t field_bytes = pts * k.comp_bytes;
+  const std::size_t field_bytes = pts * kLuWork.comp_bytes;
   const auto stages = static_cast<std::size_t>(std::max(2, nz));
 
   const RegionId u = m.register_region("u", field_bytes);
@@ -50,13 +64,13 @@ LuKernelProfiles lu_kernel_profiles(machine::Machine& m, int nx, int ny,
 
   p.init.label = "Initialization";
   p.init.kernel = kInit;
-  p.init.flops = k.flops_init_per_point * fpts;
+  p.init.flops = kLuWork.flops_init_per_point * fpts;
   p.init.accesses = {RegionAccess{u, AccessKind::kWrite, field_bytes}};
   p.init.pipeline_stages = stages;
 
   p.erhs.label = "Erhs";
   p.erhs.kernel = kErhs;
-  p.erhs.flops = k.flops_erhs_per_point * fpts;
+  p.erhs.flops = kLuWork.flops_erhs_per_point * fpts;
   p.erhs.accesses = {
       RegionAccess{exact_tmp, AccessKind::kWrite, field_bytes},
       RegionAccess{exact_tmp, AccessKind::kRead, field_bytes},
@@ -72,7 +86,7 @@ LuKernelProfiles lu_kernel_profiles(machine::Machine& m, int nx, int ny,
 
   p.ssor_iter.label = "Ssor_Iter";
   p.ssor_iter.kernel = kSsorIter;
-  p.ssor_iter.flops = k.flops_rhs_per_point * fpts;
+  p.ssor_iter.flops = kLuWork.flops_rhs_per_point * fpts;
   p.ssor_iter.accesses = {
       RegionAccess{u, AccessKind::kRead, field_bytes, 1.0},
       RegionAccess{frct, AccessKind::kRead, field_bytes},
@@ -96,12 +110,12 @@ LuKernelProfiles lu_kernel_profiles(machine::Machine& m, int nx, int ny,
     s.pipeline_stages = stages;
     return s;
   };
-  p.ssor_lt = make_sweep("Ssor_LT", kSsorLt, k.flops_lt_per_point);
-  p.ssor_ut = make_sweep("Ssor_UT", kSsorUt, k.flops_ut_per_point);
+  p.ssor_lt = make_sweep("Ssor_LT", kSsorLt, kLuWork.flops_lt_per_point);
+  p.ssor_ut = make_sweep("Ssor_UT", kSsorUt, kLuWork.flops_ut_per_point);
 
   p.ssor_rs.label = "Ssor_RS";
   p.ssor_rs.kernel = kSsorRs;
-  p.ssor_rs.flops = k.flops_rs_per_point * fpts;
+  p.ssor_rs.flops = kLuWork.flops_rs_per_point * fpts;
   p.ssor_rs.accesses = {
       RegionAccess{rsd, AccessKind::kRead, field_bytes, 1.0},
       RegionAccess{u, AccessKind::kRead, field_bytes},
@@ -111,7 +125,7 @@ LuKernelProfiles lu_kernel_profiles(machine::Machine& m, int nx, int ny,
 
   p.error.label = "Error";
   p.error.kernel = kError;
-  p.error.flops = k.flops_error_per_point * fpts;
+  p.error.flops = kLuWork.flops_error_per_point * fpts;
   p.error.accesses = {RegionAccess{u, AccessKind::kRead, field_bytes}};
   p.error.pipeline_stages = stages;
 
@@ -126,7 +140,7 @@ LuKernelProfiles lu_kernel_profiles(machine::Machine& m, int nx, int ny,
 
   p.final.label = "Final";
   p.final.kernel = kFinal;
-  p.final.flops = k.flops_final_per_point * fpts;
+  p.final.flops = kLuWork.flops_final_per_point * fpts;
   p.final.accesses = {
       RegionAccess{u, AccessKind::kRead, field_bytes},
       RegionAccess{frct, AccessKind::kRead, field_bytes},
@@ -136,10 +150,8 @@ LuKernelProfiles lu_kernel_profiles(machine::Machine& m, int nx, int ny,
   return p;
 }
 
-std::unique_ptr<ModeledApp> make_modeled_lu_grid(int n, int iterations,
-                                                 int ranks,
-                                                 machine::MachineConfig config,
-                                                 const LuWorkConstants& k) {
+std::unique_ptr<ModeledApp> make_modeled_lu_grid(
+    int n, int iterations, int ranks, machine::MachineConfig config) {
   PencilDecomp decomp(ranks);
   config.ranks = ranks;
   auto modeled = std::make_unique<ModeledApp>(
@@ -150,16 +162,20 @@ std::unique_ptr<ModeledApp> make_modeled_lu_grid(int n, int iterations,
   const int nx = split_range(n, px, 0).count;
   const int ny = split_range(n, py, 0).count;
   const int nz = n;
-  LuKernelProfiles p = lu_kernel_profiles(modeled->machine(), nx, ny, nz, k);
+  LuKernelProfiles p = lu_kernel_profiles(modeled->machine(), nx, ny, nz);
 
-  const std::size_t xface_bytes =
-      static_cast<std::size_t>(ny) * static_cast<std::size_t>(nz) * k.comp_bytes;
-  const std::size_t yface_bytes =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(nz) * k.comp_bytes;
+  const std::size_t xface_bytes = static_cast<std::size_t>(ny) *
+                                  static_cast<std::size_t>(nz) *
+                                  kLuWork.comp_bytes;
+  const std::size_t yface_bytes = static_cast<std::size_t>(nx) *
+                                  static_cast<std::size_t>(nz) *
+                                  kLuWork.comp_bytes;
   // Per-plane wavefront messages: one column (ny points) east, one row
   // (nx points) north, per z-plane, plus the pipeline-fill hand-offs.
-  const std::size_t col_bytes = static_cast<std::size_t>(ny) * k.comp_bytes;
-  const std::size_t row_bytes = static_cast<std::size_t>(nx) * k.comp_bytes;
+  const std::size_t col_bytes =
+      static_cast<std::size_t>(ny) * kLuWork.comp_bytes;
+  const std::size_t row_bytes =
+      static_cast<std::size_t>(nx) * kLuWork.comp_bytes;
   const auto fill_msgs = static_cast<std::size_t>(std::max(0, px + py - 2));
 
   modeled->add_prologue(std::move(p.init));
@@ -211,11 +227,10 @@ std::unique_ptr<ModeledApp> make_modeled_lu_grid(int n, int iterations,
 }
 
 std::unique_ptr<ModeledApp> make_modeled_lu(ProblemClass cls, int ranks,
-                                            machine::MachineConfig config,
-                                            const LuWorkConstants& k) {
+                                            machine::MachineConfig config) {
   const ProblemSize size = problem_size(Benchmark::kLU, cls);
   return make_modeled_lu_grid(size.n, size.iterations, ranks,
-                              std::move(config), k);
+                              std::move(config));
 }
 
 }  // namespace kcoup::npb::lu

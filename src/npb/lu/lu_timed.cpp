@@ -1,6 +1,12 @@
-#include "npb/lu/lu_timed.hpp"
+// The timed LU study, kept out of lu_model.cpp so that code using only the
+// modeled app links no simmpi runtime.
 
-#include <mutex>
+#include <cstdint>
+#include <vector>
+
+#include "npb/common/decomp.hpp"
+#include "npb/lu/lu_app.hpp"
+#include "npb/lu/lu_model.hpp"
 
 namespace kcoup::npb::lu {
 namespace {
@@ -10,25 +16,56 @@ constexpr int kTagYPlus = 353, kTagYMinus = 354;
 constexpr int kTagLtCol = 361, kTagLtRow = 362;
 constexpr int kTagUtCol = 363, kTagUtRow = 364;
 
+/// Timing-only LU rank: executes the *real* diagonal-pipelined wavefront —
+/// one receive/compute/send hand-off per z-plane per sweep, with real
+/// payload sizes — while charging machine-priced compute per plane slice.
+/// The pipeline fill (px + py - 2 plane-stages) and LU's sensitivity to
+/// small-message latency (paper §4.3) emerge from the simulated execution
+/// instead of being modeled analytically.  Its kernel methods match
+/// LuRank's, so lu_kernels drives it.
+class TimedLuRank {
+ public:
+  TimedLuRank(int n, const TimedOptions& options, simmpi::Comm& comm);
+
+  void initialize();
+  void erhs();
+  void ssor_init();
+  void ssor_iter();
+  void ssor_lt();
+  void ssor_ut();
+  void ssor_rs();
+  void error();
+  void pintgr();
+  void final_verify();
+  void reset();
+
+ private:
+  void wavefront(const machine::WorkProfile& profile, bool forward,
+                 int tag_col, int tag_row);
+
+  simmpi::Comm* comm_;
+  PencilDecomp decomp_;
+  PencilDecomp::RankLayout layout_;
+  int nx_, ny_, nz_;
+
+  TimedCompute compute_;
+  LuKernelProfiles profiles_;
+
+  std::vector<double> xface_, yface_, col_buf_, row_buf_;
+};
+
 }  // namespace
 
-TimedLuRank::TimedLuRank(int n, const TimedLuOptions& options,
+TimedLuRank::TimedLuRank(int n, const TimedOptions& options,
                          simmpi::Comm& comm)
-    : options_(options),
-      comm_(&comm),
+    : comm_(&comm),
       decomp_(comm.size()),
       layout_(decomp_.layout(comm.rank(), n, n)),
       nx_(layout_.x.count),
       ny_(layout_.y.count),
       nz_(n),
-      machine_([&] {
-        machine::MachineConfig cfg = options.machine;
-        cfg.ranks = comm.size();
-        cfg.imbalance_coeff = 0.0;  // skew is emergent in the timed path
-        return cfg;
-      }()),
-      profiles_(lu_kernel_profiles(machine_, nx_, ny_, nz_,
-                                   options.constants)) {
+      compute_(options, comm),
+      profiles_(lu_kernel_profiles(compute_.machine(), nx_, ny_, nz_)) {
   xface_.assign(static_cast<std::size_t>(ny_) * static_cast<std::size_t>(nz_) * 5,
                 0.0);
   yface_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5,
@@ -37,29 +74,9 @@ TimedLuRank::TimedLuRank(int n, const TimedLuOptions& options,
   row_buf_.assign(static_cast<std::size_t>(nx_) * 5, 0.0);
 }
 
-void TimedLuRank::charge(const machine::WorkProfile& profile) {
-  double cost = machine_.execute_seconds(profile);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(comm_->rank()) << 40) ^
-      (static_cast<std::uint64_t>(profile.kernel) << 32) ^ invocation_;
-  cost *= 1.0 + options_.jitter * machine::Machine::unit_hash(key);
-  ++invocation_;
-  comm_->advance(cost);
-}
-
-void TimedLuRank::advance_slice(double base_slice, machine::KernelId kernel,
-                                int plane) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(comm_->rank()) << 40) ^
-      (static_cast<std::uint64_t>(kernel) << 32) ^
-      (invocation_ << 8) ^ static_cast<std::uint64_t>(plane);
-  comm_->advance(base_slice *
-                 (1.0 + options_.jitter * machine::Machine::unit_hash(key)));
-}
-
-void TimedLuRank::initialize() { charge(profiles_.init); }
-void TimedLuRank::erhs() { charge(profiles_.erhs); }
-void TimedLuRank::ssor_init() { charge(profiles_.ssor_init); }
+void TimedLuRank::initialize() { compute_.charge(profiles_.init); }
+void TimedLuRank::erhs() { compute_.charge(profiles_.erhs); }
+void TimedLuRank::ssor_init() { compute_.charge(profiles_.ssor_init); }
 
 void TimedLuRank::ssor_iter() {
   if (layout_.x_prev >= 0) comm_->send<double>(layout_.x_prev, kTagXMinus, xface_);
@@ -70,15 +87,17 @@ void TimedLuRank::ssor_iter() {
   if (layout_.x_next >= 0) comm_->recv<double>(layout_.x_next, kTagXMinus, xface_);
   if (layout_.y_prev >= 0) comm_->recv<double>(layout_.y_prev, kTagYPlus, yface_);
   if (layout_.y_next >= 0) comm_->recv<double>(layout_.y_next, kTagYMinus, yface_);
-  charge(profiles_.ssor_iter);
+  compute_.charge(profiles_.ssor_iter);
 }
 
 void TimedLuRank::wavefront(const machine::WorkProfile& profile, bool forward,
                             int tag_col, int tag_row) {
   // Price the whole sweep once (correct cache-state semantics), then spend
-  // it plane by plane with the real per-plane message hand-offs.
-  const double total = machine_.execute_seconds(profile);
+  // it plane by plane, each slice jittered on its own, with the real
+  // per-plane message hand-offs.
+  const double total = compute_.machine().execute_seconds(profile);
   const double slice = total / static_cast<double>(nz_);
+  const std::uint64_t invocation = compute_.next_invocation();
   const int recv_col = forward ? layout_.x_prev : layout_.x_next;
   const int send_col = forward ? layout_.x_next : layout_.x_prev;
   const int recv_row = forward ? layout_.y_prev : layout_.y_next;
@@ -87,11 +106,11 @@ void TimedLuRank::wavefront(const machine::WorkProfile& profile, bool forward,
     const int k = forward ? step : nz_ - 1 - step;
     if (recv_col >= 0) comm_->recv<double>(recv_col, tag_col, col_buf_);
     if (recv_row >= 0) comm_->recv<double>(recv_row, tag_row, row_buf_);
-    advance_slice(slice, profile.kernel, k);
+    compute_.charge(slice, profile.kernel,
+                    (invocation << 8) ^ static_cast<std::uint64_t>(k));
     if (send_col >= 0) comm_->send<double>(send_col, tag_col, col_buf_);
     if (send_row >= 0) comm_->send<double>(send_row, tag_row, row_buf_);
   }
-  ++invocation_;
 }
 
 void TimedLuRank::ssor_lt() {
@@ -103,74 +122,37 @@ void TimedLuRank::ssor_ut() {
 }
 
 void TimedLuRank::ssor_rs() {
-  charge(profiles_.ssor_rs);
+  compute_.charge(profiles_.ssor_rs);
   (void)comm_->allreduce_sum(0.0);  // Newton-residual reduction
 }
 
 void TimedLuRank::error() {
-  charge(profiles_.error);
+  compute_.charge(profiles_.error);
   (void)comm_->allreduce_max(0.0);
 }
 
 void TimedLuRank::pintgr() {
-  charge(profiles_.pintgr);
+  compute_.charge(profiles_.pintgr);
   (void)comm_->allreduce_sum(0.0);
 }
 
 void TimedLuRank::final_verify() {
-  charge(profiles_.final);
+  compute_.charge(profiles_.final);
   (void)comm_->allreduce_sum(0.0);
 }
 
-void TimedLuRank::reset() {
-  machine_.reset_state();
-  invocation_ = 0;
-}
-
-coupling::ParallelLoopApp TimedLuRank::make_app(int iterations) {
-  coupling::ParallelLoopApp app;
-  app.prologue = {
-      {"Initialization", [this] { initialize(); }},
-      {"Erhs", [this] { erhs(); }},
-      {"Ssor_Init", [this] { ssor_init(); }},
-  };
-  app.loop = {
-      {"Ssor_Iter", [this] { ssor_iter(); }},
-      {"Ssor_LT", [this] { ssor_lt(); }},
-      {"Ssor_UT", [this] { ssor_ut(); }},
-      {"Ssor_RS", [this] { ssor_rs(); }},
-  };
-  app.epilogue = {
-      {"Error", [this] { error(); }},
-      {"Pintgr", [this] { pintgr(); }},
-      {"Final", [this] { final_verify(); }},
-  };
-  app.iterations = iterations;
-  app.reset = [this] { reset(); };
-  return app;
-}
+void TimedLuRank::reset() { compute_.reset(); }
 
 coupling::ParallelStudyResult run_lu_parallel_study(
-    int n, int iterations, int ranks, const TimedLuOptions& options,
+    int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study) {
-  simmpi::NetworkParams net;
-  net.latency_s = options.machine.net_latency_s;
-  net.seconds_per_byte = options.machine.net_seconds_per_byte;
-  net.sync_latency_s = options.machine.sync_latency_s;
-
-  coupling::ParallelStudyResult result;
-  std::mutex mu;
-  (void)simmpi::run(ranks, net, [&](simmpi::Comm& comm) {
-    TimedLuRank rank(n, options, comm);
-    const coupling::ParallelLoopApp app = rank.make_app(iterations);
-    const coupling::ParallelStudyResult r =
-        coupling::run_parallel_study(comm, app, study);
-    if (comm.rank() == 0) {
-      std::lock_guard lock(mu);
-      result = r;
-    }
-  });
-  return result;
+  return coupling::run_simmpi_study(
+      ranks, options.network(), [&](simmpi::Comm& comm) {
+        TimedLuRank rank(n, options, comm);
+        coupling::ParallelLoopApp app = lu_kernels(rank, iterations);
+        app.reset = [&rank] { rank.reset(); };
+        return coupling::run_parallel_study(comm, app, study);
+      });
 }
 
 }  // namespace kcoup::npb::lu

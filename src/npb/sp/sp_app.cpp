@@ -1,41 +1,21 @@
 #include "npb/sp/sp_app.hpp"
 
-#include <cmath>
-#include <cstring>
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 
 namespace kcoup::npb::sp {
 namespace {
 
-constexpr int kTagYPlus = 201, kTagYMinus = 202;
-constexpr int kTagZPlus = 203, kTagZMinus = 204;
-constexpr int kTagYFwd = 211, kTagYBwd = 212;
-constexpr int kTagZFwd = 213, kTagZBwd = 214;
-
 // Per line: 5 components x 2 rows x (dtil, etil, rtil).
 constexpr std::size_t kFwdDoubles = 30;
 // Per line: 5 components x 2 solution values.
 constexpr std::size_t kBwdDoubles = 10;
 
-double perturbation(int gi, int gj, int gk) {
-  return 0.3 * std::sin(12.9898 * gi + 78.233 * gj + 37.719 * gk);
-}
-
 }  // namespace
 
 SpRank::SpRank(const SpConfig& config, simmpi::Comm& comm)
-    : config_(config),
-      comm_(&comm),
-      decomp_(comm.size()),
-      layout_(decomp_.layout(comm.rank(), config.n, config.n)),
-      nx_(config.n),
-      ny_(layout_.y.count),
-      nz_(layout_.z.count),
-      u_(nx_, ny_, nz_, 1),
-      rhs_(nx_, ny_, nz_, 1),
-      forcing_(nx_, ny_, nz_, 1),
-      coupling_(OperatorSpec::coupling()) {
+    : AdiRank(config.n, config.tau, config.op, comm), config_(config) {
   if (config_.n < 5) throw std::invalid_argument("SP: grid too small");
   // T = I + txeps/2 * M is diagonally dominant, hence invertible.
   tx_ = identity5();
@@ -46,15 +26,11 @@ SpRank::SpRank(const SpConfig& config, simmpi::Comm& comm)
     throw std::runtime_error("SP: TXINVR matrix not invertible");
   }
 
-  const std::size_t max_lines = static_cast<std::size_t>(nx_) *
-                                static_cast<std::size_t>(std::max(ny_, nz_));
-  const auto max_len = static_cast<std::size_t>(
-      std::max(nx_, std::max(ny_, nz_)));
-  rows_.resize(max_len);
-  xline_.resize(max_len);
-  states_.resize(max_lines * max_len * 5);
-  msg_fwd_.resize(max_lines * kFwdDoubles);
-  msg_bwd_.resize(max_lines * kBwdDoubles);
+  rows_.resize(max_len());
+  xline_.resize(max_len());
+  states_.resize(max_lines() * max_len() * 5);
+  msg_fwd_.resize(max_lines() * kFwdDoubles);
+  msg_bwd_.resize(max_lines() * kBwdDoubles);
 }
 
 PentaRow SpRank::make_row(int global_m, int global_n, double u_c,
@@ -68,167 +44,6 @@ PentaRow SpRank::make_row(int global_m, int global_n, double u_c,
   row.e = global_m <= global_n - 3 ? -0.5 * d : 0.0;
   row.r = rhs_c;
   return row;
-}
-
-void SpRank::fill_analytic_ghosts() {
-  const int n = config_.n;
-  auto set_exact = [&](int i, int j, int k) {
-    u_.set(i, j, k,
-           exact_solution(grid_coord(i, n), grid_coord(layout_.y.begin + j, n),
-                          grid_coord(layout_.z.begin + k, n)));
-  };
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      set_exact(-1, j, k);
-      set_exact(nx_, j, k);
-    }
-  }
-  for (int k = 0; k < nz_; ++k) {
-    for (int i = 0; i < nx_; ++i) {
-      if (layout_.y_prev < 0) set_exact(i, -1, k);
-      if (layout_.y_next < 0) set_exact(i, ny_, k);
-    }
-  }
-  for (int j = 0; j < ny_; ++j) {
-    for (int i = 0; i < nx_; ++i) {
-      if (layout_.z_prev < 0) set_exact(i, j, -1);
-      if (layout_.z_next < 0) set_exact(i, j, nz_);
-    }
-  }
-}
-
-void SpRank::initialize() {
-  const int n = config_.n;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const int gi = i, gj = layout_.y.begin + j, gk = layout_.z.begin + k;
-        Vec5 v = exact_solution(grid_coord(gi, n), grid_coord(gj, n),
-                                grid_coord(gk, n));
-        const double p = perturbation(gi, gj, gk);
-        for (std::size_t c = 0; c < 5; ++c) v[c] += p;
-        u_.set(i, j, k, v);
-      }
-    }
-  }
-  fill_analytic_ghosts();
-
-  Field5 exact(nx_, ny_, nz_, 1);
-  for (int k = -1; k <= nz_; ++k) {
-    for (int j = -1; j <= ny_; ++j) {
-      for (int i = -1; i <= nx_; ++i) {
-        exact.set(i, j, k,
-                  exact_solution(grid_coord(i, n),
-                                 grid_coord(layout_.y.begin + j, n),
-                                 grid_coord(layout_.z.begin + k, n)));
-      }
-    }
-  }
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        forcing_.set(i, j, k,
-                     apply_operator(exact, i, j, k, config_.op, coupling_));
-      }
-    }
-  }
-}
-
-void SpRank::exchange_halo() {
-  auto pack_y = [&](int j, std::vector<double>& buf) {
-    buf.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5);
-    std::size_t p = 0;
-    for (int k = 0; k < nz_; ++k) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 v = u_.get(i, j, k);
-        for (std::size_t c = 0; c < 5; ++c) buf[p++] = v[c];
-      }
-    }
-  };
-  auto unpack_y = [&](int j, const std::vector<double>& buf) {
-    std::size_t p = 0;
-    for (int k = 0; k < nz_; ++k) {
-      for (int i = 0; i < nx_; ++i) {
-        Vec5 v;
-        for (std::size_t c = 0; c < 5; ++c) v[c] = buf[p++];
-        u_.set(i, j, k, v);
-      }
-    }
-  };
-  auto pack_z = [&](int k, std::vector<double>& buf) {
-    buf.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5);
-    std::size_t p = 0;
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 v = u_.get(i, j, k);
-        for (std::size_t c = 0; c < 5; ++c) buf[p++] = v[c];
-      }
-    }
-  };
-  auto unpack_z = [&](int k, const std::vector<double>& buf) {
-    std::size_t p = 0;
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        Vec5 v;
-        for (std::size_t c = 0; c < 5; ++c) v[c] = buf[p++];
-        u_.set(i, j, k, v);
-      }
-    }
-  };
-
-  std::vector<double> sy0, sy1, sz0, sz1, r;
-  if (layout_.y_prev >= 0) {
-    pack_y(0, sy0);
-    comm_->send<double>(layout_.y_prev, kTagYMinus, sy0);
-  }
-  if (layout_.y_next >= 0) {
-    pack_y(ny_ - 1, sy1);
-    comm_->send<double>(layout_.y_next, kTagYPlus, sy1);
-  }
-  if (layout_.z_prev >= 0) {
-    pack_z(0, sz0);
-    comm_->send<double>(layout_.z_prev, kTagZMinus, sz0);
-  }
-  if (layout_.z_next >= 0) {
-    pack_z(nz_ - 1, sz1);
-    comm_->send<double>(layout_.z_next, kTagZPlus, sz1);
-  }
-  if (layout_.y_prev >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5);
-    comm_->recv<double>(layout_.y_prev, kTagYPlus, r);
-    unpack_y(-1, r);
-  }
-  if (layout_.y_next >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5);
-    comm_->recv<double>(layout_.y_next, kTagYMinus, r);
-    unpack_y(ny_, r);
-  }
-  if (layout_.z_prev >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5);
-    comm_->recv<double>(layout_.z_prev, kTagZPlus, r);
-    unpack_z(-1, r);
-  }
-  if (layout_.z_next >= 0) {
-    r.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5);
-    comm_->recv<double>(layout_.z_next, kTagZMinus, r);
-    unpack_z(nz_, r);
-  }
-}
-
-void SpRank::copy_faces() {
-  exchange_halo();
-  const double tau = config_.tau;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 au = apply_operator(u_, i, j, k, config_.op, coupling_);
-        const Vec5 f = forcing_.get(i, j, k);
-        Vec5 r;
-        for (std::size_t c = 0; c < 5; ++c) r[c] = tau * (f[c] - au[c]);
-        rhs_.set(i, j, k, r);
-      }
-    }
-  }
 }
 
 void SpRank::txinvr() {
@@ -429,43 +244,6 @@ void SpRank::add() {
   }
 }
 
-double SpRank::final_verify() {
-  const int n = config_.n;
-  double max_err = 0.0;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 ex = exact_solution(grid_coord(i, n),
-                                       grid_coord(layout_.y.begin + j, n),
-                                       grid_coord(layout_.z.begin + k, n));
-        const Vec5 uv = u_.get(i, j, k);
-        for (std::size_t c = 0; c < 5; ++c) {
-          max_err = std::max(max_err, std::fabs(uv[c] - ex[c]));
-        }
-      }
-    }
-  }
-  return comm_->allreduce_max(max_err);
-}
-
-double SpRank::residual_norm() {
-  exchange_halo();
-  double sum = 0.0;
-  for (int k = 0; k < nz_; ++k) {
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) {
-        const Vec5 au = apply_operator(u_, i, j, k, config_.op, coupling_);
-        sum += norm2sq5(sub5(forcing_.get(i, j, k), au));
-      }
-    }
-  }
-  const double total = comm_->allreduce_sum(sum);
-  const double npts = static_cast<double>(config_.n) *
-                      static_cast<double>(config_.n) *
-                      static_cast<double>(config_.n) * 5.0;
-  return std::sqrt(total / npts);
-}
-
 SpRunResult run_sp(const SpConfig& config, int ranks,
                    const simmpi::NetworkParams& net) {
   SpRunResult result;
@@ -492,6 +270,19 @@ SpRunResult run_sp(const SpConfig& config, int ranks,
     }
   });
   return result;
+}
+
+coupling::ParallelStudyResult run_sp_measured_study(
+    const SpConfig& config, int ranks, const simmpi::NetworkParams& net,
+    const coupling::StudyOptions& study) {
+  return coupling::run_simmpi_study(ranks, net, [&](simmpi::Comm& comm) {
+    SpRank rank(config, comm);
+    return coupling::run_parallel_study(
+        comm,
+        coupling::charge_thread_cpu_time(sp_kernels(rank, config.iterations),
+                                         comm),
+        study);
+  });
 }
 
 }  // namespace kcoup::npb::sp

@@ -2,10 +2,9 @@
 
 #include <vector>
 
-#include "npb/common/decomp.hpp"
-#include "npb/common/field.hpp"
+#include "coupling/parallel_measurement.hpp"
+#include "npb/common/adi.hpp"
 #include "npb/common/penta.hpp"
-#include "npb/common/problem.hpp"
 #include "npb/common/stencil.hpp"
 #include "simmpi/simmpi.hpp"
 
@@ -29,42 +28,27 @@ struct SpConfig {
 };
 
 /// Per-rank SP solver: the paper's eight kernels as methods.  Main loop:
-/// copy_faces, txinvr, x_solve, y_solve, z_solve, add.
-class SpRank {
+/// copy_faces, txinvr, x_solve, y_solve, z_solve, add.  Kernels 1, 2 and 8
+/// (initialize, copy_faces, final_verify) are the shared ADI ones.
+class SpRank : public AdiRank {
  public:
   SpRank(const SpConfig& config, simmpi::Comm& comm);
 
-  void initialize();   // kernel 1
-  void copy_faces();   // kernel 2: halo exchange + rhs = tau (f - A u)
   void txinvr();       // kernel 3: rhs := T rhs (pointwise 5x5)
   void x_solve();      // kernel 4: local scalar pentadiagonal sweeps
   void y_solve();      // kernel 5: distributed pipelined penta sweeps
   void z_solve();      // kernel 6: distributed pipelined penta sweeps
   void add();          // kernel 7: u += T^-1 rhs
-  double final_verify();  // kernel 8: global max error vs exact solution
-
-  double residual_norm();
 
   [[nodiscard]] const SpConfig& config() const { return config_; }
 
  private:
-  void exchange_halo();
-  void fill_analytic_ghosts();
   /// Pentadiagonal row for component c at global line position m of
   /// extent n, with the u-dependent centre coefficient.
   [[nodiscard]] PentaRow make_row(int global_m, int global_n, double u_c,
                                   double rhs_c) const;
 
   SpConfig config_;
-  simmpi::Comm* comm_;
-  SquareDecomp decomp_;
-  SquareDecomp::RankLayout layout_;
-  int nx_, ny_, nz_;
-
-  Field5 u_;
-  Field5 rhs_;
-  Field5 forcing_;
-  Block5 coupling_;
   Block5 tx_;      ///< the TXINVR matrix T
   Block5 txinv_;   ///< T^-1 (applied by add)
 
@@ -73,6 +57,26 @@ class SpRank {
   std::vector<double> xline_;
   std::vector<double> msg_fwd_, msg_bwd_;
 };
+
+/// SP's kernel table (§4.2): BT's with TXINVR after Copy_Faces, over any
+/// rank with SP's kernel methods (see bt::bt_kernels).
+template <typename Rank>
+[[nodiscard]] coupling::ParallelLoopApp sp_kernels(Rank& rank,
+                                                   int iterations) {
+  coupling::ParallelLoopApp app;
+  app.prologue = {{"Initialization", [&rank] { rank.initialize(); }}};
+  app.loop = {
+      {"Copy_Faces", [&rank] { rank.copy_faces(); }},
+      {"Txinvr", [&rank] { rank.txinvr(); }},
+      {"X_Solve", [&rank] { rank.x_solve(); }},
+      {"Y_Solve", [&rank] { rank.y_solve(); }},
+      {"Z_Solve", [&rank] { rank.z_solve(); }},
+      {"Add", [&rank] { rank.add(); }},
+  };
+  app.epilogue = {{"Final", [&rank] { (void)rank.final_verify(); }}};
+  app.iterations = iterations;
+  return app;
+}
 
 struct SpRunResult {
   double final_error = 0.0;
@@ -83,5 +87,11 @@ struct SpRunResult {
 
 [[nodiscard]] SpRunResult run_sp(const SpConfig& config, int ranks,
                                  const simmpi::NetworkParams& net = {});
+
+/// Host-measured parallel SP: the real numeric SpRank kernels under the
+/// parallel measurement protocol (see bt::run_bt_measured_study).
+[[nodiscard]] coupling::ParallelStudyResult run_sp_measured_study(
+    const SpConfig& config, int ranks, const simmpi::NetworkParams& net,
+    const coupling::StudyOptions& study);
 
 }  // namespace kcoup::npb::sp

@@ -1,164 +1,21 @@
-#include "npb/sp/sp_timed.hpp"
+// The timed SP study, kept out of sp_model.cpp so that code using only
+// the modeled app links no simmpi runtime.
 
-#include <mutex>
+#include "npb/sp/sp_app.hpp"
+#include "npb/sp/sp_model.hpp"
 
 namespace kcoup::npb::sp {
-namespace {
-
-constexpr int kTagYPlus = 251, kTagYMinus = 252;
-constexpr int kTagZPlus = 253, kTagZMinus = 254;
-constexpr int kTagYFwd = 261, kTagYBwd = 262;
-constexpr int kTagZFwd = 263, kTagZBwd = 264;
-
-}  // namespace
-
-TimedSpRank::TimedSpRank(int n, const TimedSpOptions& options,
-                         simmpi::Comm& comm)
-    : options_(options),
-      comm_(&comm),
-      decomp_(comm.size()),
-      layout_(decomp_.layout(comm.rank(), n, n)),
-      nx_(n),
-      ny_(layout_.y.count),
-      nz_(layout_.z.count),
-      machine_([&] {
-        machine::MachineConfig cfg = options.machine;
-        cfg.ranks = comm.size();
-        cfg.imbalance_coeff = 0.0;  // skew is emergent in the timed path
-        return cfg;
-      }()),
-      profiles_(sp_kernel_profiles(machine_, nx_, ny_, nz_,
-                                   options.constants)) {
-  std::tie(y_fwd_, y_bwd_) = split_sweep(profiles_.y_solve);
-  std::tie(z_fwd_, z_bwd_) = split_sweep(profiles_.z_solve);
-  ylines_ = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_);
-  zlines_ = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
-  yface_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(nz_) * 5,
-                0.0);
-  zface_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * 5,
-                0.0);
-  pipe_buf_.assign(std::max(ylines_, zlines_) *
-                       options_.constants.fwd_msg_doubles,
-                   0.0);
-}
-
-std::pair<machine::WorkProfile, machine::WorkProfile> TimedSpRank::split_sweep(
-    const machine::WorkProfile& sweep) {
-  machine::WorkProfile fwd = sweep;
-  machine::WorkProfile bwd = sweep;
-  fwd.label += "/fwd";
-  bwd.label += "/bwd";
-  fwd.flops = 0.7 * sweep.flops;
-  bwd.flops = 0.3 * sweep.flops;
-  fwd.accesses = {sweep.accesses[0], sweep.accesses[1], sweep.accesses[2]};
-  bwd.accesses = {sweep.accesses[3], sweep.accesses[4]};
-  return {std::move(fwd), std::move(bwd)};
-}
-
-void TimedSpRank::charge(const machine::WorkProfile& profile) {
-  double cost = machine_.execute_seconds(profile);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(comm_->rank()) << 40) ^
-      (static_cast<std::uint64_t>(profile.kernel) << 32) ^ invocation_;
-  cost *= 1.0 + options_.jitter * machine::Machine::unit_hash(key);
-  ++invocation_;
-  comm_->advance(cost);
-}
-
-void TimedSpRank::initialize() { charge(profiles_.init); }
-
-void TimedSpRank::copy_faces() {
-  if (layout_.y_prev >= 0) comm_->send<double>(layout_.y_prev, kTagYMinus, yface_);
-  if (layout_.y_next >= 0) comm_->send<double>(layout_.y_next, kTagYPlus, yface_);
-  if (layout_.z_prev >= 0) comm_->send<double>(layout_.z_prev, kTagZMinus, zface_);
-  if (layout_.z_next >= 0) comm_->send<double>(layout_.z_next, kTagZPlus, zface_);
-  if (layout_.y_prev >= 0) comm_->recv<double>(layout_.y_prev, kTagYPlus, yface_);
-  if (layout_.y_next >= 0) comm_->recv<double>(layout_.y_next, kTagYMinus, yface_);
-  if (layout_.z_prev >= 0) comm_->recv<double>(layout_.z_prev, kTagZPlus, zface_);
-  if (layout_.z_next >= 0) comm_->recv<double>(layout_.z_next, kTagZMinus, zface_);
-  charge(profiles_.copy_faces);
-}
-
-void TimedSpRank::txinvr() { charge(profiles_.txinvr); }
-
-void TimedSpRank::x_solve() { charge(profiles_.x_solve); }
-
-void TimedSpRank::sweep(const machine::WorkProfile& fwd,
-                        const machine::WorkProfile& bwd, int prev, int next,
-                        int tag_fwd, int tag_bwd, std::size_t fwd_doubles,
-                        std::size_t bwd_doubles) {
-  auto fwd_span = std::span(pipe_buf_).first(fwd_doubles);
-  auto bwd_span = std::span(pipe_buf_).first(bwd_doubles);
-  if (prev >= 0) comm_->recv<double>(prev, tag_fwd, fwd_span);
-  charge(fwd);
-  if (next >= 0) comm_->send<double>(next, tag_fwd, fwd_span);
-  if (next >= 0) comm_->recv<double>(next, tag_bwd, bwd_span);
-  charge(bwd);
-  if (prev >= 0) comm_->send<double>(prev, tag_bwd, bwd_span);
-}
-
-void TimedSpRank::y_solve() {
-  sweep(y_fwd_, y_bwd_, layout_.y_prev, layout_.y_next, kTagYFwd, kTagYBwd,
-        ylines_ * options_.constants.fwd_msg_doubles,
-        ylines_ * options_.constants.bwd_msg_doubles);
-}
-
-void TimedSpRank::z_solve() {
-  sweep(z_fwd_, z_bwd_, layout_.z_prev, layout_.z_next, kTagZFwd, kTagZBwd,
-        zlines_ * options_.constants.fwd_msg_doubles,
-        zlines_ * options_.constants.bwd_msg_doubles);
-}
-
-void TimedSpRank::add() { charge(profiles_.add); }
-
-void TimedSpRank::final_verify() {
-  charge(profiles_.final);
-  (void)comm_->allreduce_max(0.0);
-}
-
-void TimedSpRank::reset() {
-  machine_.reset_state();
-  invocation_ = 0;
-}
-
-coupling::ParallelLoopApp TimedSpRank::make_app(int iterations) {
-  coupling::ParallelLoopApp app;
-  app.prologue = {{"Initialization", [this] { initialize(); }}};
-  app.loop = {
-      {"Copy_Faces", [this] { copy_faces(); }},
-      {"Txinvr", [this] { txinvr(); }},
-      {"X_Solve", [this] { x_solve(); }},
-      {"Y_Solve", [this] { y_solve(); }},
-      {"Z_Solve", [this] { z_solve(); }},
-      {"Add", [this] { add(); }},
-  };
-  app.epilogue = {{"Final", [this] { final_verify(); }}};
-  app.iterations = iterations;
-  app.reset = [this] { reset(); };
-  return app;
-}
 
 coupling::ParallelStudyResult run_sp_parallel_study(
-    int n, int iterations, int ranks, const TimedSpOptions& options,
+    int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study) {
-  simmpi::NetworkParams net;
-  net.latency_s = options.machine.net_latency_s;
-  net.seconds_per_byte = options.machine.net_seconds_per_byte;
-  net.sync_latency_s = options.machine.sync_latency_s;
-
-  coupling::ParallelStudyResult result;
-  std::mutex mu;
-  (void)simmpi::run(ranks, net, [&](simmpi::Comm& comm) {
-    TimedSpRank rank(n, options, comm);
-    const coupling::ParallelLoopApp app = rank.make_app(iterations);
-    const coupling::ParallelStudyResult r =
-        coupling::run_parallel_study(comm, app, study);
-    if (comm.rank() == 0) {
-      std::lock_guard lock(mu);
-      result = r;
-    }
-  });
-  return result;
+  return coupling::run_simmpi_study(
+      ranks, options.network(), [&](simmpi::Comm& comm) {
+        TimedAdiRank rank(n, kSpWork, options, comm);
+        coupling::ParallelLoopApp app = sp_kernels(rank, iterations);
+        app.reset = [&rank] { rank.reset(); };
+        return coupling::run_parallel_study(comm, app, study);
+      });
 }
 
 }  // namespace kcoup::npb::sp

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <span>
 
 namespace kcoup::trace {
 
@@ -62,13 +61,6 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Convenience: summarise a contiguous sample set.
-[[nodiscard]] inline RunningStats summarize(std::span<const double> xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s;
-}
 
 /// Relative error |predicted - actual| / actual, the accuracy metric used in
 /// every evaluation table of the paper.  Returns +inf for actual == 0.

@@ -159,6 +159,24 @@ else()
   elseif(CASE STREQUAL "kcoup_cli_rejects_zero_campaign_chains")
     refused(1 "kcoup campaign: --chains must be >= 1, got 0"
             campaign ${campaign_cell} --serial --chains 0)
+  # A chain length given twice measured and printed every coupling twice.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_study_chains")
+    refused(1 "kcoup study: plan_campaign: chain length 2 given twice"
+            study --app bt --class S --procs 4 --chains 2,2)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_campaign_chains")
+    refused(1 "kcoup campaign: plan_campaign: chain length 2 given twice"
+            campaign ${campaign_cell} --serial --chains 2,2)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_parallel_chains")
+    refused(1 "kcoup parallel: run_parallel_study: chain length 2 given twice"
+            parallel --app bt --n 12 --procs 4 --chains 2,2)
+  # merge ignored DIR when --journal-dir was also given; top polled zero
+  # times for a negative --count.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_merge_dir_and_journal_dir")
+    refused(1 "kcoup merge: give the journal directory once: DIR or --journal-dir, not both"
+            merge nodir --journal-dir sh0)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_negative_top_count")
+    refused(1 "kcoup top: --count must be >= 0, got -1"
+            top --port 1 --count -1)
   # The app names query and the server accept: BT as well as bt.
   elseif(CASE STREQUAL "kcoup_cli_study_accepts_upper_case_app")
     run(0 study --app BT --class S --procs 4)

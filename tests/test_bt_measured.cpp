@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "npb/bt/bt_measured.hpp"
-#include "npb/lu/lu_measured.hpp"
-#include "npb/sp/sp_measured.hpp"
+#include "npb/bt/bt_app.hpp"
+#include "npb/lu/lu_app.hpp"
+#include "npb/sp/sp_app.hpp"
 #include "trace/stopwatch.hpp"
 
 namespace kcoup::npb::bt {
@@ -60,7 +60,8 @@ TEST(BtMeasuredTest, SolverStillConvergesUnderMeasurement) {
   coupling::ParallelStudyResult unused;
   (void)simmpi::run(4, net, [&](simmpi::Comm& comm) {
     BtRank rank(cfg, comm);
-    const auto app = make_measured_bt_app(rank, cfg.iterations, comm);
+    const auto app = coupling::charge_thread_cpu_time(
+        bt_kernels(rank, cfg.iterations), comm);
     // A full application pass through the app bodies:
     app.reset();
     for (const auto& k : app.prologue) k.body();

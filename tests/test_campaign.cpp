@@ -143,6 +143,23 @@ TEST(PlannerTest, RejectsInvalidChainLengths) {
   EXPECT_THROW(plan_campaign(spec), std::invalid_argument);
 }
 
+TEST(PlannerTest, RejectsARepeatedChainLength) {
+  // {2, 2} would measure and print every q=2 coupling twice.
+  CampaignSpec spec;
+  spec.studies.push_back(synthetic_cell("A", 1, 3, 1.0));
+  spec.chain_lengths = {2, 3, 2};
+  try {
+    (void)plan_campaign(spec);
+    FAIL() << "a repeated chain length was planned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "plan_campaign: chain length 2 given twice");
+  }
+  // run_study plans through the same planner.
+  const SyntheticApp app(3, 1.0);
+  EXPECT_THROW((void)coupling::run_study(app.app, {{1, 1}, {}}),
+               std::invalid_argument);
+}
+
 TEST(PlannerTest, RejectsMissingFactory) {
   CampaignSpec spec;
   CampaignStudy cell;

@@ -6,20 +6,20 @@
 
 #include "coupling/parallel_measurement.hpp"
 #include "machine/config.hpp"
-#include "npb/lu/lu_timed.hpp"
-#include "npb/sp/sp_timed.hpp"
+#include "npb/lu/lu_model.hpp"
+#include "npb/sp/sp_model.hpp"
 
 namespace kcoup {
 namespace {
 
-npb::sp::TimedSpOptions sp_options() {
-  npb::sp::TimedSpOptions o;
+npb::TimedOptions sp_options() {
+  npb::TimedOptions o;
   o.machine = machine::ibm_sp_p2sc();
   return o;
 }
 
-npb::lu::TimedLuOptions lu_options() {
-  npb::lu::TimedLuOptions o;
+npb::TimedOptions lu_options() {
+  npb::TimedOptions o;
   o.machine = machine::ibm_sp_p2sc();
   return o;
 }
@@ -60,8 +60,8 @@ TEST(TimedLuTest, DirectionReversalMakesSweepPairLatencySensitive) {
   // (paper §4.3) shows up as *destructive coupling*, not as slower isolated
   // kernels.
   const coupling::StudyOptions study{{2}, {}};
-  npb::lu::TimedLuOptions fast = lu_options();
-  npb::lu::TimedLuOptions slow = lu_options();
+  npb::TimedOptions fast = lu_options();
+  npb::TimedOptions slow = lu_options();
   slow.machine.net_latency_s *= 10.0;
 
   const auto rf = npb::lu::run_lu_parallel_study(16, 5, 8, fast, study);

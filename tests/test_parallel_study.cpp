@@ -1,6 +1,6 @@
 // Tests for the timed parallel path: the generic parallel measurement
 // protocol (coupling/parallel_measurement.hpp) and the timing-only BT ranks
-// (npb/bt/bt_timed.hpp), where pipeline fill and load imbalance are
+// (npb/bt/bt_model.hpp), where pipeline fill and load imbalance are
 // emergent rather than analytically modeled.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 
 #include "coupling/parallel_measurement.hpp"
 #include "machine/config.hpp"
-#include "npb/bt/bt_timed.hpp"
+#include "npb/bt/bt_model.hpp"
 
 namespace kcoup {
 namespace {
@@ -50,6 +50,22 @@ TEST(ParallelMeasurementTest, EmptyLoopRejected) {
       std::invalid_argument);
 }
 
+TEST(ParallelMeasurementTest, RepeatedChainLengthRejected) {
+  // {2, 2} would measure and print every q=2 coupling twice.
+  try {
+    (void)simmpi::run(2, {}, [&](simmpi::Comm& comm) {
+      coupling::ParallelLoopApp app;
+      app.loop = {{"A", [&comm] { comm.advance(0.25); }},
+                  {"B", [&comm] { comm.advance(0.75); }}};
+      const coupling::StudyOptions options{{2, 1, 2}, {}};
+      (void)coupling::run_parallel_study(comm, app, options);
+    });
+    FAIL() << "a repeated chain length was measured";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "run_parallel_study: chain length 2 given twice");
+  }
+}
+
 TEST(ParallelMeasurementTest, BarrierMakesResultsGlobal) {
   // Rank 1 is 3x slower: the measured mean must reflect the slow rank on
   // every rank (max semantics via barrier).
@@ -64,8 +80,8 @@ TEST(ParallelMeasurementTest, BarrierMakesResultsGlobal) {
   });
 }
 
-npb::bt::TimedBtOptions timed_options() {
-  npb::bt::TimedBtOptions o;
+npb::TimedOptions timed_options() {
+  npb::TimedOptions o;
   o.machine = machine::ibm_sp_p2sc();
   return o;
 }
@@ -119,9 +135,9 @@ TEST(TimedBtTest, PipelineSerialisationIsEmergent) {
 TEST(TimedBtTest, JitterCreatesDestructiveCouplingUnderSync) {
   // With zero jitter ranks stay aligned; with jitter, alternating kernels
   // must re-absorb skew at every hand-off, raising the actual time.
-  npb::bt::TimedBtOptions no_jitter = timed_options();
+  npb::TimedOptions no_jitter = timed_options();
   no_jitter.jitter = 0.0;
-  npb::bt::TimedBtOptions with_jitter = timed_options();
+  npb::TimedOptions with_jitter = timed_options();
   with_jitter.jitter = 0.2;
   const coupling::StudyOptions study{{2}, {}};
   const auto a = npb::bt::run_bt_parallel_study(12, 30, 9, no_jitter, study);

@@ -1,10 +1,9 @@
-// Tests for the trace utilities: statistics, clocks, phase registry.
+// Tests for the trace utilities: statistics and clocks.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "trace/phase_timer.hpp"
 #include "trace/stats.hpp"
 #include "trace/stopwatch.hpp"
 #include "trace/virtual_clock.hpp"
@@ -58,12 +57,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 3.0);
 }
 
-TEST(StatsTest, SummarizeSpan) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const RunningStats s = summarize(xs);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-}
-
 TEST(StatsTest, RelativeError) {
   EXPECT_DOUBLE_EQ(relative_error(110.0, 100.0), 0.1);
   EXPECT_DOUBLE_EQ(relative_error(90.0, 100.0), 0.1);
@@ -90,21 +83,6 @@ TEST(StopwatchTest, MeasuresNonNegativeElapsed) {
   EXPECT_GE(w.elapsed_s(), 0.0);
   w.restart();
   EXPECT_GE(w.elapsed_s(), 0.0);
-}
-
-TEST(PhaseRegistryTest, RecordAndFind) {
-  PhaseRegistry reg;
-  reg.record("x_solve", 1.0);
-  reg.record("x_solve", 3.0);
-  reg.record("add", 0.5);
-  const RunningStats* xs = reg.find("x_solve");
-  ASSERT_NE(xs, nullptr);
-  EXPECT_EQ(xs->count(), 2u);
-  EXPECT_DOUBLE_EQ(xs->mean(), 2.0);
-  EXPECT_EQ(reg.find("missing"), nullptr);
-  EXPECT_EQ(reg.phases().size(), 2u);
-  reg.clear();
-  EXPECT_TRUE(reg.phases().empty());
 }
 
 }  // namespace

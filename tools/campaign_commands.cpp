@@ -303,8 +303,13 @@ int cmd_merge(const Flags& flags) {
     throw std::runtime_error("merge takes one journal directory, got " +
                              std::to_string(dirs.size()));
   }
+  const auto journal_dir = flags.maybe("journal-dir");
+  if (journal_dir && !dirs.empty()) {
+    throw std::runtime_error(
+        "give the journal directory once: DIR or --journal-dir, not both");
+  }
   const std::string dir =
-      flags.text("journal-dir", dirs.empty() ? "" : dirs.front());
+      journal_dir ? *journal_dir : (dirs.empty() ? "" : dirs.front());
   if (dir.empty()) {
     throw std::runtime_error(
         "merge: journal directory required (kcoup merge DIR)");

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -272,9 +271,8 @@ int cmd_slowlog(const Flags& flags) {
 int cmd_top(const Flags& flags) {
   const Peer peer(flags);
   const int interval_ms = flags.integer("interval-ms", 1000, 50);
-  // 0 polls until interrupted; a negative count polls no times.
-  const int count =
-      flags.integer("count", 0, std::numeric_limits<int>::min());
+  // 0 polls until interrupted.
+  const int count = flags.integer("count", 0, 0);
   flags.check_all_used();
 
   serve::Client client = peer.connect();

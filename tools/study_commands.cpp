@@ -10,9 +10,8 @@
 #include "coupling/database.hpp"
 #include "coupling/study.hpp"
 #include "npb/bt/bt_model.hpp"
-#include "npb/bt/bt_timed.hpp"
-#include "npb/lu/lu_timed.hpp"
-#include "npb/sp/sp_timed.hpp"
+#include "npb/lu/lu_model.hpp"
+#include "npb/sp/sp_model.hpp"
 #include "report/table.hpp"
 #include "serve/workload.hpp"
 #include "trace/stats.hpp"
@@ -185,17 +184,15 @@ int cmd_parallel(const Flags& flags) {
   flags.check_all_used();
 
   const coupling::StudyOptions study{chains, {}};
-  const auto run = [&](auto options, auto study_fn) {
-    options.machine = cfg;
-    return study_fn(n, iters, procs, options, study);
-  };
+  npb::TimedOptions options;
+  options.machine = cfg;
   coupling::ParallelStudyResult r;
   if (app_name == "bt") {
-    r = run(npb::bt::TimedBtOptions{}, npb::bt::run_bt_parallel_study);
+    r = npb::bt::run_bt_parallel_study(n, iters, procs, options, study);
   } else if (app_name == "sp") {
-    r = run(npb::sp::TimedSpOptions{}, npb::sp::run_sp_parallel_study);
+    r = npb::sp::run_sp_parallel_study(n, iters, procs, options, study);
   } else if (app_name == "lu") {
-    r = run(npb::lu::TimedLuOptions{}, npb::lu::run_lu_parallel_study);
+    r = npb::lu::run_lu_parallel_study(n, iters, procs, options, study);
   } else {
     throw std::runtime_error("unknown app '" + app_name + "'");
   }
