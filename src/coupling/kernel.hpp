@@ -47,6 +47,15 @@ class CallableKernel final : public Kernel {
 /// (FINAL).  `reset` must restore the execution environment to its
 /// start-of-run state (cold caches for modeled kernels); the measurement
 /// harness calls it before every independent measurement.
+///
+/// `state_repeats` is optional and only a deterministic owner sets it
+/// (ModeledApp).  Called with the application being measured, it returns
+/// true when the execution state equals the state at the previous call,
+/// then records the current one.  The harness calls it before a
+/// measurement's first traversal and after each one; a true answer proves
+/// the last traversal left the state as it found it, so every later
+/// traversal would cost exactly the same and is not priced again.  Left
+/// empty, every traversal is priced.
 struct LoopApplication {
   std::string name;
   std::vector<Kernel*> prologue;  // non-owning; executed once, in order
@@ -54,6 +63,7 @@ struct LoopApplication {
   std::vector<Kernel*> epilogue;  // non-owning; executed once, in order
   int iterations = 1;
   std::function<void()> reset = [] {};
+  std::function<bool(const LoopApplication&)> state_repeats;
 
   [[nodiscard]] std::size_t loop_size() const { return loop.size(); }
 };

@@ -26,16 +26,20 @@ trace::RunningStats MeasurementHarness::chain_stats(std::size_t start,
   if (start >= n) throw std::invalid_argument("chain_mean: start out of range");
 
   app_->reset();
-  auto traverse_once = [&]() {
-    double t = 0.0;
-    for (std::size_t i = 0; i < length; ++i) {
-      t += app_->loop[(start + i) % n]->invoke();
-    }
-    return t;
-  };
-  for (int w = 0; w < options_.warmup; ++w) traverse_once();
+  (void)state_repeats();
   trace::RunningStats stats;
-  for (int r = 0; r < options_.repetitions; ++r) stats.add(traverse_once());
+  double t = 0.0;
+  bool fixed = false;
+  for (int pass = 0; pass < options_.warmup + options_.repetitions; ++pass) {
+    if (!fixed) {
+      t = 0.0;
+      for (std::size_t i = 0; i < length; ++i) {
+        t += app_->loop[(start + i) % n]->invoke();
+      }
+      fixed = state_repeats();
+    }
+    if (pass >= options_.warmup) stats.add(t);
+  }
   return stats;
 }
 
@@ -57,13 +61,20 @@ trace::RunningStats MeasurementHarness::prologue_stats(
   assert(index < app_->prologue.size());
   // Prologue kernels run once per application start; measure them in that
   // position (after reset) and average over repeated application starts.
+  // A pass (reset, then the prologue up to `index`) that leaves the state
+  // unchanged repeats from then on, like a loop traversal.
+  (void)state_repeats();
   trace::RunningStats stats;
+  double t = 0.0;
+  bool fixed = false;
   for (int r = 0; r < options_.repetitions; ++r) {
-    app_->reset();
-    double t = 0.0;
-    for (std::size_t i = 0; i <= index; ++i) {
-      const double dt = app_->prologue[i]->invoke();
-      if (i == index) t = dt;
+    if (!fixed) {
+      app_->reset();
+      for (std::size_t i = 0; i <= index; ++i) {
+        const double dt = app_->prologue[i]->invoke();
+        if (i == index) t = dt;
+      }
+      fixed = state_repeats();
     }
     stats.add(t);
   }
@@ -83,8 +94,12 @@ trace::RunningStats MeasurementHarness::epilogue_stats(
   for (int r = 0; r < options_.epilogue_repetitions; ++r) {
     app_->reset();
     for (Kernel* k : app_->prologue) k->invoke();
+    // Once an iteration leaves the state unchanged, the epilogue starts
+    // from that state however many iterations remain.
+    (void)state_repeats();
     for (int it = 0; it < app_->iterations; ++it) {
       for (Kernel* k : app_->loop) k->invoke();
+      if (state_repeats()) break;
     }
     double t = 0.0;
     for (std::size_t i = 0; i <= index; ++i) {
@@ -100,11 +115,25 @@ double MeasurementHarness::actual_total() const {
   app_->reset();
   double total = 0.0;
   for (Kernel* k : app_->prologue) total += k->invoke();
+  // Once an iteration leaves the state unchanged, the remaining iterations
+  // add its recorded per-kernel costs in the same order, so the sum is the
+  // one full pricing produces.
+  (void)state_repeats();
+  std::vector<double> costs(app_->loop_size());
+  bool fixed = false;
   for (int it = 0; it < app_->iterations; ++it) {
-    for (Kernel* k : app_->loop) total += k->invoke();
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+      if (!fixed) costs[i] = app_->loop[i]->invoke();
+      total += costs[i];
+    }
+    fixed = fixed || state_repeats();
   }
   for (Kernel* k : app_->epilogue) total += k->invoke();
   return total;
+}
+
+bool MeasurementHarness::state_repeats() const {
+  return app_->state_repeats && app_->state_repeats(*app_);
 }
 
 }  // namespace kcoup::coupling

@@ -35,6 +35,11 @@ struct MeasurementOptions {
 /// per-chain-traversal) time.  The surrounding-application subtraction the
 /// paper performs is exact here because the harness times only the kernels
 /// themselves.
+///
+/// When the application sets LoopApplication::state_repeats, a measurement
+/// stops pricing once a traversal leaves the state as it found it and
+/// replays that traversal's costs, in the same order, for the remaining
+/// passes: the results are bit-identical to pricing every pass.
 class MeasurementHarness {
  public:
   MeasurementHarness(const LoopApplication* app, MeasurementOptions options)
@@ -71,6 +76,9 @@ class MeasurementHarness {
   [[nodiscard]] const MeasurementOptions& options() const { return options_; }
 
  private:
+  /// The application's state_repeats hook; false when it has none.
+  [[nodiscard]] bool state_repeats() const;
+
   const LoopApplication* app_;
   MeasurementOptions options_;
 };

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,13 +16,23 @@ namespace kcoup::coupling {
 /// the scaffolding shared by the BT/SP/LU work models.  The application's
 /// reset() cold-starts the machine, which is what makes every measurement
 /// independent.
+///
+/// The application's state_repeats hook compares machine states, which is
+/// exact because Machine::execute is a pure function of (config, state,
+/// profile).  app() is mutable and copyable, so the hook answers false
+/// whenever the application it is asked about runs a kernel this app did
+/// not create or resets other than by cold-starting this machine: such an
+/// application is priced in full.
 class ModeledApp {
  public:
   ModeledApp(std::string name, machine::MachineConfig config, int iterations)
       : machine_(std::move(config)) {
     app_.name = std::move(name);
     app_.iterations = iterations;
-    app_.reset = [this] { machine_.reset_state(); };
+    app_.reset = ColdStart{&machine_};
+    app_.state_repeats = [this](const LoopApplication& app) {
+      return state_repeats(app);
+    };
   }
 
   ModeledApp(const ModeledApp&) = delete;
@@ -48,6 +59,11 @@ class ModeledApp {
   [[nodiscard]] const LoopApplication& app() const { return app_; }
 
  private:
+  struct ColdStart {
+    machine::Machine* machine;
+    void operator()() const { machine->reset_state(); }
+  };
+
   ModeledKernel* add(std::vector<Kernel*>& where,
                                machine::WorkProfile profile) {
     kernels_.push_back(
@@ -57,9 +73,36 @@ class ModeledApp {
     return k;
   }
 
+  /// True when every kernel `app` runs is one of ours and its reset is our
+  /// cold start, so each traversal is a pure function of the machine state.
+  [[nodiscard]] bool deterministic(const LoopApplication& app) const {
+    const auto* reset = app.reset.target<ColdStart>();
+    if (reset == nullptr || reset->machine != &machine_) return false;
+    const auto owned = [this](const Kernel* k) {
+      return std::any_of(kernels_.begin(), kernels_.end(),
+                         [k](const auto& own) { return own.get() == k; });
+    };
+    return std::all_of(app.prologue.begin(), app.prologue.end(), owned) &&
+           std::all_of(app.loop.begin(), app.loop.end(), owned) &&
+           std::all_of(app.epilogue.begin(), app.epilogue.end(), owned);
+  }
+
+  bool state_repeats(const LoopApplication& app) {
+    if (!deterministic(app)) {
+      saved_valid_ = false;
+      return false;
+    }
+    if (saved_valid_ && machine_.state_equals(saved_)) return true;
+    machine_.save_state(saved_);
+    saved_valid_ = true;
+    return false;
+  }
+
   machine::Machine machine_;
   std::vector<std::unique_ptr<ModeledKernel>> kernels_;
   LoopApplication app_;
+  machine::Machine::State saved_;  ///< state at the last state_repeats()
+  bool saved_valid_ = false;
 };
 
 }  // namespace kcoup::coupling

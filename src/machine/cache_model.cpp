@@ -130,6 +130,20 @@ void CacheModel::end_invocation(KernelId k, std::size_t invocation_footprint) {
   touched_this_invocation_.clear();
 }
 
+void CacheModel::save_state(State& into) const {
+  assert(touched_this_invocation_.empty());
+  into.stack.reserve(regions_.size());  // the stack never outgrows this
+  into.stack = stack_;
+  into.last_toucher = last_toucher_;
+  into.producer_footprint = producer_footprint_;
+}
+
+bool CacheModel::state_equals(const State& s) const {
+  assert(touched_this_invocation_.empty());
+  return stack_ == s.stack && last_toucher_ == s.last_toucher &&
+         producer_footprint_ == s.producer_footprint;
+}
+
 void CacheModel::reset() {
   stack_.clear();
   touched_this_invocation_.clear();

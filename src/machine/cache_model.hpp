@@ -98,14 +98,29 @@ class CacheModel {
   /// Introspection for tests: which kernel most recently touched `r`.
   [[nodiscard]] KernelId last_toucher(RegionId r) const;
 
+  struct StackEntry {
+    RegionId region = kInvalidRegion;
+    std::size_t footprint = 0;
+    bool operator==(const StackEntry&) const = default;
+  };
+  /// Everything access() reads besides the capacities and the registered
+  /// regions: the LRU stack and each region's data-flow stamps.
+  struct State {
+    std::vector<StackEntry> stack;
+    std::vector<KernelId> last_toucher;
+    std::vector<std::size_t> producer_footprint;
+  };
+  /// Copy the state into `into`, reusing its capacity: once `into` has held
+  /// a snapshot of this model, saving allocates nothing.
+  void save_state(State& into) const;
+  /// True when the model is in exactly the state `s` holds.  Only valid
+  /// between invocations (end_invocation() has run).
+  [[nodiscard]] bool state_equals(const State& s) const;
+
  private:
   struct RegionInfo {
     std::string name;
     std::size_t bytes = 0;
-  };
-  struct StackEntry {
-    RegionId region = kInvalidRegion;
-    std::size_t footprint = 0;
   };
 
   /// Smallest cache level whose capacity covers `distance` bytes, or the

@@ -78,6 +78,24 @@ class Machine {
   /// Cold caches + cleared skew history.  Regions stay registered.
   void reset_state();
 
+  /// Everything execute() reads besides the config and the registered
+  /// regions.  execute() is a pure function of (config, State, profile).
+  struct State {
+    CacheModel::State cache;
+    KernelId prev_kernel = kInvalidKernel;
+  };
+  /// Copy the state into `into`; allocates nothing once `into` has held a
+  /// snapshot of this machine.
+  void save_state(State& into) const {
+    cache_.save_state(into.cache);
+    into.prev_kernel = prev_kernel_;
+  }
+  /// True when the machine is in exactly the state `s` holds, so it would
+  /// price every profile exactly as it did when `s` was saved.
+  [[nodiscard]] bool state_equals(const State& s) const {
+    return prev_kernel_ == s.prev_kernel && cache_.state_equals(s.cache);
+  }
+
   [[nodiscard]] const CacheModel& cache() const { return cache_; }
 
   /// Deterministic skew-pattern correlation between two kernels, in [0,1].

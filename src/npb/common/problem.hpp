@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -94,7 +95,8 @@ struct ProblemSize {
 [[nodiscard]] inline bool valid_rank_count(Benchmark b, int ranks) {
   if (ranks < 1) return false;
   if (b == Benchmark::kLU) return (ranks & (ranks - 1)) == 0;
-  int q = 1;
+  // 64-bit squares: q * q passes INT_MAX for ranks above 46340^2.
+  std::int64_t q = 1;
   while (q * q < ranks) ++q;
   return q * q == ranks;
 }

@@ -169,11 +169,19 @@ else()
   elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_parallel_chains")
     refused(1 "kcoup parallel: run_parallel_study: chain length 2 given twice"
             parallel --app bt --n 12 --procs 4 --chains 2,2)
+  # query sent the same predicts twice and printed every row twice.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_query_chains")
+    refused(1 "kcoup query: chain length 2 given twice"
+            query --port 1 --app bt --class S --chains 2,2)
   # merge ignored DIR when --journal-dir was also given; top polled zero
   # times for a negative --count.
   elseif(CASE STREQUAL "kcoup_cli_rejects_merge_dir_and_journal_dir")
     refused(1 "kcoup merge: give the journal directory once: DIR or --journal-dir, not both"
             merge nodir --journal-dir sh0)
+  # merge with no directory named its command twice.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_merge_without_dir")
+    refused(1 "kcoup merge: journal directory required (kcoup merge DIR)"
+            merge)
   elseif(CASE STREQUAL "kcoup_cli_rejects_negative_top_count")
     refused(1 "kcoup top: --count must be >= 0, got -1"
             top --port 1 --count -1)

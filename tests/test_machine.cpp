@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "machine/cache_model.hpp"
 #include "machine/config.hpp"
@@ -342,6 +343,57 @@ TEST(MachineTest, MovedToMachinePricesLikeAFreshOne) {
   Machine assigned(generic_smp());
   assigned = std::move(moved);
   expect_same_cost(assigned.execute(p), fresh.execute(p));
+}
+
+/// A profile for `kernel` that reads (region, bytes) pairs in order.
+WorkProfile reads(KernelId kernel,
+                  std::vector<std::pair<RegionId, std::size_t>> accesses) {
+  WorkProfile p;
+  p.kernel = kernel;
+  for (const auto& [region, bytes] : accesses) {
+    p.accesses.push_back(RegionAccess{region, AccessKind::kRead, bytes});
+  }
+  return p;
+}
+
+TEST(MachineTest, StateEqualitySeesEveryPartOfTheState) {
+  // Each case's two runs end in states that differ in exactly one part.
+  Machine m(tiny_machine());
+  const RegionId a = m.register_region("A", 1000);
+  const RegionId b = m.register_region("B", 1000);
+  struct Case {
+    const char* part;
+    std::vector<WorkProfile> first, second;
+  };
+  const std::vector<Case> cases{
+      {"stack order", {reads(0, {{a, 100}, {b, 100}})},
+       {reads(0, {{b, 100}, {a, 100}})}},
+      {"stack footprints", {reads(0, {{a, 100}, {b, 200}})},
+       {reads(0, {{a, 200}, {b, 100}})}},
+      {"last toucher", {reads(0, {{a, 100}}), reads(2, {{b, 100}})},
+       {reads(1, {{a, 100}}), reads(2, {{b, 100}})}},
+      {"producer footprint",
+       {reads(0, {{a, 100}, {b, 50}}), reads(2, {{b, 50}})},
+       {reads(0, {{a, 100}, {b, 60}}), reads(2, {{b, 50}})}},
+      {"previous kernel", {reads(0, {{a, 100}}), reads(1, {})},
+       {reads(0, {{a, 100}}), reads(2, {})}},
+  };
+  const auto run = [&m](const std::vector<WorkProfile>& profiles) {
+    m.reset_state();
+    for (const WorkProfile& p : profiles) (void)m.execute(p);
+  };
+  Machine::State first, second;
+  for (const Case& c : cases) {
+    run(c.first);
+    m.save_state(first);
+    run(c.second);
+    m.save_state(second);
+    EXPECT_TRUE(m.state_equals(second)) << c.part;
+    EXPECT_FALSE(m.state_equals(first)) << c.part;
+    run(c.first);  // the same history from cold reaches the same state
+    EXPECT_TRUE(m.state_equals(first)) << c.part;
+    EXPECT_FALSE(m.state_equals(second)) << c.part;
+  }
 }
 
 TEST(MachineTest, RefusesMoreCacheLevelsThanItStoresInPlace) {

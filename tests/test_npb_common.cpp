@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "npb/common/decomp.hpp"
@@ -41,6 +42,22 @@ TEST(ProblemTest, RankCountValidity) {
   EXPECT_TRUE(valid_rank_count(Benchmark::kLU, 32));
   EXPECT_FALSE(valid_rank_count(Benchmark::kLU, 24));
   EXPECT_FALSE(valid_rank_count(Benchmark::kLU, 0));
+}
+
+TEST(ProblemTest, RankCountCheckDoesNotOverflowNearIntMax) {
+  // 46340^2 < INT_MAX < 46341^2: the square check computed q * q in int,
+  // which overflowed (and spun) for the rank counts above 46340^2.
+  constexpr int kLargestSquare = 46340 * 46340;
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  for (Benchmark b : {Benchmark::kBT, Benchmark::kSP}) {
+    EXPECT_TRUE(valid_rank_count(b, kLargestSquare));
+    EXPECT_FALSE(valid_rank_count(b, kLargestSquare + 1));
+    EXPECT_FALSE(valid_rank_count(b, kIntMax));
+  }
+  EXPECT_FALSE(valid_rank_count(Benchmark::kLU, kLargestSquare));
+  EXPECT_FALSE(valid_rank_count(Benchmark::kLU, kLargestSquare + 1));
+  EXPECT_FALSE(valid_rank_count(Benchmark::kLU, kIntMax));
+  EXPECT_TRUE(valid_rank_count(Benchmark::kLU, 1 << 30));
 }
 
 TEST(RandlcTest, KnownFirstValue) {

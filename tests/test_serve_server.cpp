@@ -13,6 +13,8 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -235,6 +237,45 @@ TEST_F(ServerTest, ManyConcurrentClientsAllGetIdenticalBits) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GE(server_->requests_handled(),
             static_cast<std::uint64_t>(kClients * kRequests));
+}
+
+TEST_F(ServerTest, RankCountAboveTheLargestSquareIsAnsweredNotSpun) {
+  // The BT square check overflowed int above 46340^2 and spun the shard,
+  // so a one-shard server never answered again.
+  serve::ServerConfig config;
+  config.workers = 1;
+  start_server(config);
+  auto answer =
+      std::make_shared<std::promise<std::optional<serve::Prediction>>>();
+  std::future<std::optional<serve::Prediction>> answered = answer->get_future();
+  std::thread asker([answer, port = server_->port()] {
+    serve::Client client;
+    client.connect("127.0.0.1", port);
+    answer->set_value(
+        client.predict({"BT", "S", std::numeric_limits<int>::max(), 2}));
+  });
+  if (answered.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    // The shard is stuck, so neither it nor the asker blocked on it can be
+    // joined: leak the fixture and detach the asker, which owns all it
+    // touches (the promise and its client).
+    asker.detach();
+    (void)server_.release();
+    (void)source_.release();
+    (void)engine_.release();
+    (void)workload_.release();
+    FAIL() << "no answer for P = INT_MAX within 30 s";
+  }
+  asker.join();
+  const std::optional<serve::Prediction> p = answered.get();
+  ASSERT_TRUE(p.has_value());
+  EXPECT_FALSE(p->ok);  // not a square: refused, not measured
+
+  serve::Client client = connect();
+  const auto after = client.predict({"BT", "S", 4, 2});
+  ASSERT_TRUE(after.has_value());
+  ASSERT_TRUE(after->ok) << after->error;
+  EXPECT_EQ(after->coupling_s, study_->by_length[0].prediction_s);
 }
 
 TEST_F(ServerTest, MalformedFramePrefixIsRejected) {

@@ -312,7 +312,7 @@ int cmd_merge(const Flags& flags) {
       journal_dir ? *journal_dir : (dirs.empty() ? "" : dirs.front());
   if (dir.empty()) {
     throw std::runtime_error(
-        "merge: journal directory required (kcoup merge DIR)");
+        "journal directory required (kcoup merge DIR)");
   }
   campaign::MergeOptions options;
   options.journal_dir = dir;
