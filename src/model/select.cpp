@@ -6,8 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "coupling/scaling_model.hpp"
-
 namespace kcoup::model {
 
 namespace {
@@ -109,7 +107,7 @@ bool fit_candidate(const FoldEquations& e, std::size_t slot,
       ata[i * k + j] = full_ata[ids[i] * t + ids[j]];
     }
   }
-  if (!coupling::solve_dense(ata, coefficients, k)) return false;
+  if (!solve_dense(ata, coefficients, k)) return false;
   for (const double c : coefficients) {
     if (!std::isfinite(c)) return false;
   }
@@ -187,6 +185,43 @@ std::string SelectedModel::to_string() const {
   }
   if (degenerate) s += " [degenerate]";
   return s;
+}
+
+bool solve_dense(std::vector<double>& a, std::vector<double>& b,
+                 std::size_t k) {
+  if (a.size() != k * k || b.size() != k) return false;
+  for (std::size_t col = 0; col < k; ++col) {
+    // Partial pivot.
+    std::size_t pivot = col;
+    double best = std::fabs(a[col * k + col]);
+    for (std::size_t r = col + 1; r < k; ++r) {
+      const double v = std::fabs(a[r * k + col]);
+      if (v > best) {
+        best = v;
+        pivot = r;
+      }
+    }
+    if (best < 1e-300) return false;
+    if (pivot != col) {
+      for (std::size_t c = 0; c < k; ++c) {
+        std::swap(a[col * k + c], a[pivot * k + c]);
+      }
+      std::swap(b[col], b[pivot]);
+    }
+    const double inv = 1.0 / a[col * k + col];
+    for (std::size_t r = col + 1; r < k; ++r) {
+      const double f = a[r * k + col] * inv;
+      if (f == 0.0) continue;
+      for (std::size_t c = col; c < k; ++c) a[r * k + c] -= f * a[col * k + c];
+      b[r] -= f * b[col];
+    }
+  }
+  for (std::size_t col = k; col-- > 0;) {
+    double s = b[col];
+    for (std::size_t c = col + 1; c < k; ++c) s -= a[col * k + c] * b[c];
+    b[col] = s / a[col * k + col];
+  }
+  return true;
 }
 
 SelectedModel select_model(std::span<const ModelSample> samples,

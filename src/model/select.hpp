@@ -10,9 +10,8 @@
 
 namespace kcoup::model {
 
-/// One measured configuration for the model search, mirroring
-/// coupling::ScalingSample: grid extent n, processor count P, and the
-/// per-invocation kernel time.
+/// One measured configuration for the model search: grid extent n,
+/// processor count P, and the per-invocation kernel time.
 struct ModelSample {
   double n = 0;
   double p = 1;
@@ -61,8 +60,8 @@ struct SelectOptions {
 
 /// Exhaustive cross-validated model selection: every registry subset of at
 /// most max_terms terms is scored by leave-one-out RMS relative error
-/// (weighted least squares, weights 1/y^2 — the same relative-error
-/// objective KernelScalingModel::fit minimizes), and the best score wins.
+/// (weighted least squares, weights 1/y^2, so the fit minimizes relative
+/// error), and the best score wins.
 ///
 /// Deterministic by construction: candidates are enumerated in a fixed
 /// order (subset size ascending, then lexicographic term ids), a candidate
@@ -77,5 +76,11 @@ struct SelectOptions {
 /// is the flagged constant model (degenerate = true).
 [[nodiscard]] SelectedModel select_model(std::span<const ModelSample> samples,
                                          const SelectOptions& options = {});
+
+/// Solve the dense linear system A x = b (row-major, k x k) with partial
+/// pivoting, leaving x in b.  The least-squares fits of select_model call
+/// it; exposed for tests.  Returns false when A is singular.
+[[nodiscard]] bool solve_dense(std::vector<double>& a, std::vector<double>& b,
+                               std::size_t k);
 
 }  // namespace kcoup::model

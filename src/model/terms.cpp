@@ -9,9 +9,8 @@ namespace {
 
 double lg(double p) { return p > 1.0 ? std::log2(p) : 0.0; }
 
-// Ids are frozen (see terms.hpp): append-only, never renumber.  The
-// log2(P) guard matches ScalingBasis::npb_default() so a model selected
-// over this registry agrees with the legacy basis at P = 1.
+// Ids are frozen (see terms.hpp): append-only, never renumber.  lg() reads
+// 0 for P <= 1, so no log2(P) term turns negative below one rank.
 constexpr Term kRegistry[] = {
     {0, "1", [](double, double) { return 1.0; }},
     {1, "log2(P)", [](double, double p) { return lg(p); }},

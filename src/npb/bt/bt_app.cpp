@@ -5,6 +5,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "npb/common/problem.hpp"
+
 namespace kcoup::npb::bt {
 namespace {
 
@@ -26,7 +28,9 @@ BlockTriState unpack_state(const double* in) {
 
 BtRank::BtRank(const BtConfig& config, simmpi::Comm& comm)
     : AdiRank(config.n, config.tau, config.op, comm), config_(config) {
-  if (config_.n < 3) throw std::invalid_argument("BT: grid too small");
+  if (config_.n < min_grid_extent(Benchmark::kBT)) {
+    throw std::invalid_argument("BT: grid too small");
+  }
   rows_.resize(max_len());
   xline_.resize(max_len());
   states_.resize(max_lines() * max_len());

@@ -45,7 +45,8 @@ inline constexpr AdiWork kBtWork{
 /// Run the full parallel coupling study on `ranks` timed BT ranks (the
 /// timed ADI rank with BT's work and kernel table); network parameters are
 /// taken from options.machine.  Returns rank 0's result (identical on
-/// every rank).
+/// every rank).  Refuses, before any rank starts, a grid check_timed_grid
+/// refuses.
 [[nodiscard]] coupling::ParallelStudyResult run_bt_parallel_study(
     int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study);

@@ -9,6 +9,7 @@ namespace kcoup::npb::bt {
 coupling::ParallelStudyResult run_bt_parallel_study(
     int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study) {
+  check_timed_grid(Benchmark::kBT, n, ranks);
   return coupling::run_simmpi_study(
       ranks, options.network(), [&](simmpi::Comm& comm) {
         TimedAdiRank rank(n, kBtWork, options, comm);

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cassert>
-#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace kcoup::npb {
@@ -25,6 +25,19 @@ struct Range {
   return r;
 }
 
+/// The side q of a q x q rank grid when `ranks` = q^2 >= 1, else 0.  The
+/// squares are 64-bit: q * q passes INT_MAX for ranks above 46340^2.
+[[nodiscard]] inline int square_side(int ranks) {
+  if (ranks < 1) return 0;
+  std::int64_t q = 1;
+  while (q * q < ranks) ++q;
+  return q * q == ranks ? static_cast<int>(q) : 0;
+}
+
+[[nodiscard]] inline bool is_power_of_two(int ranks) {
+  return ranks >= 1 && (ranks & (ranks - 1)) == 0;
+}
+
 /// 2-D square decomposition over the y and z dimensions, used by our BT and
 /// SP ports.  The paper's codes use NPB's 3-D multipartition; a 2-D pencil
 /// decomposition preserves the communication structure the coupling analysis
@@ -34,13 +47,10 @@ struct Range {
 /// square").
 class SquareDecomp {
  public:
-  explicit SquareDecomp(int ranks) : ranks_(ranks) {
-    int q = 1;
-    while (q * q < ranks) ++q;
-    if (q * q != ranks || ranks < 1) {
+  explicit SquareDecomp(int ranks) : ranks_(ranks), q_(square_side(ranks)) {
+    if (q_ == 0) {
       throw std::invalid_argument("SquareDecomp: rank count must be square");
     }
-    q_ = q;
   }
 
   [[nodiscard]] int ranks() const { return ranks_; }
@@ -69,7 +79,7 @@ class SquareDecomp {
 
  private:
   int ranks_;
-  int q_ = 1;
+  int q_;
 };
 
 /// 2-D pencil decomposition over x and y by repeated halving (x first),
@@ -80,7 +90,7 @@ class SquareDecomp {
 class PencilDecomp {
  public:
   explicit PencilDecomp(int ranks) : ranks_(ranks) {
-    if (ranks < 1 || (ranks & (ranks - 1)) != 0) {
+    if (!is_power_of_two(ranks)) {
       throw std::invalid_argument(
           "PencilDecomp: rank count must be a power of two");
     }

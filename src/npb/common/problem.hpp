@@ -1,10 +1,11 @@
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "npb/common/decomp.hpp"
 
 namespace kcoup::npb {
 
@@ -90,15 +91,19 @@ struct ProblemSize {
   throw std::invalid_argument("problem_size: unknown benchmark/class");
 }
 
+/// The smallest grid extent n each numeric port solves on: BT and LU 3,
+/// SP 5.
+[[nodiscard]] inline int min_grid_extent(Benchmark b) {
+  return b == Benchmark::kSP ? 5 : 3;
+}
+
 /// BT and SP require square processor counts (paper §4.1/§4.2); LU requires
-/// a power of two (§4.3).
+/// a power of two (§4.3).  The same rule as the decompositions' own checks:
+/// valid exactly when SquareDecomp (BT, SP) or PencilDecomp (LU) accepts
+/// the count.
 [[nodiscard]] inline bool valid_rank_count(Benchmark b, int ranks) {
-  if (ranks < 1) return false;
-  if (b == Benchmark::kLU) return (ranks & (ranks - 1)) == 0;
-  // 64-bit squares: q * q passes INT_MAX for ranks above 46340^2.
-  std::int64_t q = 1;
-  while (q * q < ranks) ++q;
-  return q * q == ranks;
+  return b == Benchmark::kLU ? is_power_of_two(ranks)
+                             : square_side(ranks) != 0;
 }
 
 }  // namespace kcoup::npb

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace kcoup::npb {
@@ -16,6 +18,22 @@ constexpr int kTagYFwd = 161, kTagYBwd = 162;
 constexpr int kTagZFwd = 163, kTagZBwd = 164;
 
 }  // namespace
+
+void check_timed_grid(Benchmark b, int n, int ranks) {
+  const std::string app = to_string(b);
+  if (n < min_grid_extent(b)) {
+    throw std::invalid_argument(app + ": grid too small");
+  }
+  // Constructing the decomposition checks the rank count.  LU's pencil
+  // grid is px x py with px >= py, so px bounds both axes.
+  const int widest =
+      b == Benchmark::kLU ? PencilDecomp(ranks).px() : SquareDecomp(ranks).q();
+  if (widest > n) {
+    throw std::invalid_argument(app + ": n = " + std::to_string(n) +
+                                " leaves ranks of P = " +
+                                std::to_string(ranks) + " without grid points");
+  }
+}
 
 simmpi::NetworkParams TimedOptions::network() const {
   simmpi::NetworkParams net;

@@ -8,6 +8,7 @@
 #include "machine/machine.hpp"
 #include "npb/common/adi_model.hpp"
 #include "npb/common/decomp.hpp"
+#include "npb/common/problem.hpp"
 #include "simmpi/simmpi.hpp"
 
 namespace kcoup::npb {
@@ -27,6 +28,13 @@ struct TimedOptions {
   /// The simmpi network of `machine`.
   [[nodiscard]] simmpi::NetworkParams network() const;
 };
+
+/// Refuses a timed study the numeric port of `b` would refuse, so that no
+/// rank thread starts for it: n below min_grid_extent(b), a rank count the
+/// app's decomposition refuses, or a rank grid with more ranks along an
+/// axis than the grid has points, which leaves some rank an empty
+/// subdomain.  Throws std::invalid_argument.
+void check_timed_grid(Benchmark b, int n, int ranks);
 
 /// The compute side of a timed rank: this rank's own machine model, which
 /// prices kernel work on the rank's actual local extents, and the jittered

@@ -30,7 +30,9 @@ LuRank::LuRank(const LuConfig& config, simmpi::Comm& comm)
       rsd_(nx_, ny_, nz_, 1),
       forcing_(nx_, ny_, nz_, 1),
       coupling_(OperatorSpec::coupling()) {
-  if (config_.n < 3) throw std::invalid_argument("LU: grid too small");
+  if (config_.n < min_grid_extent(Benchmark::kLU)) {
+    throw std::invalid_argument("LU: grid too small");
+  }
   // Constant off-diagonal jacobian block -tau (c I + 0.05 M); cx=cy=cz
   // are allowed to differ but the port uses the x coefficient for all
   // directions of the triangular factors (the manufactured operator is

@@ -39,7 +39,8 @@ struct LuKernelProfiles {
 /// per sweep — with machine-priced compute per plane slice, so the pipeline
 /// fill and LU's small-message latency sensitivity (§4.3) are emergent.
 /// Network parameters are taken from options.machine; returns rank 0's
-/// result.
+/// result.  Refuses, before any rank starts, a grid check_timed_grid
+/// refuses.
 [[nodiscard]] coupling::ParallelStudyResult run_lu_parallel_study(
     int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study);

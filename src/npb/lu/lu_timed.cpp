@@ -146,6 +146,7 @@ void TimedLuRank::reset() { compute_.reset(); }
 coupling::ParallelStudyResult run_lu_parallel_study(
     int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study) {
+  check_timed_grid(Benchmark::kLU, n, ranks);
   return coupling::run_simmpi_study(
       ranks, options.network(), [&](simmpi::Comm& comm) {
         TimedLuRank rank(n, options, comm);

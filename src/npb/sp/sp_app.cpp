@@ -4,6 +4,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "npb/common/problem.hpp"
+
 namespace kcoup::npb::sp {
 namespace {
 
@@ -16,7 +18,9 @@ constexpr std::size_t kBwdDoubles = 10;
 
 SpRank::SpRank(const SpConfig& config, simmpi::Comm& comm)
     : AdiRank(config.n, config.tau, config.op, comm), config_(config) {
-  if (config_.n < 5) throw std::invalid_argument("SP: grid too small");
+  if (config_.n < min_grid_extent(Benchmark::kSP)) {
+    throw std::invalid_argument("SP: grid too small");
+  }
   // T = I + txeps/2 * M is diagonally dominant, hence invertible.
   tx_ = identity5();
   for (std::size_t e = 0; e < 25; ++e) {

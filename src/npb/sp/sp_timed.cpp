@@ -9,6 +9,7 @@ namespace kcoup::npb::sp {
 coupling::ParallelStudyResult run_sp_parallel_study(
     int n, int iterations, int ranks, const TimedOptions& options,
     const coupling::StudyOptions& study) {
+  check_timed_grid(Benchmark::kSP, n, ranks);
   return coupling::run_simmpi_study(
       ranks, options.network(), [&](simmpi::Comm& comm) {
         TimedAdiRank rank(n, kSpWork, options, comm);

@@ -173,6 +173,34 @@ else()
   elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_query_chains")
     refused(1 "kcoup query: chain length 2 given twice"
             query --port 1 --app bt --class S --chains 2,2)
+  # A rank count given twice: study measured the cell twice and printed
+  # every column twice, query sent the same predicts twice, and campaign
+  # counted two studies.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_study_procs")
+    refused(1 "kcoup study: rank count 4 given twice"
+            study --app bt --class S --procs 4,4)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_query_procs")
+    refused(1 "kcoup query: rank count 4 given twice"
+            query --port 1 --app bt --class S --procs 4,4)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_campaign_procs")
+    refused(1 "kcoup campaign: rank count 4 given twice"
+            campaign --apps bt --classes S --procs 4,4 --serial)
+  # SquareDecomp's square search overflowed int for INT_MAX and never
+  # returned.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_int_max_square_procs")
+    refused(1 "kcoup study: SquareDecomp: rank count must be square"
+            study --app bt --class S --procs 2147483647)
+  # The timed path ran grids its numeric ports refuse, and ranks without
+  # grid points.  It starts a thread per rank, so these stay at P <= 16.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_timed_bt_grid_too_small")
+    refused(1 "kcoup parallel: BT: grid too small"
+            parallel --app bt --n 1 --procs 16)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_timed_sp_grid_too_small")
+    refused(1 "kcoup parallel: SP: grid too small"
+            parallel --app sp --n 3 --procs 4)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_timed_empty_ranks")
+    refused(1 "kcoup parallel: LU: n = 3 leaves ranks of P = 16 without grid points"
+            parallel --app lu --n 3 --procs 16)
   # merge ignored DIR when --journal-dir was also given; top polled zero
   # times for a negative --count.
   elseif(CASE STREQUAL "kcoup_cli_rejects_merge_dir_and_journal_dir")

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "coupling/scaling_model.hpp"
 #include "model/piecewise.hpp"
 #include "model/select.hpp"
 #include "model/terms.hpp"
@@ -73,7 +72,7 @@ bool fit_candidate(const Design& d, std::span<const std::uint32_t> ids,
       }
     }
   }
-  if (!coupling::solve_dense(ata, atb, k)) return false;
+  if (!solve_dense(ata, atb, k)) return false;
   for (const double c : atb) {
     if (!std::isfinite(c)) return false;
   }

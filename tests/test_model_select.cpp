@@ -1,7 +1,7 @@
 // Unit tests for the src/model/ subsystem: the candidate-term registry,
-// leave-one-out cross-validated model selection with its deterministic
-// tie-break, piecewise/changepoint fitting, and coupling-transition
-// detection.
+// the dense solver, leave-one-out cross-validated model selection with its
+// deterministic tie-break, piecewise/changepoint fitting, and
+// coupling-transition detection.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +42,34 @@ TEST(TermRegistryTest, EvaluationsMatchTheirNames) {
   EXPECT_DOUBLE_EQ(term_at(1).eval(7, 1), 0.0);  // log2 guard at P = 1
   EXPECT_DOUBLE_EQ(term_at(4).eval(7, 4), 0.25);
   EXPECT_DOUBLE_EQ(term_at(12).eval(2, 4), 2.0);
+}
+
+// --- Dense solver -----------------------------------------------------------
+
+TEST(SolveDenseTest, SolvesKnownSystem) {
+  // [2 1; 1 3] x = [5; 10]  ->  x = [1; 3]
+  std::vector<double> a{2, 1, 1, 3};
+  std::vector<double> b{5, 10};
+  ASSERT_TRUE(solve_dense(a, b, 2));
+  EXPECT_NEAR(b[0], 1.0, 1e-12);
+  EXPECT_NEAR(b[1], 3.0, 1e-12);
+}
+
+TEST(SolveDenseTest, PivotsOnZeroDiagonal) {
+  std::vector<double> a{0, 1, 1, 0};
+  std::vector<double> b{2, 3};
+  ASSERT_TRUE(solve_dense(a, b, 2));
+  EXPECT_NEAR(b[0], 3.0, 1e-12);
+  EXPECT_NEAR(b[1], 2.0, 1e-12);
+}
+
+TEST(SolveDenseTest, RejectsSingularAndBadSizes) {
+  std::vector<double> a{1, 2, 2, 4};  // rank 1
+  std::vector<double> b{1, 2};
+  EXPECT_FALSE(solve_dense(a, b, 2));
+  std::vector<double> short_a{1};
+  std::vector<double> short_b{1, 2};
+  EXPECT_FALSE(solve_dense(short_a, short_b, 2));
 }
 
 // --- Model selection --------------------------------------------------------

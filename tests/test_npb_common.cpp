@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <limits>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "npb/common/decomp.hpp"
 #include "npb/common/field.hpp"
@@ -58,6 +63,29 @@ TEST(ProblemTest, RankCountCheckDoesNotOverflowNearIntMax) {
   EXPECT_FALSE(valid_rank_count(Benchmark::kLU, kLargestSquare + 1));
   EXPECT_FALSE(valid_rank_count(Benchmark::kLU, kIntMax));
   EXPECT_TRUE(valid_rank_count(Benchmark::kLU, 1 << 30));
+}
+
+TEST(DecompTest, SquareDecompRefusesIntMaxBeforeADeadline) {
+  // The constructor repeated the square search in int, where q * q
+  // overflows past 46340 and the search never returned for INT_MAX.
+  auto refused = std::make_shared<std::promise<bool>>();
+  std::future<bool> done = refused->get_future();
+  std::thread builder([refused] {
+    try {
+      (void)SquareDecomp(std::numeric_limits<int>::max());
+      refused->set_value(false);
+    } catch (const std::invalid_argument&) {
+      refused->set_value(true);
+    }
+  });
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // A stuck search cannot be joined; the thread owns the promise it sets.
+    builder.detach();
+    FAIL() << "SquareDecomp(INT_MAX) did not return within 10 s";
+  }
+  builder.join();
+  EXPECT_TRUE(done.get());
+  EXPECT_EQ(SquareDecomp(46340 * 46340).q(), 46340);
 }
 
 TEST(RandlcTest, KnownFirstValue) {

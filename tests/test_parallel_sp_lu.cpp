@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "coupling/parallel_measurement.hpp"
 #include "machine/config.hpp"
 #include "npb/lu/lu_model.hpp"
@@ -41,6 +43,14 @@ TEST(TimedSpTest, SixKernelLoopMeasured) {
   EXPECT_EQ(r.by_length[0].chains[1].label, "Txinvr, X_Solve");
 }
 
+TEST(TimedSpTest, RefusesGridsTheNumericPortRefuses) {
+  // SpRank refuses n < 5; the timed path used to run them.
+  const coupling::StudyOptions study{{2}, {}};
+  EXPECT_THROW(
+      (void)npb::sp::run_sp_parallel_study(3, 2, 4, sp_options(), study),
+      std::invalid_argument);
+}
+
 TEST(TimedLuTest, DeterministicAndCouplingWins) {
   const coupling::StudyOptions study{{3}, {}};
   const auto a = npb::lu::run_lu_parallel_study(12, 40, 4, lu_options(), study);
@@ -73,6 +83,17 @@ TEST(TimedLuTest, DirectionReversalMakesSweepPairLatencySensitive) {
   // Isolated sweeps stay nearly latency-free (pipelined steady state).
   const double lt_growth = rs.isolated_means[1] / rf.isolated_means[1];
   EXPECT_LT(lt_growth, 1.3);
+}
+
+TEST(TimedLuTest, RefusesRankGridsWiderThanTheGrid) {
+  // P = 16 is a 4 x 4 pencil grid: n = 3 leaves ranks without grid points.
+  const coupling::StudyOptions study{{2}, {}};
+  EXPECT_THROW(
+      (void)npb::lu::run_lu_parallel_study(3, 2, 16, lu_options(), study),
+      std::invalid_argument);
+  EXPECT_GT(
+      npb::lu::run_lu_parallel_study(4, 2, 16, lu_options(), study).actual_s,
+      0.0);
 }
 
 TEST(TimedLuTest, PipelineFillGrowsWithRankGrid) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "coupling/parallel_measurement.hpp"
 #include "machine/config.hpp"
@@ -96,6 +97,22 @@ TEST(TimedBtTest, DeterministicAcrossRuns) {
     EXPECT_EQ(a.by_length[0].chains[i].chain_time,
               b.by_length[0].chains[i].chain_time);
   }
+}
+
+TEST(TimedBtTest, RefusesGridsTheNumericPortRefuses) {
+  // Refused before any rank starts: n below BtRank's minimum of 3 (the
+  // timed ranks priced 15 of 16 ranks at zero work), and n = 3 on a 4 x 4
+  // rank grid, which leaves some ranks without grid points.
+  const coupling::StudyOptions study{{2}, {}};
+  EXPECT_THROW((void)npb::bt::run_bt_parallel_study(1, 2, 16, timed_options(),
+                                                    study),
+               std::invalid_argument);
+  EXPECT_THROW((void)npb::bt::run_bt_parallel_study(3, 2, 16, timed_options(),
+                                                    study),
+               std::invalid_argument);
+  EXPECT_GT(npb::bt::run_bt_parallel_study(4, 2, 16, timed_options(), study)
+                .actual_s,
+            0.0);
 }
 
 TEST(TimedBtTest, CouplingPredictorBeatsSummationAtSmallClass) {

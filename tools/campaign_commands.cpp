@@ -29,6 +29,7 @@ namespace {
 campaign::CampaignSpec build_campaign_spec(
     const campaign::CampaignTextSpec& text, const campaign::FaultPlan& faults,
     bool quiet) {
+  refuse_repeats(text.ranks, "rank count");
   const machine::MachineConfig cfg = machine_named(text.machine);
   campaign::CampaignSpec spec;
   spec.chain_lengths = text.chain_lengths;

@@ -3,10 +3,13 @@
 // The `kcoup` subcommands — one *_commands.cpp per family, named by
 // main.cpp's dispatch table — and the helpers the families share.
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "flags.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +31,19 @@ int cmd_query(const Flags& flags);
 int cmd_stats(const Flags& flags);
 int cmd_slowlog(const Flags& flags);
 int cmd_top(const Flags& flags);
+
+/// Refuses a list that names a value twice ("<what> 4 given twice"): a
+/// repeated rank count or chain length would measure, send or print the
+/// same thing twice.
+template <typename T>
+void refuse_repeats(const std::vector<T>& values, const std::string& what) {
+  for (auto v = values.begin(); v != values.end(); ++v) {
+    if (std::find(values.begin(), v, *v) != v) {
+      throw std::runtime_error(what + " " + std::to_string(*v) +
+                               " given twice");
+    }
+  }
+}
 
 /// --trace-out: traces the enclosing scope and writes the Chrome trace JSON
 /// however the scope unwinds (return, exit code 3, exception); inert

@@ -3,7 +3,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -184,14 +183,8 @@ int cmd_query(const Flags& flags) {
   const std::vector<std::size_t> chains =
       flags.ints<std::size_t>("chains", std::vector<std::size_t>{2}, 0);
   flags.check_all_used();
-  // As study, campaign and parallel do: a repeated length would send the
-  // same predicts twice and print every row twice.
-  for (auto q = chains.begin(); q != chains.end(); ++q) {
-    if (std::find(chains.begin(), q, *q) != q) {
-      throw std::runtime_error("chain length " + std::to_string(*q) +
-                               " given twice");
-    }
-  }
+  refuse_repeats(procs, "rank count");
+  refuse_repeats(chains, "chain length");
 
   std::vector<serve::QueryKey> queries;
   for (int p : procs) {

@@ -37,6 +37,7 @@ int cmd_study(const Flags& flags) {
   const auto csv = flags.maybe("csv");
   flags.check_all_used();
   const npb::Benchmark bench = benchmark_named(app_name);
+  refuse_repeats(procs, "rank count");
 
   coupling::StudyOptions options;
   options.chain_lengths = chains;
