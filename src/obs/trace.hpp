@@ -29,7 +29,8 @@ struct SpanAnnotation {
 /// other static-duration strings): spans outlive the scopes that record
 /// them, and storing pointers keeps the record path allocation-free.
 struct Span {
-  static constexpr std::size_t kMaxAnnotations = 4;
+  /// The most any span records: a hot reload's snapshot_reload span.
+  static constexpr std::size_t kMaxAnnotations = 5;
 
   const char* name = nullptr;
   const char* category = nullptr;

@@ -3,6 +3,8 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -62,12 +64,28 @@ std::optional<std::vector<coupling::ChainCoupling>> reconstruct_chains(
   return chains;
 }
 
+/// Bit-for-bit equality of two sample series: n, p and seconds compared as
+/// their object representations, never with == on doubles.  fit_piecewise
+/// is a pure function of its series, so equal series fit to the same bits;
+/// -0.0 against 0.0 counts as a change, which costs only a refit.
+bool same_series(const std::vector<model::ModelSample>& a,
+                 const std::vector<model::ModelSample>& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [&bits](const model::ModelSample& x,
+                            const model::ModelSample& y) {
+                      return bits(x.n) == bits(y.n) && bits(x.p) == bits(y.p) &&
+                             bits(x.seconds) == bits(y.seconds);
+                    });
+}
+
 }  // namespace
 
 PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
                                      std::uint64_t version,
                                      const CellFn& cell_fn,
-                                     const SnapshotOptions& options)
+                                     const SnapshotOptions& options,
+                                     const PredictorSnapshot* previous)
     : db_(std::move(db)), version_(version) {
   // Group records by (application, config, ranks, chain_length).
   std::map<GroupKey, std::vector<const coupling::CouplingRecord*>> by_group;
@@ -95,7 +113,7 @@ PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
     transitions_ = model::detect_coupling_transitions(db_);
   }
 
-  if (!options.fit_scaling_models || !cell_fn) return;
+  if (!options.fit_models || !cell_fn) return;
 
   // Fit per-application piecewise models from the database's measurable
   // cells.  Samples pool across configs and rank counts (n varies with the
@@ -120,13 +138,34 @@ PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
       }
     }
     if (samples.empty() || samples.front().empty()) continue;
+    // The outgoing fit of this application, when it kept its series and
+    // has the same loop size: kernel k's model carries over iff kernel k's
+    // series is unchanged.
+    const std::vector<std::vector<model::ModelSample>>* old_samples = nullptr;
+    const std::vector<model::PiecewiseModel>* old_models = nullptr;
+    if (previous != nullptr) {
+      const std::size_t i = previous->fitted_index(application);
+      if (i < previous->fit_samples_.size() &&
+          previous->fit_samples_[i].size() == samples.size()) {
+        old_samples = &previous->fit_samples_[i];
+        old_models = &previous->fitted_[i].second;
+      }
+    }
     std::vector<model::PiecewiseModel> fitted;
     fitted.reserve(samples.size());
-    for (const auto& kernel_samples : samples) {
-      fitted.push_back(model::fit_piecewise(kernel_samples));
+    for (std::size_t k = 0; k < samples.size(); ++k) {
+      if (old_samples != nullptr &&
+          same_series((*old_samples)[k], samples[k])) {
+        fitted.push_back((*old_models)[k]);
+        ++fits_reused_;
+      } else {
+        fitted.push_back(model::fit_piecewise(samples[k]));
+        ++fits_computed_;
+      }
     }
     // cells_by_app is a std::map: sorted application order, as above.
     fitted_.emplace_back(application, std::move(fitted));
+    fit_samples_.push_back(std::move(samples));
   }
 }
 
@@ -159,13 +198,19 @@ const AlphaGroup* PredictorSnapshot::find_alpha(const std::string& application,
 
 const std::vector<model::PiecewiseModel>* PredictorSnapshot::fitted_models_for(
     const std::string& application) const {
+  const std::size_t i = fitted_index(application);
+  return i < fitted_.size() ? &fitted_[i].second : nullptr;
+}
+
+std::size_t PredictorSnapshot::fitted_index(
+    const std::string& application) const {
   const auto it = std::lower_bound(
       fitted_.begin(), fitted_.end(), application,
       [](const auto& entry, const std::string& app) {
         return entry.first < app;
       });
-  if (it == fitted_.end() || it->first != application) return nullptr;
-  return &it->second;
+  if (it == fitted_.end() || it->first != application) return fitted_.size();
+  return static_cast<std::size_t>(it - fitted_.begin());
 }
 
 SnapshotSource::SnapshotSource(std::string path, CellFn cell_fn,
@@ -190,6 +235,10 @@ std::optional<SnapshotSource::FileProbe> SnapshotSource::probe() const {
 
 void SnapshotSource::load_and_publish(const FileProbe& seen) {
   obs::ScopedSpan span("snapshot_reload", "serve");
+  // Only this (single) poller stores current_, so the snapshot being
+  // replaced stays this one throughout; shards may still be reading it.
+  const std::shared_ptr<const PredictorSnapshot> outgoing =
+      current_.load(std::memory_order_acquire);
   // The format is sniffed from the file, not the path: an operator can
   // atomically swap a CSV database for a packed one (or back) under the
   // same serving path, and the next poll() picks the right loader.
@@ -200,19 +249,23 @@ void SnapshotSource::load_and_publish(const FileProbe& seen) {
     coupling::CouplingDatabase db;
     db.load_csv_file(path_);
     snapshot = std::make_shared<const PredictorSnapshot>(
-        std::move(db), next_version_, cell_fn_, options_);
+        std::move(db), next_version_, cell_fn_, options_, outgoing.get());
   }
   if (span.active()) {
     span.annotate("version", next_version_);
     span.annotate("records",
                   static_cast<std::uint64_t>(
                       snapshot->database().records().size()));
+    span.annotate("fits_reused",
+                  static_cast<std::uint64_t>(snapshot->fits_reused()));
+    span.annotate("fits_computed",
+                  static_cast<std::uint64_t>(snapshot->fits_computed()));
   }
   // Continuous validation: before the swap, score the outgoing snapshot
   // against whatever the incoming database newly measured.  Runs on the
   // (rare) reload path only; readers keep serving the old snapshot
   // throughout.
-  if (const auto outgoing = current_.load(std::memory_order_acquire)) {
+  if (outgoing) {
     auto drift = std::make_shared<const DriftReport>(compute_drift(
         *outgoing, snapshot->database(), snapshot->version()));
     if (span.active()) {

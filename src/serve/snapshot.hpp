@@ -48,7 +48,7 @@ struct SnapshotOptions {
   /// database's measurable cells at build time (enables predictions for
   /// configurations that cannot run, e.g. BT at a non-square rank count).
   /// Requires a CellFn.
-  bool fit_scaling_models = true;
+  bool fit_models = true;
   /// Run the coupling-transition changepoint scan over the database's
   /// (application, config, chain_length, chain_start) series at build
   /// time.  Purely record-derived — needs no CellFn.
@@ -84,8 +84,14 @@ class PredictorSnapshot {
   };
 
   /// Derive alpha groups (and optionally fitted models) from the database.
+  /// With `previous` (the snapshot this one replaces), a kernel whose sample
+  /// series is bit-identical to the one `previous` fitted for the same
+  /// application and loop size keeps that model instead of refitting it:
+  /// fit_piecewise is a pure function of the series, so the bits are the
+  /// same either way.  Every other series is fitted.
   PredictorSnapshot(coupling::CouplingDatabase db, std::uint64_t version,
-                    const CellFn& cell_fn, const SnapshotOptions& options);
+                    const CellFn& cell_fn, const SnapshotOptions& options,
+                    const PredictorSnapshot* previous = nullptr);
 
   /// Install precomputed tables verbatim — the zero-recompute load path.
   PredictorSnapshot(coupling::CouplingDatabase db, std::uint64_t version,
@@ -118,6 +124,11 @@ class PredictorSnapshot {
   [[nodiscard]] std::size_t transition_count() const {
     return transitions_.size();
   }
+  /// Per-kernel piecewise fits this build took over from the snapshot it
+  /// replaced, and fits it computed.  Both 0 for a snapshot installed from
+  /// precomputed tables or built without models.
+  [[nodiscard]] std::size_t fits_reused() const { return fits_reused_; }
+  [[nodiscard]] std::size_t fits_computed() const { return fits_computed_; }
 
   /// All precomputed groups / fitted models, sorted by key — the
   /// serialization order of the packed-snapshot format.
@@ -138,6 +149,9 @@ class PredictorSnapshot {
   }
 
  private:
+  /// Position of `application` in fitted_, or fitted_.size() when absent.
+  [[nodiscard]] std::size_t fitted_index(const std::string& application) const;
+
   coupling::CouplingDatabase db_;
   std::uint64_t version_ = 0;
   // Flat sorted arrays, not maps: a cold lookup is a branchless-ish binary
@@ -147,6 +161,13 @@ class PredictorSnapshot {
   std::vector<std::pair<std::string, std::vector<model::PiecewiseModel>>>
       fitted_;
   std::vector<model::CouplingTransition> transitions_;
+  /// Parallel to fitted_: each model's sample series, per kernel in loop
+  /// order — what a later build compares its own series against.  Empty
+  /// for a snapshot installed from precomputed tables, which carry no
+  /// series, so a build that replaces one refits everything.
+  std::vector<std::vector<std::vector<model::ModelSample>>> fit_samples_;
+  std::size_t fits_reused_ = 0;
+  std::size_t fits_computed_ = 0;
 };
 
 /// Owns the current snapshot and hot-reloads it when the database file
@@ -156,6 +177,8 @@ class PredictorSnapshot {
 /// temp-write-then-rename means a probe can never observe a half-written
 /// database.  Readers call current() — a lock-free atomic shared_ptr load —
 /// once per request; a failed reload keeps the previous snapshot serving.
+/// A CSV rebuild passes the outgoing snapshot as `previous`, so only the
+/// kernel series that changed since it are refitted.
 class SnapshotSource {
  public:
   SnapshotSource(std::string path, CellFn cell_fn,

@@ -185,6 +185,25 @@ else()
   elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_campaign_procs")
     refused(1 "kcoup campaign: rank count 4 given twice"
             campaign --apps bt --classes S --procs 4,4 --serial)
+  # Any other repeated list value: campaign measured and printed a cell once
+  # per spelling of its application or class (flags and spec files alike),
+  # reuse and transitions printed the same row twice.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_campaign_apps")
+    refused(1 "kcoup campaign: application BT given twice"
+            campaign --apps bt,BT --classes S --procs 4 --serial)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_campaign_classes")
+    refused(1 "kcoup campaign: class S given twice"
+            campaign --apps bt --classes S,s --procs 4 --serial)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_spec_file_apps")
+    file(WRITE "${OUT}/repeat.spec" "apps = sp, SP\nclasses = S\nprocs = 4\n")
+    refused(1 "kcoup campaign: application SP given twice"
+            campaign --spec repeat.spec --serial)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_reuse_targets")
+    refused(1 "kcoup reuse: target rank count 9 given twice"
+            reuse --app bt --class S --donor 4 --targets 9,9)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_transitions_sizes")
+    refused(1 "kcoup transitions: grid size 8 given twice"
+            transitions --sizes 8,8)
   # SquareDecomp's square search overflowed int for INT_MAX and never
   # returned.
   elseif(CASE STREQUAL "kcoup_cli_rejects_int_max_square_procs")

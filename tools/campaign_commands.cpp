@@ -26,21 +26,31 @@ namespace {
 // triple, invalid rank counts skipped (reported unless quiet).  Shared by
 // `campaign` (serial, concurrent and shard mode) and `merge`, which is what
 // guarantees a merge plans the exact task set the shards partitioned.
+// Applications and classes are compared after name lookup, so `bt,BT` is
+// refused as a repeat just as `4,4` is.
 campaign::CampaignSpec build_campaign_spec(
     const campaign::CampaignTextSpec& text, const campaign::FaultPlan& faults,
     bool quiet) {
   refuse_repeats(text.ranks, "rank count");
   const machine::MachineConfig cfg = machine_named(text.machine);
+  std::vector<npb::Benchmark> benches;
+  for (const std::string& name : text.applications) {
+    benches.push_back(benchmark_named(name));
+  }
+  refuse_repeats(benches, "application");
+  std::vector<npb::ProblemClass> classes;
+  for (const std::string& name : text.configs) {
+    classes.push_back(class_named(name));
+  }
+  refuse_repeats(classes, "class");
   campaign::CampaignSpec spec;
   spec.chain_lengths = text.chain_lengths;
   spec.measurement = text.measurement;
   spec.retry = text.retry;
   spec.pool_handles = text.pool_handles;
   spec.faults = faults;
-  for (const std::string& app_name : text.applications) {
-    const npb::Benchmark bench = benchmark_named(app_name);
-    for (const std::string& cls_name : text.configs) {
-      const npb::ProblemClass cls = class_named(cls_name);
+  for (const npb::Benchmark bench : benches) {
+    for (const npb::ProblemClass cls : classes) {
       for (int p : text.ranks) {
         if (!npb::valid_rank_count(bench, p)) {
           if (!quiet) {

@@ -33,14 +33,16 @@ int cmd_slowlog(const Flags& flags);
 int cmd_top(const Flags& flags);
 
 /// Refuses a list that names a value twice ("<what> 4 given twice"): a
-/// repeated rank count or chain length would measure, send or print the
-/// same thing twice.
+/// repeated rank count, chain length, grid size, application or class
+/// would measure, send or print the same thing twice.  Numbers print
+/// through std::to_string, an application or class by its canonical name
+/// (npb::to_string, found by argument-dependent lookup).
 template <typename T>
 void refuse_repeats(const std::vector<T>& values, const std::string& what) {
+  using std::to_string;
   for (auto v = values.begin(); v != values.end(); ++v) {
     if (std::find(values.begin(), v, *v) != v) {
-      throw std::runtime_error(what + " " + std::to_string(*v) +
-                               " given twice");
+      throw std::runtime_error(what + " " + to_string(*v) + " given twice");
     }
   }
 }

@@ -93,7 +93,7 @@ int cmd_serve(const Flags& flags) {
   config.slowlog_failed = flags.integer<std::size_t>("slowlog-failed", 64, 1);
   const machine::MachineConfig cfg = flags.machine();
   serve::SnapshotOptions snapshot_options;
-  snapshot_options.fit_scaling_models = !flags.flag("no-models");
+  snapshot_options.fit_models = !flags.flag("no-models");
   const bool quiet = flags.flag("quiet");
   config.force_poll = flags.flag("force-poll");
   const auto port_file = flags.maybe("port-file");

@@ -33,7 +33,7 @@ std::shared_ptr<const serve::PredictorSnapshot> snapshot_from_csv(
   serve::NpbWorkload workload(cfg);
   serve::QueryEngine engine(&workload);
   serve::SnapshotOptions options;
-  options.fit_scaling_models = !no_models;
+  options.fit_models = !no_models;
   return std::make_shared<const serve::PredictorSnapshot>(
       std::move(db), 0,
       [&engine](const std::string& a, const std::string& c, int p) {

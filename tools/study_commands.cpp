@@ -114,6 +114,7 @@ int cmd_transitions(const Flags& flags) {
   if (app_name != "bt") {
     throw std::runtime_error("transitions: only --app bt is supported");
   }
+  refuse_repeats(sizes, "grid size");
 
   report::Table t("Mean pairwise coupling vs grid size (P = " +
                   std::to_string(procs) + ")");
@@ -141,6 +142,7 @@ int cmd_reuse(const Flags& flags) {
   const machine::MachineConfig cfg = flags.machine();
   flags.check_all_used();
   const npb::Benchmark bench = benchmark_named(app_name);
+  refuse_repeats(targets, "target rank count");
 
   coupling::CouplingDatabase db;
   {
