@@ -4,9 +4,10 @@
 // Every measurement task used to construct a fresh application instance,
 // so whenever instance construction is comparable to (or dearer than) the
 // measurement itself, allocation/setup dominated the campaign wall-clock.
-// The executor now keeps one instance per (worker, study cell) and resets
-// it between tasks, and submits tasks longest-estimated-first so a single
-// expensive straggler cannot serialize the tail of the worker pool.  This
+// The executor's workers now claim whole study cells, dearest first, and
+// run each cell's tasks on one instance, reset between tasks, so a single
+// expensive straggler cannot serialize the tail and each cell is built
+// once.  This
 // bench quantifies both effects and emits a machine-readable
 // `BENCH_executor.json` baseline so the perf trajectory of the executor hot
 // path is recorded over time — while asserting that every configuration
@@ -113,7 +114,7 @@ int main() {
   const auto pooled = best_of(pooled_spec, kWorkers, kRounds);
 
   report::Table t(
-      "Executor scaling: handle pooling + longest-first scheduling "
+      "Executor scaling: handle pooling + dearest-cell-first claims "
       "(synthetic sweep, 12 cells, " + std::to_string(kKernels) +
       "-kernel loops)");
   t.set_header({"run", "handles created", "handles reused", "task max",

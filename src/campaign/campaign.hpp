@@ -18,9 +18,9 @@ namespace kcoup::campaign {
 
 /// Type-erased ownership of whatever backs a LoopApplication (a ModeledApp,
 /// a timed-app bundle, a test fixture...).  The executor keeps one instance
-/// per (worker, study cell) and resets it between tasks — or one fresh
-/// instance per task with pooling disabled — so concurrent tasks never
-/// share mutable machine state.
+/// per claimed study cell and resets it between that cell's tasks — or one
+/// fresh instance per task with pooling disabled — so concurrent tasks
+/// never share mutable machine state.
 class AppHandle {
  public:
   AppHandle(std::shared_ptr<void> owner, const coupling::LoopApplication* app)
@@ -81,8 +81,8 @@ struct CampaignSpec {
   std::vector<std::size_t> chain_lengths;  ///< e.g. {2, 3, 4}
   coupling::MeasurementOptions measurement;
   RetryPolicy retry;
-  /// Reuse one application instance per (application, config, ranks) cell
-  /// per worker, reset between tasks, instead of constructing a fresh
+  /// Reuse one application instance per claimed (application, config,
+  /// ranks) cell, reset between tasks, instead of constructing a fresh
   /// instance for every task.  Sound because every harness measurement
   /// begins with app.reset(); disable to force the fresh-instance-per-task
   /// behaviour (e.g. for factories whose instances are not reset-stable).

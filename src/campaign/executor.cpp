@@ -1,22 +1,25 @@
 #include "campaign/executor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <tuple>
 
 #include "campaign/journal.hpp"
 #include "coupling/analysis.hpp"
 #include "obs/trace.hpp"
-#include "support/thread_pool.hpp"
 #include "trace/stats.hpp"
 
 namespace kcoup::campaign {
@@ -52,28 +55,26 @@ struct FailureSink {
   }
 };
 
-/// Per-worker store of reusable application instances, one per study cell.
-/// Each worker owns its pool exclusively, so acquisition needs no locking;
-/// reuse is sound because every harness measurement starts with app.reset().
-struct HandlePool {
-  std::map<std::tuple<std::string, std::string, int>, AppHandle> handles;
+/// The application instance one unit's tasks share.  A unit runs on one
+/// thread, so acquisition needs no locking; reuse is sound because every
+/// harness measurement starts with app.reset().  With pooling off every
+/// task builds its own instance, and `created` counts those.
+struct UnitHandle {
+  std::optional<AppHandle> handle;
   std::size_t created = 0;
   std::size_t reused = 0;
 
   const AppHandle& acquire(const CampaignSpec& spec,
                            const MeasurementTask& task) {
-    auto key = std::make_tuple(task.key.application, task.key.config,
-                               task.key.ranks);
-    const auto it = handles.find(key);
-    if (it != handles.end()) {
+    if (handle.has_value()) {
       ++reused;
-      return it->second;
+      return *handle;
     }
     // The factory may throw (and with fault injection, is expected to):
     // count the handle only once it actually exists.
-    AppHandle handle = spec.studies[task.study].factory();
+    handle.emplace(spec.studies[task.study].factory());
     ++created;
-    return handles.emplace(std::move(key), std::move(handle)).first->second;
+    return *handle;
   }
 };
 
@@ -140,20 +141,21 @@ TaskOutcome measure_task(const CampaignSpec& spec, const MeasurementTask& task,
 }
 
 /// One measurement attempt: acquire (or build) the application instance and
-/// measure.  Construction faults fire here, before the pool is consulted,
-/// so an injected construction throw is independent of pooling state.
+/// measure.  Construction faults fire here, before the unit's instance is
+/// consulted, so an injected construction throw is independent of pooling
+/// state.
 TaskOutcome run_task_once(const CampaignSpec& spec,
-                          const MeasurementTask& task, HandlePool& pool,
+                          const MeasurementTask& task, UnitHandle& unit,
                           const FaultSimulator* faults, int attempt_budget) {
   if (faults != nullptr && faults->construct_throws(task.key)) {
     throw FaultInjected(FaultKind::kConstructThrow, task.key);
   }
   if (spec.pool_handles) {
-    return measure_task(spec, task, pool.acquire(spec, task), faults,
+    return measure_task(spec, task, unit.acquire(spec, task), faults,
                         attempt_budget);
   }
   AppHandle handle = spec.studies[task.study].factory();
-  ++pool.created;
+  ++unit.created;
   return measure_task(spec, task, handle, faults, attempt_budget);
 }
 
@@ -162,7 +164,7 @@ TaskOutcome run_task_once(const CampaignSpec& spec,
 /// do; once it is exhausted the failure is recorded in `sink` and the
 /// campaign moves on.  Only CampaignAborted (an injected crash) escapes.
 TaskOutcome execute_task(const CampaignSpec& spec, const MeasurementTask& task,
-                         HandlePool& pool, FaultSimulator* faults,
+                         UnitHandle& unit, FaultSimulator* faults,
                          FailureSink& sink) {
   obs::ScopedSpan span("task", "campaign");
   if (span.active()) span.annotate("key", to_string(task.key));
@@ -174,7 +176,7 @@ TaskOutcome execute_task(const CampaignSpec& spec, const MeasurementTask& task,
   const int budget = std::max(1, spec.retry.max_attempts);
   for (;;) {
     try {
-      out = run_task_once(spec, task, pool, faults, budget - attempts_spent);
+      out = run_task_once(spec, task, unit, faults, budget - attempts_spent);
       out.attempts += attempts_spent;
       out.ok = true;
       break;
@@ -204,20 +206,65 @@ TaskOutcome execute_task(const CampaignSpec& spec, const MeasurementTask& task,
   return out;
 }
 
-/// Longest-task-first submission order: schedule by descending planner cost
-/// so an expensive straggler cannot serialize the tail of the pool, with the
-/// task key as a deterministic tie-break.
-std::vector<const MeasurementTask*> cost_sorted(
-    const std::vector<MeasurementTask>& tasks) {
-  std::vector<const MeasurementTask*> order;
-  order.reserve(tasks.size());
-  for (const MeasurementTask& t : tasks) order.push_back(&t);
-  std::sort(order.begin(), order.end(),
-            [](const MeasurementTask* a, const MeasurementTask* b) {
-              if (a->cost != b->cost) return a->cost > b->cost;
-              return a->key < b->key;
+/// What the workers claim: the task positions grouped by study cell, each
+/// cell's tasks in plan order, and the units over them, dearest summed
+/// planner cost first, so an expensive cell cannot serialize the tail.  A
+/// unit is a whole cell; with fewer cells than workers, each cell splits
+/// into ceil(workers / cells) contiguous slices so that no worker idles.
+struct Schedule {
+  struct Unit {
+    std::size_t begin = 0;  ///< [begin, end) of `order`
+    std::size_t end = 0;
+    double cost = 0.0;
+  };
+  std::vector<std::size_t> order;
+  std::vector<Unit> units;
+};
+
+Schedule schedule(const std::vector<MeasurementTask>& tasks,
+                  std::size_t workers) {
+  // A cell is what a pooled instance serves: the (application, config,
+  // ranks) triple.  Ids follow first appearance; planned tasks come cell by
+  // cell, so the map is only consulted where the cell changes.
+  using Cell = std::tuple<std::string_view, std::string_view, int>;
+  auto cell = [&tasks](std::size_t i) {
+    const TaskKey& k = tasks[i].key;
+    return Cell{k.application, k.config, k.ranks};
+  };
+  std::map<Cell, std::size_t> ids;
+  std::vector<std::size_t> id(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    id[i] = i > 0 && cell(i) == cell(i - 1)
+                ? id[i - 1]
+                : ids.try_emplace(cell(i), ids.size()).first->second;
+  }
+  Schedule out;
+  out.order.resize(tasks.size());
+  std::iota(out.order.begin(), out.order.end(), std::size_t{0});
+  std::stable_sort(out.order.begin(), out.order.end(),
+                   [&id](std::size_t a, std::size_t b) { return id[a] < id[b]; });
+
+  const std::size_t slices =
+      ids.empty() ? 1 : (workers + ids.size() - 1) / ids.size();
+  for (std::size_t begin = 0, end = 0; begin < out.order.size(); begin = end) {
+    while (end < out.order.size() && id[out.order[end]] == id[out.order[begin]]) {
+      ++end;
+    }
+    for (std::size_t s = 0; s < slices; ++s) {
+      Schedule::Unit unit{begin + (end - begin) * s / slices,
+                          begin + (end - begin) * (s + 1) / slices};
+      for (std::size_t i = unit.begin; i < unit.end; ++i) {
+        unit.cost += tasks[out.order[i]].cost;
+      }
+      if (unit.begin < unit.end) out.units.push_back(unit);
+    }
+  }
+  std::sort(out.units.begin(), out.units.end(),
+            [](const Schedule::Unit& a, const Schedule::Unit& b) {
+              if (a.cost != b.cost) return a.cost > b.cost;
+              return a.begin < b.begin;
             });
-  return order;
+  return out;
 }
 
 }  // namespace
@@ -262,70 +309,67 @@ TaskSetResult execute_tasks(const CampaignSpec& spec,
     }
   };
 
-  // Keyed result store.  All keys are inserted up front so concurrent
-  // workers only ever write distinct, pre-existing mapped values — the map's
-  // structure is never mutated while the pool runs.
-  std::map<TaskKey, TaskOutcome> outcomes;
-  for (const MeasurementTask& t : tasks) outcomes[t.key];
-
-  std::size_t handles_created = 0;
-  std::size_t handles_reused = 0;
-  if (workers <= 1) {
-    HandlePool handle_pool;
-    for (const MeasurementTask& t : tasks) {
-      const TaskOutcome out = execute_task(spec, t, handle_pool, faults, sink);
-      outcomes[t.key] = out;
-      journal_done(t.key, out);
-      note_done(out);
-    }
-    handles_created = handle_pool.created;
-    handles_reused = handle_pool.reused;
-  } else {
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    // One handle pool per worker: a worker indexes its own pool through
-    // ThreadPool::this_worker_index(), so pooled handles are never shared
-    // between threads and acquisition is lock-free.  The pools (and every
-    // handle they hold) are released when this scope unwinds, error or not.
-    std::vector<HandlePool> handle_pools(workers);
-    {
-      support::ThreadPool pool(workers);
-      for (const MeasurementTask* t : cost_sorted(tasks)) {
-        TaskOutcome* slot = &outcomes.find(t->key)->second;
-        pool.submit([&spec, t, slot, &handle_pools, &error_mutex, &first_error,
-                     faults, &sink, &journal_done, &note_done] {
-          try {
-            *slot = execute_task(
-                spec, *t,
-                handle_pools[support::ThreadPool::this_worker_index()], faults,
-                sink);
-            journal_done(t->key, *slot);
-            note_done(*slot);
-          } catch (...) {
-            // execute_task isolates task failures; only an injected
-            // campaign abort (or a truly unexpected error) lands here.
-            std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-          }
-        });
+  // One claim loop for every worker count: the calling thread is worker 0
+  // and `threads - 1` helpers join it.  Each worker takes the next unit off
+  // one cursor and runs its tasks on the unit's own instance, so instances
+  // are never shared between threads.  Every task writes only its own
+  // outcome slot, read after the helpers join.
+  const Schedule plan = schedule(tasks, workers);
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::min(workers, plan.units.size()));
+  std::vector<TaskOutcome> outcomes(tasks.size());
+  std::atomic<std::size_t> cursor{0};
+  // Set by the first escaping error (an injected campaign abort, or a truly
+  // unexpected one): every worker stops before its next task, as the
+  // serial loop would.
+  std::atomic<bool> stop{false};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  std::atomic<std::size_t> created{0};
+  std::atomic<std::size_t> reused{0};
+  auto work = [&] {
+    try {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::size_t u = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (u >= plan.units.size()) return;
+        // Released when the unit ends, error or not.
+        UnitHandle handle;
+        for (std::size_t i = plan.units[u].begin;
+             i < plan.units[u].end && !stop.load(std::memory_order_relaxed);
+             ++i) {
+          const MeasurementTask& t = tasks[plan.order[i]];
+          TaskOutcome& out = outcomes[plan.order[i]];
+          out = execute_task(spec, t, handle, faults, sink);
+          journal_done(t.key, out);
+          note_done(out);
+        }
+        created += handle.created;
+        reused += handle.reused;
       }
-      pool.wait_idle();
+    } catch (...) {
+      stop.store(true, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
     }
-    for (const HandlePool& p : handle_pools) {
-      handles_created += p.created;
-      handles_reused += p.reused;
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (std::size_t w = 1; w < threads; ++w) helpers.emplace_back(work);
+    work();
+  }  // helpers join here
+  if (first_error) std::rethrow_exception(first_error);
 
   TaskSetResult result;
-  for (const auto& [key, out] : outcomes) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const TaskOutcome& out = outcomes[i];
     result.outcomes.emplace(
-        key, TaskExecution{out.value, out.attempts, out.measure_s, out.ok});
+        tasks[i].key,
+        TaskExecution{out.value, out.attempts, out.measure_s, out.ok});
   }
+  result.handles_created = created.load();
+  result.handles_reused = reused.load();
   result.failures = std::move(sink.failures);
-  result.handles_created = handles_created;
-  result.handles_reused = handles_reused;
   return result;
 }
 

@@ -59,7 +59,7 @@ struct TaskSetResult {
 };
 
 /// Raw task-set execution: run exactly `tasks` — no planning, no assembly —
-/// with the same worker pool, handle pooling, retry, fault-injection and
+/// with the same claim loop, handle pooling, retry, fault-injection and
 /// failure-isolation semantics as execute_plan().  Task values are
 /// bit-identical to what execute_plan would measure for the same keys: every
 /// task starts from a reset application, so executing a subset (a shard's
@@ -93,15 +93,19 @@ void record_campaign(const CampaignSpec& spec, const CampaignResult& result,
                      coupling::CouplingDatabase& db);
 
 /// Execute a plan with `workers` threads (0 = hardware concurrency, 1 =
-/// fully serial, no pool).  By default each worker keeps one application
-/// instance per study cell and reuses it across that cell's tasks (every
-/// measurement starts from app.reset(), so instances are interchangeable);
-/// set CampaignSpec::pool_handles = false to instantiate a fresh application
-/// per task instead.  Tasks are submitted longest-estimated-first so a
-/// straggler cannot serialize the tail.  Results land in a keyed store and
-/// assembly is deterministic — the same StudyResults regardless of worker
-/// count, pooling or submission order, and bit-identical to
-/// coupling::run_study() on each cell.
+/// the calling thread alone).  The tasks are grouped by study cell
+/// (application, config, ranks), and the calling thread and `workers - 1`
+/// helpers claim whole cells off one cursor, dearest summed planner cost
+/// first, so a straggler cannot serialize the tail; with fewer cells than
+/// workers each cell splits into ceil(workers / cells) contiguous slices.
+/// A worker runs a claimed cell's tasks back to back on one application
+/// instance (every measurement starts from app.reset(), so instances are
+/// interchangeable): with at least as many cells as workers, one instance
+/// is built per cell.  Set CampaignSpec::pool_handles = false to
+/// instantiate a fresh application per task instead.  Assembly is
+/// deterministic — the same StudyResults regardless of worker count,
+/// pooling or claim order, and bit-identical to coupling::run_study() on
+/// each cell.
 ///
 /// Failure isolation: a task whose acquisition or measurement throws is
 /// retried up to CampaignSpec::retry.max_attempts total attempts, then

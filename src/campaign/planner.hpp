@@ -26,8 +26,8 @@ struct StudyShape {
 /// the application that performs it.  `cost` is the planner's execution-cost
 /// estimate in kernel invocations — chain traversals multiply chain length
 /// by the repetition budget, actual/epilogue tasks pay for full application
-/// runs — which the executor uses to schedule longest-task-first so one
-/// expensive straggler cannot serialize the tail of the worker pool.
+/// runs — which the executor sums per study cell to claim the dearest
+/// cells first, so one expensive straggler cannot serialize the tail.
 struct MeasurementTask {
   TaskKey key;
   std::size_t study = 0;

@@ -1,15 +1,17 @@
 #include "coupling/database.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <numeric>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 
 #include "support/num_format.hpp"
@@ -230,17 +232,31 @@ bool CouplingDatabase::reuse_chains_into(const std::string& application,
 }
 
 void CouplingDatabase::save_csv(std::ostream& out) const {
-  out << "application,config,ranks,chain_length,chain_start,chain_time,"
-         "isolated_sum\n";
+  // One buffer, one write.  std::to_chars never consults a locale, so no
+  // global locale can group digits ("1.024") into a file load_csv refuses;
+  // 17 significant digits round-trip every double bit for bit, so
+  // predictions served from a persisted store match the in-process study.
+  std::string text =
+      "application,config,ranks,chain_length,chain_start,chain_time,"
+      "isolated_sum\n";
+  text.reserve(text.size() + records_.size() * 64);
+  char buf[24];  // fits any field: see support::format_double
+  auto put = [&](char* end, char sep) {
+    text.append(buf, end);
+    text += sep;
+  };
   for (const CouplingRecord& r : records_) {
-    // 17 significant digits: a save/load round trip reproduces every
-    // double bit-for-bit, so predictions served from a persisted store
-    // match the in-process study exactly.
-    out << r.key.application << ',' << r.key.config << ',' << r.key.ranks
-        << ',' << r.key.chain_length << ',' << r.key.chain_start << ','
-        << support::format_double(r.chain_time) << ','
-        << support::format_double(r.isolated_sum) << '\n';
+    text += r.key.application;
+    text += ',';
+    text += r.key.config;
+    text += ',';
+    put(std::to_chars(buf, std::end(buf), r.key.ranks).ptr, ',');
+    put(std::to_chars(buf, std::end(buf), r.key.chain_length).ptr, ',');
+    put(std::to_chars(buf, std::end(buf), r.key.chain_start).ptr, ',');
+    put(support::format_double(buf, r.chain_time), ',');
+    put(support::format_double(buf, r.isolated_sum), '\n');
   }
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void CouplingDatabase::save_csv_file(const std::string& path) const {
@@ -281,23 +297,41 @@ void CouplingDatabase::load_csv_file(const std::string& path) {
 }
 
 void CouplingDatabase::load_csv(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) {
+  // Read the input once and split it into views: lines at '\n' as getline
+  // would (a final newline ends the last line rather than opening another),
+  // fields at ','.
+  std::string text;
+  char chunk[8192];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (text.empty()) {
     throw std::runtime_error("CouplingDatabase::load_csv: empty input");
   }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    std::string_view line(text.data() + pos, nl - pos);
+    pos = nl + 1;
+    if (++line_no == 1) continue;  // the header
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream ls(line);
-    while (std::getline(ls, field, ',')) fields.push_back(field);
-    if (fields.size() != 7) {
+    // Like getline(ls, field, ','): a trailing ',' ends the last field
+    // rather than opening an empty one, so "...,2.0," has seven fields and
+    // "...,2.0,," eight.
+    std::string_view fields[7];
+    std::size_t count = 0;
+    for (std::string_view tail = line;;) {
+      const std::size_t comma = tail.find(',');
+      if (count < 7) fields[count] = tail.substr(0, comma);
+      ++count;
+      if (comma == std::string_view::npos || comma + 1 == tail.size()) break;
+      tail.remove_prefix(comma + 1);
+    }
+    if (count != 7) {
       throw std::runtime_error("CouplingDatabase::load_csv: malformed line " +
                                std::to_string(line_no) + " (expected 7 fields, got " +
-                               std::to_string(fields.size()) + ")");
+                               std::to_string(count) + ")");
     }
     // Whole-field, locale-independent reads: trailing garbage ("4x"), a
     // negative size, ranks below 1, hex and inf/nan are refused, not
@@ -314,10 +348,10 @@ void CouplingDatabase::load_csv(std::istream& in) {
           std::to_string(line_no));
     }
     try {
-      record(CouplingRecord{
-          {fields[0], fields[1], *ranks, *chain_length, *chain_start},
-          *chain_time,
-          *isolated_sum});
+      record(CouplingRecord{{std::string(fields[0]), std::string(fields[1]),
+                             *ranks, *chain_length, *chain_start},
+                            *chain_time,
+                            *isolated_sum});
     } catch (const std::invalid_argument& e) {
       throw std::runtime_error("CouplingDatabase::load_csv: line " +
                                std::to_string(line_no) + ": " + e.what());

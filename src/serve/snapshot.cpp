@@ -235,10 +235,9 @@ std::optional<SnapshotSource::FileProbe> SnapshotSource::probe() const {
 
 void SnapshotSource::load_and_publish(const FileProbe& seen) {
   obs::ScopedSpan span("snapshot_reload", "serve");
-  // Only this (single) poller stores current_, so the snapshot being
-  // replaced stays this one throughout; shards may still be reading it.
-  const std::shared_ptr<const PredictorSnapshot> outgoing =
-      current_.load(std::memory_order_acquire);
+  // Only this (single) poller publishes, so the snapshot being replaced
+  // stays this one throughout; shards may still be reading it.
+  const std::shared_ptr<const PredictorSnapshot> outgoing = current();
   // The format is sniffed from the file, not the path: an operator can
   // atomically swap a CSV database for a packed one (or back) under the
   // same serving path, and the next poll() picks the right loader.
@@ -265,15 +264,19 @@ void SnapshotSource::load_and_publish(const FileProbe& seen) {
   // against whatever the incoming database newly measured.  Runs on the
   // (rare) reload path only; readers keep serving the old snapshot
   // throughout.
+  std::shared_ptr<const DriftReport> drift;
   if (outgoing) {
-    auto drift = std::make_shared<const DriftReport>(compute_drift(
+    drift = std::make_shared<const DriftReport>(compute_drift(
         *outgoing, snapshot->database(), snapshot->version()));
     if (span.active()) {
       span.annotate("drift_new", drift->new_records);
     }
-    last_drift_.store(std::move(drift), std::memory_order_release);
   }
-  current_.store(std::move(snapshot), std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
+    current_.swap(snapshot);
+    if (drift) last_drift_.swap(drift);
+  }  // the replaced pointers are released after the lock
   ++next_version_;
   last_probe_ = seen;
 }

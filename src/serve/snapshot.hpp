@@ -58,9 +58,9 @@ struct SnapshotOptions {
 /// An immutable, internally consistent bundle of everything the query
 /// engine reads: the loaded coupling database, the precomputed alpha
 /// coefficients for every complete group, and per-application fitted
-/// piecewise models.  Snapshots are published through
-/// std::atomic<std::shared_ptr<const PredictorSnapshot>> — readers grab a
-/// reference once per request and never observe a half-reloaded state.
+/// piecewise models.  SnapshotSource publishes each one as a
+/// std::shared_ptr<const PredictorSnapshot> — readers grab a reference once
+/// per request window and never observe a half-reloaded state.
 class PredictorSnapshot {
  public:
   /// Sort key of a precomputed group: (application, config, ranks,
@@ -175,8 +175,10 @@ class PredictorSnapshot {
 /// device + size, so even a same-size rewrite inside one mtime granule is
 /// seen (rename lands on a new inode); save_csv_file()'s
 /// temp-write-then-rename means a probe can never observe a half-written
-/// database.  Readers call current() — a lock-free atomic shared_ptr load —
-/// once per request; a failed reload keeps the previous snapshot serving.
+/// database.  Readers call current() once per served window: it copies
+/// the published pointer under a mutex, which a reload holds only to swap
+/// the new snapshot and drift report in, so a reader waits at most for two
+/// pointer swaps.  A failed reload keeps the previous snapshot serving.
 /// A CSV rebuild passes the outgoing snapshot as `previous`, so only the
 /// kernel series that changed since it are refitted.
 class SnapshotSource {
@@ -193,7 +195,8 @@ class SnapshotSource {
 
   /// The currently published snapshot (nullptr before the first load()).
   [[nodiscard]] std::shared_ptr<const PredictorSnapshot> current() const {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
+    return current_;
   }
 
   /// Probe the file; rebuild and publish if it changed.  Returns true iff a
@@ -216,10 +219,11 @@ class SnapshotSource {
   /// The drift report computed at the most recent reload that replaced a
   /// live snapshot (see serve/drift.hpp): how far the outgoing snapshot's
   /// predictions were from the incoming database's new records.  nullptr
-  /// until the first such reload.  Lock-free read; the server exports it as
-  /// the serve.drift.* quantiles.
+  /// until the first such reload.  Read like current(); the server exports
+  /// it as the serve.drift.* quantiles.
   [[nodiscard]] std::shared_ptr<const DriftReport> last_drift() const {
-    return last_drift_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
+    return last_drift_;
   }
 
  private:
@@ -243,8 +247,12 @@ class SnapshotSource {
   std::string path_;
   CellFn cell_fn_;
   SnapshotOptions options_;
-  std::atomic<std::shared_ptr<const PredictorSnapshot>> current_{nullptr};
-  std::atomic<std::shared_ptr<const DriftReport>> last_drift_{nullptr};
+  /// Guards the two published pointers.  Not std::atomic<std::shared_ptr>:
+  /// GCC 12's load unlocks with memory_order_relaxed after reading the
+  /// pointer, which ThreadSanitizer reports racing a reload's store.
+  mutable std::mutex publish_mutex_;
+  std::shared_ptr<const PredictorSnapshot> current_;
+  std::shared_ptr<const DriftReport> last_drift_;
   std::optional<FileProbe> last_probe_;
   std::uint64_t next_version_ = 1;
   std::atomic<std::uint64_t> reloads_{0};

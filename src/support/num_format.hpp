@@ -17,14 +17,17 @@ namespace kcoup::support {
 /// notation (printf's "%.17g"; non-finite values print as "inf", "-inf",
 /// "nan" or "-nan").  Seventeen digits (max_digits10) round-trip every
 /// finite double exactly, which the campaign journal relies on for
-/// bit-identical resume.  std::to_chars never consults a locale.
+/// bit-identical resume.  std::to_chars never consults a locale.  Writes
+/// into `buf`, which must hold 24 bytes (the longest output is
+/// "-1.7976931348623157e+308"), and returns one past the last character.
+inline char* format_double(char* buf, double v) {
+  return std::to_chars(buf, buf + 24, v, std::chars_format::general, 17).ptr;
+}
+
+/// format_double into a new string.
 [[nodiscard]] inline std::string format_double(double v) {
-  // The longest output is 24 bytes: "-1.7976931348623157e+308".
   char buf[24];
-  const auto end = std::to_chars(buf, buf + sizeof(buf), v,
-                                 std::chars_format::general, 17)
-                       .ptr;
-  return std::string(buf, end);
+  return std::string(buf, format_double(buf, v));
 }
 
 /// Locale-independent strict double parse: the whole string must be

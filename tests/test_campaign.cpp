@@ -278,21 +278,53 @@ TEST(CampaignMultiWorkerTest, DatabaseRoundTripKeepsResultsIdentical) {
 }
 
 TEST(CampaignMultiWorkerTest, PoolingOnOrOffIsBitIdenticalToSerial) {
-  CampaignSpec spec = npb_campaign_spec();
-  const std::vector<coupling::StudyResult> expected = serial_reference(spec);
+  // Four cells (sliced at 8 workers), one cell (sliced at every worker
+  // count above 1), and four cells plus a duplicate of the first, whose
+  // tasks the planner folds into the original's.
+  CampaignSpec four = npb_campaign_spec();
+  CampaignSpec one = four;
+  one.studies.resize(1);
+  CampaignSpec duplicated = four;
+  duplicated.studies.push_back(duplicated.studies.front());
 
-  for (bool pooled : {true, false}) {
-    spec.pool_handles = pooled;
-    for (std::size_t workers : {1u, 4u}) {
-      const CampaignResult result = run_campaign(spec, workers);
-      ASSERT_EQ(result.studies.size(), expected.size());
-      for (std::size_t s = 0; s < expected.size(); ++s) {
-        SCOPED_TRACE("pooled=" + std::to_string(pooled) +
-                     " workers=" + std::to_string(workers) +
-                     " study=" + std::to_string(s));
-        expect_identical(result.studies[s], expected[s]);
+  for (CampaignSpec* spec : {&four, &one, &duplicated}) {
+    const std::vector<coupling::StudyResult> expected =
+        serial_reference(*spec);
+    for (bool pooled : {true, false}) {
+      spec->pool_handles = pooled;
+      for (std::size_t workers : {1u, 2u, 3u, 8u}) {
+        const CampaignResult result = run_campaign(*spec, workers);
+        ASSERT_EQ(result.studies.size(), expected.size());
+        EXPECT_EQ(result.metrics.handles_created + result.metrics.handles_reused,
+                  result.metrics.tasks_executed);
+        for (std::size_t s = 0; s < expected.size(); ++s) {
+          SCOPED_TRACE("cells=" + std::to_string(spec->studies.size()) +
+                       " pooled=" + std::to_string(pooled) +
+                       " workers=" + std::to_string(workers) +
+                       " study=" + std::to_string(s));
+          expect_identical(result.studies[s], expected[s]);
+        }
       }
     }
+  }
+}
+
+TEST(CampaignMultiWorkerTest, EachCellIsBuiltOnce) {
+  // With at least as many cells as workers, a worker claims whole cells and
+  // runs each one's tasks on a single instance: one build per cell, however
+  // the claims interleave.
+  CampaignSpec spec;
+  spec.chain_lengths = {2, 3};
+  for (int cell = 0; cell < 8; ++cell) {
+    spec.studies.push_back(synthetic_cell("C" + std::to_string(cell), 1, 4,
+                                          1.0 + 0.5 * cell));
+  }
+  for (std::size_t workers : {2u, 3u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const CampaignResult result = run_campaign(spec, workers);
+    EXPECT_EQ(result.metrics.handles_created, spec.studies.size());
+    EXPECT_EQ(result.metrics.handles_created + result.metrics.handles_reused,
+              result.metrics.tasks_executed);
   }
 }
 

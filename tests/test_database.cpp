@@ -8,7 +8,9 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <locale>
 #include <random>
 #include <sstream>
 #include <string>
@@ -250,6 +252,42 @@ TEST(DatabaseTest, LoadCsvFileRoundTripsThroughDisk) {
   ASSERT_TRUE(found.has_value());
   EXPECT_DOUBLE_EQ(found->chain_time, 9.0);
   fs::remove(path);
+}
+
+TEST(DatabaseTest, SaveIgnoresTheGlobalLocale) {
+  // Under a global locale that groups digits, an integer written with
+  // operator<< came out as "1.024", and load_csv refused its own file.
+  struct Grouping : std::numpunct<char> {
+    char do_thousands_sep() const override { return '.'; }
+    std::string do_grouping() const override { return "\3"; }
+  };
+  namespace fs = std::filesystem;
+  const fs::path path =
+      fs::path(::testing::TempDir()) / "kcoup_db_grouping.csv";
+  CouplingDatabase out;
+  out.record(CouplingRecord{{"LU", "A", 1024, 2, 1023}, 1234.5, 2048.25});
+  const std::locale before = std::locale::global(
+      std::locale(std::locale::classic(), new Grouping));
+  std::string error;
+  CouplingDatabase in;
+  try {
+    out.save_csv_file(path.string());
+    in.load_csv_file(path.string());
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  std::locale::global(before);
+  std::ifstream file(path);
+  const std::string text{std::istreambuf_iterator<char>(file), {}};
+  fs::remove(path);
+
+  EXPECT_EQ(error, "");
+  EXPECT_NE(text.find("\nLU,A,1024,2,1023,1234.5,2048.25\n"), std::string::npos)
+      << text;
+  const auto r = in.find(CouplingKey{"LU", "A", 1024, 2, 1023});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->chain_time, 1234.5);
+  EXPECT_EQ(r->isolated_sum, 2048.25);
 }
 
 TEST(DatabaseTest, LoadCsvFileNamesMissingPath) {

@@ -891,6 +891,59 @@ TEST_F(SnapshotSourceTest, BackgroundPollerPicksUpChanges) {
   EXPECT_EQ(source.current()->database().size(), 2 * FakeWorkload::kLoop);
 }
 
+TEST_F(SnapshotSourceTest, ConcurrentReadersOfCurrentAndDriftDuringReloads) {
+  // Readers take the published snapshot and drift report the way the
+  // server does, once per window, while this thread polls reloads.  Every
+  // pair they see is complete, and neither version ever goes back.
+  write_db({4});
+  serve::SnapshotSource source(path_.string(), {}, {false});
+  source.load();
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      std::uint64_t version = 0;
+      std::uint64_t drift_version = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto snapshot = source.current();
+        const auto drift = source.last_drift();
+        if (snapshot == nullptr || snapshot->version() < version ||
+            snapshot->database().size() % FakeWorkload::kLoop != 0) {
+          ++bad;
+        } else {
+          version = snapshot->version();
+        }
+        if (drift != nullptr) {
+          if (drift->to_version < drift_version ||
+              drift->from_version + 1 != drift->to_version) {
+            ++bad;
+          }
+          drift_version = drift->to_version;
+        }
+        ++reads;
+      }
+    });
+  }
+  for (int round = 1; round <= 12; ++round) {
+    if (round % 2 == 1) {
+      write_db({4, 16});
+    } else {
+      write_db({4});
+    }
+    EXPECT_TRUE(source.poll()) << "round " << round;
+  }
+  while (reads.load() < 2) std::this_thread::yield();
+  stop = true;
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(source.reloads(), 13u);
+  ASSERT_NE(source.last_drift(), nullptr);
+  EXPECT_EQ(source.last_drift()->to_version, source.current()->version());
+}
+
 // --- NPB bit-identity: served == in-process run_study -----------------------
 
 TEST(ServeNpb, PredictionsBitIdenticalToRunStudy) {

@@ -16,7 +16,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <random>
 #include <set>
@@ -513,13 +512,7 @@ TEST_F(SnapshotReuseTest, ConcurrentReadersDuringReusingReloads) {
   source.load();
 
   // Readers evaluate the published snapshot while each rebuild copies
-  // models and series out of that same snapshot.  They take it from this
-  // thread under a mutex rather than from current(): with GCC 12.2's
-  // libstdc++, ThreadSanitizer reports the std::atomic<std::shared_ptr>
-  // inside current() racing with the store of a reload (its load unlocks
-  // with memory_order_relaxed), which is not what this test checks.
-  std::mutex published_mutex;
-  std::shared_ptr<const serve::PredictorSnapshot> published = source.current();
+  // models and series out of that same snapshot.
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
   std::atomic<std::uint64_t> non_finite{0};
@@ -527,11 +520,7 @@ TEST_F(SnapshotReuseTest, ConcurrentReadersDuringReusingReloads) {
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        std::shared_ptr<const serve::PredictorSnapshot> snapshot;
-        {
-          const std::lock_guard<std::mutex> lock(published_mutex);
-          snapshot = published;
-        }
+        const auto snapshot = source.current();
         for (const auto& [app, models] : snapshot->fitted_models()) {
           for (const model::PiecewiseModel& m : models) {
             if (!std::isfinite(m.evaluate(24.0, 6.0))) ++non_finite;
@@ -546,9 +535,7 @@ TEST_F(SnapshotReuseTest, ConcurrentReadersDuringReusingReloads) {
     if (round % 3 == 0) suite_.perturbed[{"BB", "S", 4, 0}] = 1.0 + 0.1 * round;
     suite_.database(round).save_csv_file(path_);
     EXPECT_TRUE(source.poll()) << "round " << round;
-    const std::lock_guard<std::mutex> lock(published_mutex);
-    published = source.current();
-    reused_total += published->fits_reused();
+    reused_total += source.current()->fits_reused();
   }
   while (reads.load() == 0) std::this_thread::yield();
   stop = true;
