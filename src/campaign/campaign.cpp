@@ -65,17 +65,6 @@ double parse_double(std::size_t line_no, const std::string& key,
   return *v;
 }
 
-bool parse_bool(const std::string& key, const std::string& value) {
-  if (value == "on" || value == "true" || value == "1" || value == "yes") {
-    return true;
-  }
-  if (value == "off" || value == "false" || value == "0" || value == "no") {
-    return false;
-  }
-  throw std::runtime_error("campaign spec: bad boolean for '" + key + "': '" +
-                           value + "' (use on/off)");
-}
-
 }  // namespace
 
 CampaignTextSpec parse_campaign_text(std::istream& in) {
@@ -126,8 +115,6 @@ CampaignTextSpec parse_campaign_text(std::istream& in) {
     } else if (key == "epilogue_repetitions") {
       spec.measurement.epilogue_repetitions =
           int_value(Min::kEpilogueRepetitions);
-    } else if (key == "pool") {
-      spec.pool_handles = parse_bool(key, value);
     } else if (key == "workers") {
       spec.workers = static_cast<std::size_t>(int_value(Min::kWorkers));
     } else if (key == "machine") {
@@ -176,7 +163,6 @@ std::string to_text(const CampaignTextSpec& spec) {
   out << "epilogue_repetitions = " << spec.measurement.epilogue_repetitions
       << '\n';
   out << "workers = " << spec.workers << '\n';
-  out << "pool = " << (spec.pool_handles ? "on" : "off") << '\n';
   out << "machine = " << spec.machine << '\n';
   out << "retry_rsd = " << support::format_double(spec.retry.max_relative_stddev)
       << '\n';

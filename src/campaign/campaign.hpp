@@ -18,9 +18,8 @@ namespace kcoup::campaign {
 
 /// Type-erased ownership of whatever backs a LoopApplication (a ModeledApp,
 /// a timed-app bundle, a test fixture...).  The executor keeps one instance
-/// per claimed study cell and resets it between that cell's tasks — or one
-/// fresh instance per task with pooling disabled — so concurrent tasks
-/// never share mutable machine state.
+/// per claimed study cell and resets it between that cell's tasks, so
+/// concurrent tasks never share mutable machine state.
 class AppHandle {
  public:
   AppHandle(std::shared_ptr<void> owner, const coupling::LoopApplication* app)
@@ -35,8 +34,9 @@ class AppHandle {
 
 /// Builds a fresh, independent application instance.  Must be safe to call
 /// concurrently from multiple threads; every returned instance must be
-/// deterministic under reset() for the serial and concurrent campaign paths
-/// to agree.
+/// deterministic under reset(), because the executor runs all of a claimed
+/// unit's tasks on one instance and the serial and concurrent campaign
+/// paths must agree.
 using AppFactory = std::function<AppHandle()>;
 
 /// Wrap an owner exposing `const LoopApplication& app()` (e.g. a
@@ -81,12 +81,6 @@ struct CampaignSpec {
   std::vector<std::size_t> chain_lengths;  ///< e.g. {2, 3, 4}
   coupling::MeasurementOptions measurement;
   RetryPolicy retry;
-  /// Reuse one application instance per claimed (application, config,
-  /// ranks) cell, reset between tasks, instead of constructing a fresh
-  /// instance for every task.  Sound because every harness measurement
-  /// begins with app.reset(); disable to force the fresh-instance-per-task
-  /// behaviour (e.g. for factories whose instances are not reset-stable).
-  bool pool_handles = true;
   /// Deterministic fault injection (off by default).  When enabled, the
   /// executor throws or perturbs the selected tasks; selection is a pure
   /// function of (faults.seed, TaskKey), so the same plan fails the same
@@ -103,8 +97,8 @@ struct CampaignSpec {
 /// Application names stay as strings; the caller resolves them to factories
 /// (the CLI builds modeled NPB apps).  Format: one `key = value` per line,
 /// `#` comments, lists comma-separated.  Keys: apps, classes, procs, chains,
-/// repetitions, warmup, epilogue_repetitions, workers, pool, machine,
-/// retry_rsd, retry_max.
+/// repetitions, warmup, epilogue_repetitions, workers, machine, retry_rsd,
+/// retry_max.
 struct CampaignTextSpec {
   std::vector<std::string> applications;        ///< e.g. {"bt", "sp"}
   std::vector<std::string> configs;             ///< e.g. {"W", "A"}
@@ -113,7 +107,6 @@ struct CampaignTextSpec {
   coupling::MeasurementOptions measurement;
   RetryPolicy retry;
   std::size_t workers = 0;  ///< 0 = hardware concurrency
-  bool pool_handles = true;
   std::string machine = "ibm-sp";
 };
 
@@ -157,7 +150,7 @@ struct CampaignMetrics {
   std::size_t tasks_retried = 0;       ///< extra attempts beyond the first
   std::size_t tasks_failed = 0;        ///< tasks that exhausted the retry budget
   std::size_t handles_created = 0;     ///< factory calls by the executor
-  std::size_t handles_reused = 0;      ///< tasks served from a handle pool
+  std::size_t handles_reused = 0;      ///< tasks run on their unit's instance
   double plan_s = 0.0;
   double measure_s = 0.0;
   double assemble_s = 0.0;

@@ -57,8 +57,7 @@ struct FailureSink {
 
 /// The application instance one unit's tasks share.  A unit runs on one
 /// thread, so acquisition needs no locking; reuse is sound because every
-/// harness measurement starts with app.reset().  With pooling off every
-/// task builds its own instance, and `created` counts those.
+/// harness measurement starts with app.reset().
 struct UnitHandle {
   std::optional<AppHandle> handle;
   std::size_t created = 0;
@@ -140,23 +139,18 @@ TaskOutcome measure_task(const CampaignSpec& spec, const MeasurementTask& task,
   return out;
 }
 
-/// One measurement attempt: acquire (or build) the application instance and
-/// measure.  Construction faults fire here, before the unit's instance is
-/// consulted, so an injected construction throw is independent of pooling
-/// state.
+/// One measurement attempt: acquire the unit's application instance (built
+/// on first use) and measure.  Construction faults fire here, before the
+/// unit's instance is consulted, so an injected construction throw does not
+/// depend on whether an earlier task of the unit built it.
 TaskOutcome run_task_once(const CampaignSpec& spec,
                           const MeasurementTask& task, UnitHandle& unit,
                           const FaultSimulator* faults, int attempt_budget) {
   if (faults != nullptr && faults->construct_throws(task.key)) {
     throw FaultInjected(FaultKind::kConstructThrow, task.key);
   }
-  if (spec.pool_handles) {
-    return measure_task(spec, task, unit.acquire(spec, task), faults,
-                        attempt_budget);
-  }
-  AppHandle handle = spec.studies[task.study].factory();
-  ++unit.created;
-  return measure_task(spec, task, handle, faults, attempt_budget);
+  return measure_task(spec, task, unit.acquire(spec, task), faults,
+                      attempt_budget);
 }
 
 /// Run one task end to end with failure isolation: exceptions from the
@@ -223,8 +217,8 @@ struct Schedule {
 
 Schedule schedule(const std::vector<MeasurementTask>& tasks,
                   std::size_t workers) {
-  // A cell is what a pooled instance serves: the (application, config,
-  // ranks) triple.  Ids follow first appearance; planned tasks come cell by
+  // A cell is what one instance serves: the (application, config, ranks)
+  // triple.  Ids follow first appearance; planned tasks come cell by
   // cell, so the map is only consulted where the cell changes.
   using Cell = std::tuple<std::string_view, std::string_view, int>;
   auto cell = [&tasks](std::size_t i) {

@@ -59,7 +59,7 @@ struct TaskSetResult {
 };
 
 /// Raw task-set execution: run exactly `tasks` — no planning, no assembly —
-/// with the same claim loop, handle pooling, retry, fault-injection and
+/// with the same claim loop, instance reuse, retry, fault-injection and
 /// failure-isolation semantics as execute_plan().  Task values are
 /// bit-identical to what execute_plan would measure for the same keys: every
 /// task starts from a reset application, so executing a subset (a shard's
@@ -101,11 +101,9 @@ void record_campaign(const CampaignSpec& spec, const CampaignResult& result,
 /// A worker runs a claimed cell's tasks back to back on one application
 /// instance (every measurement starts from app.reset(), so instances are
 /// interchangeable): with at least as many cells as workers, one instance
-/// is built per cell.  Set CampaignSpec::pool_handles = false to
-/// instantiate a fresh application per task instead.  Assembly is
-/// deterministic — the same StudyResults regardless of worker count,
-/// pooling or claim order, and bit-identical to coupling::run_study() on
-/// each cell.
+/// is built per cell.  Assembly is deterministic — the same StudyResults
+/// regardless of worker count or claim order, and bit-identical to
+/// coupling::run_study() on each cell.
 ///
 /// Failure isolation: a task whose acquisition or measurement throws is
 /// retried up to CampaignSpec::retry.max_attempts total attempts, then

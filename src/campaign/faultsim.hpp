@@ -39,7 +39,7 @@ struct FaultInjection {
 /// A deterministic fault schedule for a campaign.  Seeded selection is a
 /// pure function of (seed, TaskKey): each rate independently marks the
 /// tasks whose per-key hash falls below it, so the same seed faults the
-/// same cells regardless of worker count, pooling, or submission order —
+/// same cells regardless of worker count or claim order —
 /// every failure is reproducible under `kcoup campaign --fault-seed`.
 /// Explicit `injections` target planner-chosen keys exactly.
 struct FaultPlan {

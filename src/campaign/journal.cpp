@@ -35,26 +35,27 @@ std::optional<JournalEntry> parse_journal_line(const std::string& line) {
   const auto application = record->string("application");
   const auto config = record->string("config");
   const auto kind_name = record->string("kind");
-  const auto ranks = record->number("ranks");
-  const auto index = record->number("index");
-  const auto length = record->number("length");
   const auto value = record->number("value");
-  const auto attempts = record->number("attempts");
-  if (!application || !config || !kind_name || !ranks || !index || !length ||
-      !value || !attempts) {
+  JournalEntry entry;
+  // An integer field must be present and fit its type: casting a double
+  // outside the type's range is undefined behaviour.
+  const auto integer = [&record](const char* name, auto* out) {
+    return record->number(name).has_value() &&
+           support::json::read_integer(*record, name, out);
+  };
+  if (!application || !config || !kind_name || !value ||
+      !integer("ranks", &entry.key.ranks) ||
+      !integer("index", &entry.key.index) ||
+      !integer("length", &entry.key.length) ||
+      !integer("attempts", &entry.attempts)) {
     return std::nullopt;
   }
   const auto kind = parse_task_kind(*kind_name);
   if (!kind) return std::nullopt;
-  JournalEntry entry;
   entry.key.application = *application;
   entry.key.config = *config;
-  entry.key.ranks = static_cast<int>(*ranks);
   entry.key.kind = *kind;
-  entry.key.index = static_cast<std::size_t>(*index);
-  entry.key.length = static_cast<std::size_t>(*length);
   entry.value = *value;
-  entry.attempts = static_cast<int>(*attempts);
   if (const auto error = record->string("error")) entry.error = *error;
   return entry;
 }

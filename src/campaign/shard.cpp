@@ -130,21 +130,6 @@ std::size_t read_shard_count(const std::string& dir) {
   return static_cast<std::size_t>(value);
 }
 
-ShardProgress shard_progress(const std::string& dir, std::size_t shard) {
-  ShardProgress progress;
-  progress.shard = shard;
-  const std::string path = shard_journal_path(dir, shard);
-  const JournalLoad load = load_journal_file(path);
-  progress.exists = load.exists;
-  progress.completed = load.completed.size();
-  progress.failed = load.failed.size();
-  progress.malformed = load.malformed;
-  progress.torn_tail = load.torn_tail;
-  progress.age_s = load.exists ? journal_age_s(path)
-                               : std::numeric_limits<double>::infinity();
-  return progress;
-}
-
 ShardResult run_shard(const CampaignSpec& spec, const ShardOptions& options,
                       std::size_t workers, obs::MetricsRegistry* registry) {
   if (options.shards < 1) {

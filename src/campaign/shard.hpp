@@ -58,23 +58,6 @@ struct ShardOptions {
   double steal_after_s = 0.0;
 };
 
-/// Watermark view of one shard's journal: how far it has progressed and how
-/// stale it is.  `age_s` is the time since the journal file last grew —
-/// infinite when the file does not exist.
-struct ShardProgress {
-  std::size_t shard = 0;
-  bool exists = false;
-  std::size_t completed = 0;
-  std::size_t failed = 0;
-  std::size_t malformed = 0;
-  bool torn_tail = false;
-  double age_s = 0.0;
-};
-
-/// Read the watermark of shard `shard`'s journal under `dir`.
-[[nodiscard]] ShardProgress shard_progress(const std::string& dir,
-                                           std::size_t shard);
-
 /// What one shard process did.  `failures` covers only the tasks this
 /// process executed (own partition plus stolen work); other shards' results
 /// live in their journals until merge_shards() joins them.

@@ -44,8 +44,6 @@ class Poller {
   /// EINTR is retried internally.
   std::size_t wait(std::vector<Event>* out, int timeout_ms);
 
-  [[nodiscard]] bool using_epoll() const { return epoll_fd_ >= 0; }
-
  private:
   int epoll_fd_ = -1;  ///< -1 = poll(2) backend
   /// poll(2) backend state: the registered interest set.

@@ -10,7 +10,7 @@ namespace kcoup::serve {
 
 QueryEngine::QueryEngine(const Workload* workload, EngineOptions options)
     : workload_(workload),
-      cells_(options.cache_capacity, options.cache_shards) {}
+      cells_(options.cache_capacity, kCacheShards) {}
 
 std::optional<CellInputs> QueryEngine::cell(const std::string& application,
                                             const std::string& config,

@@ -60,7 +60,6 @@ struct EngineOptions {
   /// Cell-memo capacity ((application, config, ranks) entries); 0 disables
   /// memoization — every query re-measures, bit-identically.
   std::size_t cache_capacity = 1024;
-  std::size_t cache_shards = 8;
 };
 
 /// The read side of the prediction service.  Stateless with respect to any
@@ -125,6 +124,9 @@ class QueryEngine {
   };
 
   bool cell_into(const CellKey& key, CellInputs* out, bool* was_hit);
+
+  /// Lock stripes of the cell memo.
+  static constexpr std::size_t kCacheShards = 8;
 
   const Workload* workload_;
   ShardedLruCache<CellKey, CellInputs, CellKeyHash> cells_;

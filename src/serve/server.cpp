@@ -19,7 +19,6 @@
 
 #include "obs/prom.hpp"
 #include "serve/protocol.hpp"
-#include "support/arena.hpp"
 #include "support/num_format.hpp"
 
 namespace kcoup::serve {
@@ -375,27 +374,21 @@ void Server::handle_window(Shard& shard, Conn& conn,
   const auto t0 = std::chrono::steady_clock::now();
   ShardWindows& windows = *windows_[shard.index];
 
-  // Per-shard-thread arena backing the window's frame/query vectors: after
-  // a few windows the arena settles at the high-water size and the window
-  // setup stops allocating.  reset() at entry recycles the previous
-  // window's blocks — its vectors were destroyed when the previous call
-  // returned (deallocate is a no-op, so destruction order is free).
-  thread_local support::MonotonicArena window_arena;
-  window_arena.reset();
-
   // Parse every frame up front so the whole window's queries can share one
   // snapshot acquisition and one engine call; each frame keeps a [offset,
-  // offset+count) view into the shared result vector.
+  // offset+count) view into the shared result vector.  The vectors belong
+  // to the shard thread and are cleared here, so once they have grown to a
+  // window's high-water size the setup stops allocating.
   struct Frame {
     std::optional<Request> request;
     std::size_t offset = 0;
     std::size_t count = 0;
   };
-  std::vector<Frame, support::ArenaAllocator<Frame>> frames(
-      payloads.size(), support::ArenaAllocator<Frame>(&window_arena));
-  std::vector<QueryKey, support::ArenaAllocator<QueryKey>> queries{
-      support::ArenaAllocator<QueryKey>(&window_arena)};
-  queries.reserve(payloads.size());
+  thread_local std::vector<Frame> frames;
+  thread_local std::vector<QueryKey> queries;
+  frames.clear();
+  frames.resize(payloads.size());
+  queries.clear();
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     frames[i].request = parse_request(payloads[i]);
     const auto& request = frames[i].request;

@@ -159,6 +159,16 @@ else()
   elseif(CASE STREQUAL "kcoup_cli_rejects_zero_campaign_chains")
     refused(1 "kcoup campaign: --chains must be >= 1, got 0"
             campaign ${campaign_cell} --serial --chains 0)
+  # Every claimed cell runs on one instance; there is no switch to build a
+  # fresh one per task, on the command line or in a spec file.
+  elseif(CASE STREQUAL "kcoup_cli_rejects_no_pool_flag")
+    refused(1 "kcoup campaign: unknown flag --no-pool"
+            campaign ${campaign_cell} --no-pool --serial)
+  elseif(CASE STREQUAL "kcoup_cli_rejects_pool_spec_key")
+    file(WRITE "${OUT}/pool.spec"
+         "apps = bt\nclasses = S\nprocs = 4\npool = off\n")
+    refused(1 "kcoup campaign: campaign spec line 4: unknown key 'pool'"
+            campaign --spec pool.spec --serial)
   # A chain length given twice measured and printed every coupling twice.
   elseif(CASE STREQUAL "kcoup_cli_rejects_repeated_study_chains")
     refused(1 "kcoup study: plan_campaign: chain length 2 given twice"

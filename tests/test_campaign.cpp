@@ -287,23 +287,19 @@ TEST(CampaignMultiWorkerTest, PoolingOnOrOffIsBitIdenticalToSerial) {
   CampaignSpec duplicated = four;
   duplicated.studies.push_back(duplicated.studies.front());
 
-  for (CampaignSpec* spec : {&four, &one, &duplicated}) {
+  for (const CampaignSpec* spec : {&four, &one, &duplicated}) {
     const std::vector<coupling::StudyResult> expected =
         serial_reference(*spec);
-    for (bool pooled : {true, false}) {
-      spec->pool_handles = pooled;
-      for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-        const CampaignResult result = run_campaign(*spec, workers);
-        ASSERT_EQ(result.studies.size(), expected.size());
-        EXPECT_EQ(result.metrics.handles_created + result.metrics.handles_reused,
-                  result.metrics.tasks_executed);
-        for (std::size_t s = 0; s < expected.size(); ++s) {
-          SCOPED_TRACE("cells=" + std::to_string(spec->studies.size()) +
-                       " pooled=" + std::to_string(pooled) +
-                       " workers=" + std::to_string(workers) +
-                       " study=" + std::to_string(s));
-          expect_identical(result.studies[s], expected[s]);
-        }
+    for (std::size_t workers : {1u, 2u, 3u, 8u}) {
+      const CampaignResult result = run_campaign(*spec, workers);
+      ASSERT_EQ(result.studies.size(), expected.size());
+      EXPECT_EQ(result.metrics.handles_created + result.metrics.handles_reused,
+                result.metrics.tasks_executed);
+      for (std::size_t s = 0; s < expected.size(); ++s) {
+        SCOPED_TRACE("cells=" + std::to_string(spec->studies.size()) +
+                     " workers=" + std::to_string(workers) +
+                     " study=" + std::to_string(s));
+        expect_identical(result.studies[s], expected[s]);
       }
     }
   }
@@ -334,23 +330,17 @@ TEST(CampaignMultiWorkerTest, HandlePoolMetricsAccountForEveryTask) {
   spec.studies.push_back(synthetic_cell("A", 1, 4, 1.0));
   spec.studies.push_back(synthetic_cell("B", 1, 4, 2.0));
 
-  // Pooled: every task either created a handle or reused one, and each
-  // (worker, cell) pair creates at most one handle.
+  // Every task either created a handle or reused one, and each (worker,
+  // cell) pair creates at most one handle.
   for (std::size_t workers : {1u, 3u}) {
-    const CampaignResult pooled = run_campaign(spec, workers);
-    EXPECT_EQ(pooled.metrics.handles_created + pooled.metrics.handles_reused,
-              pooled.metrics.tasks_executed);
-    EXPECT_GE(pooled.metrics.handles_created, spec.studies.size());
-    EXPECT_LE(pooled.metrics.handles_created,
-              pooled.metrics.workers * spec.studies.size());
-    EXPECT_GT(pooled.metrics.handles_reused, 0u);
+    const CampaignResult result = run_campaign(spec, workers);
+    EXPECT_EQ(result.metrics.handles_created + result.metrics.handles_reused,
+              result.metrics.tasks_executed);
+    EXPECT_GE(result.metrics.handles_created, spec.studies.size());
+    EXPECT_LE(result.metrics.handles_created,
+              result.metrics.workers * spec.studies.size());
+    EXPECT_GT(result.metrics.handles_reused, 0u);
   }
-
-  // Pooling disabled: one fresh handle per task, nothing reused.
-  spec.pool_handles = false;
-  const CampaignResult fresh = run_campaign(spec, 3);
-  EXPECT_EQ(fresh.metrics.handles_created, fresh.metrics.tasks_executed);
-  EXPECT_EQ(fresh.metrics.handles_reused, 0u);
 }
 
 TEST(CampaignMultiWorkerTest, TaskTimeMetricsAreCoherent) {
@@ -365,8 +355,8 @@ TEST(CampaignMultiWorkerTest, TaskTimeMetricsAreCoherent) {
 
 // --- Executor error path -----------------------------------------------------
 
-/// Counts live instances so tests can prove the executor's handle pools are
-/// fully drained — success or error.
+/// Counts live instances so tests can prove the executor releases every
+/// instance it builds — success or error.
 struct CountedOwner {
   inline static std::atomic<int> live{0};
   SyntheticApp inner;
@@ -637,7 +627,6 @@ TEST(CampaignTextSpecTest, ParsesFullSpec) {
       "warmup = 1\n"
       "workers = 8\n"
       "epilogue_repetitions = 7\n"
-      "pool = off\n"
       "machine = generic-smp\n"
       "retry_rsd = 0.25\n"
       "retry_max = 4\n");
@@ -649,7 +638,6 @@ TEST(CampaignTextSpecTest, ParsesFullSpec) {
   EXPECT_EQ(spec.measurement.repetitions, 10);
   EXPECT_EQ(spec.measurement.warmup, 1);
   EXPECT_EQ(spec.measurement.epilogue_repetitions, 7);
-  EXPECT_FALSE(spec.pool_handles);
   EXPECT_EQ(spec.workers, 8u);
   EXPECT_EQ(spec.machine, "generic-smp");
   EXPECT_DOUBLE_EQ(spec.retry.max_relative_stddev, 0.25);
@@ -662,7 +650,6 @@ TEST(CampaignTextSpecTest, DefaultsAndMinimalSpec) {
   EXPECT_EQ(spec.chain_lengths, (std::vector<std::size_t>{2}));
   EXPECT_EQ(spec.measurement.repetitions, 50);
   EXPECT_EQ(spec.measurement.epilogue_repetitions, 3);
-  EXPECT_TRUE(spec.pool_handles);
   EXPECT_EQ(spec.workers, 0u);
   EXPECT_EQ(spec.machine, "ibm-sp");
 }
@@ -735,7 +722,6 @@ TEST(CampaignTextSpecTest, ToTextRoundTripsEveryField) {
     spec.measurement.warmup = static_cast<int>(rng() % 10);
     spec.measurement.epilogue_repetitions = 1 + static_cast<int>(rng() % 5);
     spec.workers = rng() % 16;
-    spec.pool_handles = rng() % 2 == 0;
     spec.machine = machine_pool[rng() % machine_pool.size()];
     // Awkward doubles: tiny, huge, and full-precision irrational-ish.
     const double rsd_pool[] = {0.0, 1e-300, 0.1, 1.0 / 3.0, 2.5e17,
@@ -754,7 +740,6 @@ TEST(CampaignTextSpecTest, ToTextRoundTripsEveryField) {
     EXPECT_EQ(parsed.measurement.epilogue_repetitions,
               spec.measurement.epilogue_repetitions);
     EXPECT_EQ(parsed.workers, spec.workers);
-    EXPECT_EQ(parsed.pool_handles, spec.pool_handles);
     EXPECT_EQ(parsed.machine, spec.machine);
     EXPECT_EQ(parsed.retry.max_relative_stddev,
               spec.retry.max_relative_stddev);
@@ -781,10 +766,6 @@ TEST(CampaignTextSpecTest, RejectsMalformedInput) {
   }
   {
     std::istringstream in("just some words\n");
-    EXPECT_THROW(parse_campaign_text(in), std::runtime_error);
-  }
-  {
-    std::istringstream in("apps=bt\nclasses=S\nprocs=4\npool=maybe\n");
     EXPECT_THROW(parse_campaign_text(in), std::runtime_error);
   }
   {

@@ -1,7 +1,7 @@
 // Fault-injection matrix and checkpoint/resume tests for the campaign
-// executor: every injection kind at every worker count with pooling on and
-// off, seeded-selection determinism, and the kill-then-resume round trip
-// through the JSONL task journal.
+// executor: every injection kind at every worker count, seeded-selection
+// determinism, and the kill-then-resume round trip through the JSONL task
+// journal.
 
 #include <gtest/gtest.h>
 
@@ -158,47 +158,43 @@ TEST(CampaignFaultMatrixTest, EveryKindWorkersPoolingCombination) {
       spec.retry.max_attempts = 3;
     }
     for (const std::size_t workers : {1u, 2u, 8u}) {
-      for (const bool pooled : {true, false}) {
-        SCOPED_TRACE(std::string(to_string(kind)) +
-                     " workers=" + std::to_string(workers) +
-                     " pooled=" + std::to_string(pooled));
-        spec.pool_handles = pooled;
-        const CampaignResult result = run_campaign(spec, workers);
-        EXPECT_EQ(CountedOwner::live.load(), 0) << "leaked handles";
+      SCOPED_TRACE(std::string(to_string(kind)) +
+                   " workers=" + std::to_string(workers));
+      const CampaignResult result = run_campaign(spec, workers);
+      EXPECT_EQ(CountedOwner::live.load(), 0) << "leaked handles";
 
-        if (kind == FaultKind::kNoiseSpike) {
-          EXPECT_TRUE(result.complete());
-          EXPECT_EQ(result.metrics.tasks_failed, 0u);
-          EXPECT_GT(result.metrics.tasks_retried, 0u);
-          continue;
-        }
+      if (kind == FaultKind::kNoiseSpike) {
+        EXPECT_TRUE(result.complete());
+        EXPECT_EQ(result.metrics.tasks_failed, 0u);
+        EXPECT_GT(result.metrics.tasks_retried, 0u);
+        continue;
+      }
 
-        // Throw kinds: exactly the targeted tasks fail, nothing else.
-        EXPECT_FALSE(result.complete());
-        ASSERT_EQ(result.failures.size(), targets.size());
-        std::set<TaskKey> failed;
-        for (const TaskFailure& f : result.failures) {
-          failed.insert(f.key);
-          EXPECT_EQ(f.attempts, spec.retry.max_attempts) << to_string(f.key);
-          EXPECT_NE(f.what.find(to_string(kind)), std::string::npos)
-              << f.what;
-        }
-        EXPECT_EQ(failed, target_set);
-        EXPECT_EQ(result.metrics.tasks_failed, targets.size());
+      // Throw kinds: exactly the targeted tasks fail, nothing else.
+      EXPECT_FALSE(result.complete());
+      ASSERT_EQ(result.failures.size(), targets.size());
+      std::set<TaskKey> failed;
+      for (const TaskFailure& f : result.failures) {
+        failed.insert(f.key);
+        EXPECT_EQ(f.attempts, spec.retry.max_attempts) << to_string(f.key);
+        EXPECT_NE(f.what.find(to_string(kind)), std::string::npos)
+            << f.what;
+      }
+      EXPECT_EQ(failed, target_set);
+      EXPECT_EQ(result.metrics.tasks_failed, targets.size());
 
-        // Unfaulted isolated means stay bit-identical to the clean run.
-        for (std::size_t s = 0; s < clean.studies.size(); ++s) {
-          const CampaignStudy& cell = base.studies[s];
-          for (std::size_t k = 0;
-               k < clean.studies[s].isolated_means.size(); ++k) {
-            const TaskKey key{cell.application, cell.config, cell.ranks,
-                              TaskKind::kChain, k, 1};
-            if (target_set.count(key)) {
-              EXPECT_TRUE(std::isnan(result.studies[s].isolated_means[k]));
-            } else {
-              EXPECT_EQ(result.studies[s].isolated_means[k],
-                        clean.studies[s].isolated_means[k]);
-            }
+      // Unfaulted isolated means stay bit-identical to the clean run.
+      for (std::size_t s = 0; s < clean.studies.size(); ++s) {
+        const CampaignStudy& cell = base.studies[s];
+        for (std::size_t k = 0;
+             k < clean.studies[s].isolated_means.size(); ++k) {
+          const TaskKey key{cell.application, cell.config, cell.ranks,
+                            TaskKind::kChain, k, 1};
+          if (target_set.count(key)) {
+            EXPECT_TRUE(std::isnan(result.studies[s].isolated_means[k]));
+          } else {
+            EXPECT_EQ(result.studies[s].isolated_means[k],
+                      clean.studies[s].isolated_means[k]);
           }
         }
       }
@@ -220,15 +216,11 @@ TEST(CampaignFaultMatrixTest, SeededSelectionIsIdenticalAcrossExecutions) {
       << "seed faulted everything; pick another";
 
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    for (const bool pooled : {true, false}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " pooled=" + std::to_string(pooled));
-      spec.pool_handles = pooled;
-      const CampaignResult result = run_campaign(spec, workers);
-      std::vector<TaskKey> failed;
-      for (const TaskFailure& f : result.failures) failed.push_back(f.key);
-      EXPECT_EQ(failed, expected);
-    }
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const CampaignResult result = run_campaign(spec, workers);
+    std::vector<TaskKey> failed;
+    for (const TaskFailure& f : result.failures) failed.push_back(f.key);
+    EXPECT_EQ(failed, expected);
   }
 }
 

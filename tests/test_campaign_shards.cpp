@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -387,20 +388,76 @@ TEST(TornJournalTest, BitFlipsOfAFailureRecordReturnWithoutCrashing) {
   EXPECT_LT(parsed, line.size() * 8);
 }
 
+/// journal_line(entry) with the value of `field` replaced by `text`.
+std::string with_field(const JournalEntry& entry, const std::string& field,
+                       const std::string& text) {
+  std::string line = journal_line(entry);
+  const std::string tag = "\"" + field + "\":";
+  const std::size_t at = line.find(tag) + tag.size();
+  return line.replace(at, line.find_first_of(",}", at) - at, text);
+}
+
 TEST(TornJournalTest, MidStreamGarbageIsMalformedNotTorn) {
+  const JournalEntry first{TaskKey{"A", "C", 1, TaskKind::kChain, 0, 1}, 1.0,
+                           1, ""};
   std::ostringstream file;
-  file << journal_line(JournalEntry{
-              TaskKey{"A", "C", 1, TaskKind::kChain, 0, 1}, 1.0, 1, ""})
-       << '\n'
+  file << journal_line(first) << '\n'
        << "{\"application\":\"A\",\"conf" << '\n'  // torn... but not last
+       << with_field(first, "ranks", "1e300") << '\n'  // whole, ranks no int
        << journal_line(JournalEntry{
               TaskKey{"A", "C", 1, TaskKind::kChain, 1, 1}, 2.0, 1, ""})
        << '\n';
   std::istringstream in(file.str());
   const JournalLoad load = load_journal_entries(in);
   EXPECT_EQ(load.completed.size(), 2u);
-  EXPECT_EQ(load.malformed, 1u);
+  EXPECT_EQ(load.malformed, 2u);
   EXPECT_FALSE(load.torn_tail);
+  std::istringstream resume(file.str());
+  EXPECT_EQ(load_journal(resume).size(), 2u);
+}
+
+TEST(JournalIntegerFieldTest, ValuesPastEachFieldsRangeAreRefused) {
+  const JournalEntry entry{TaskKey{"A", "C", 4, TaskKind::kChain, 1, 2}, 0.5,
+                           1, ""};
+  ASSERT_TRUE(parse_journal_line(with_field(entry, "ranks", "4")).has_value());
+  struct Field {
+    const char* name;
+    const char* below_min;
+    const char* above_max;
+  };
+  // ranks and attempts are int; index and length are std::size_t.
+  for (const Field& f : {Field{"ranks", "-2147483649", "2147483648"},
+                         Field{"attempts", "-2147483649", "2147483648"},
+                         Field{"index", "-1", "18446744073709551616"},
+                         Field{"length", "-1", "18446744073709551616"}}) {
+    for (const char* text : {f.below_min, f.above_max, "1e300", "-1e300"}) {
+      SCOPED_TRACE(std::string(f.name) + " = " + text);
+      EXPECT_FALSE(
+          parse_journal_line(with_field(entry, f.name, text)).has_value());
+    }
+  }
+}
+
+TEST(JournalIntegerFieldTest, EachFieldsRangeEndsRoundTrip) {
+  constexpr int kIntMin = std::numeric_limits<int>::min();
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  // The largest std::size_t a double holds exactly: 2^64 - 2^11.
+  constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max() -
+                                   std::size_t{2047};
+  for (const JournalEntry& entry :
+       {JournalEntry{TaskKey{"A", "C", kIntMin, TaskKind::kChain, 0, 0}, 0.5,
+                     kIntMin, ""},
+        JournalEntry{TaskKey{"A", "C", kIntMax, TaskKind::kChain, kSizeMax,
+                             kSizeMax},
+                     0.5, kIntMax, "boom"}}) {
+    const std::string line = journal_line(entry);
+    SCOPED_TRACE(line);
+    const auto back = parse_journal_line(line);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->key, entry.key);
+    EXPECT_EQ(back->attempts, entry.attempts);
+    EXPECT_EQ(back->error, entry.error);
+  }
 }
 
 TEST(TornJournalTest, MergeReportsTornTailAndStealsTheLostTask) {

@@ -723,8 +723,8 @@ TEST_F(QueryEngineFake, MemoizesCellMeasurements) {
 
 TEST_F(QueryEngineFake, CacheOnAndOffAreBitIdentical) {
   const serve::PredictorSnapshot snapshot(db_, 1, {}, {false});
-  serve::QueryEngine cached(&workload_, {1024, 8});
-  serve::QueryEngine uncached(&workload_, {0, 8});
+  serve::QueryEngine cached(&workload_, {1024});
+  serve::QueryEngine uncached(&workload_, {0});
   for (int ranks : {4, 6, 16}) {
     const serve::QueryKey q{"APP", "X", ranks, 2};
     const auto a = cached.predict(snapshot, q);
@@ -745,14 +745,21 @@ TEST_F(QueryEngineFake, CacheOnAndOffAreBitIdentical) {
 
 TEST_F(QueryEngineFake, EvictsAtCapacity) {
   const serve::PredictorSnapshot snapshot(db_, 1, {}, {false});
-  serve::QueryEngine engine(&workload_, {1, 1});  // one-entry cache
-  ASSERT_TRUE(engine.predict(snapshot, {"APP", "X", 4, 2}).ok);
-  ASSERT_TRUE(engine.predict(snapshot, {"APP", "X", 16, 2}).ok);
-  ASSERT_TRUE(engine.predict(snapshot, {"APP", "X", 4, 2}).ok);
+  // Eight entries over the engine's eight lock stripes is one per stripe,
+  // so nine cells evict at least one, whichever stripes they hash to.
+  serve::QueryEngine engine(&workload_, {8});
+  const std::vector<int> ranks{1, 2, 3, 4, 6, 7, 8, 9, 10};  // P=5 invalid
+  for (int p : ranks) {
+    ASSERT_TRUE(engine.predict(snapshot, {"APP", "X", p, 2}).ok);
+  }
   const serve::CacheStats stats = engine.cache_stats();
   EXPECT_GE(stats.evictions, 1u);
-  EXPECT_LE(stats.size, 1u);
-  EXPECT_EQ(workload_.measured_cells(), 3);  // third call re-measured
+  EXPECT_LE(stats.size, 8u);
+  for (int p : ranks) {
+    ASSERT_TRUE(engine.predict(snapshot, {"APP", "X", p, 2}).ok);
+  }
+  // An evicted cell is measured again on its next query.
+  EXPECT_GT(workload_.measured_cells(), static_cast<int>(ranks.size()));
 }
 
 // --- SnapshotSource: hot reload ---------------------------------------------

@@ -47,7 +47,6 @@ campaign::CampaignSpec build_campaign_spec(
   spec.chain_lengths = text.chain_lengths;
   spec.measurement = text.measurement;
   spec.retry = text.retry;
-  spec.pool_handles = text.pool_handles;
   spec.faults = faults;
   for (const npb::Benchmark bench : benches) {
     for (const npb::ProblemClass cls : classes) {
@@ -180,7 +179,6 @@ int cmd_campaign(const Flags& flags) {
       flags.integer("retry-max", text.retry.max_attempts, Min::kRetryMax);
   const bool serial = flags.flag("serial");
   const bool quiet = flags.flag("quiet");
-  if (flags.flag("no-pool")) text.pool_handles = false;
   const auto db_path = flags.maybe("db");
   const MetricsExport metrics_out(flags);
   const auto journal_path = flags.maybe("journal");

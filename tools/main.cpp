@@ -30,7 +30,7 @@ void usage() {
       "  kcoup campaign    --apps bt,sp --classes S,W --procs 4,9\n"
       "                    [--chains 2,3] [--workers N | --serial] [--quiet]\n"
       "                    [--spec file] [--reps R] [--warmup W]\n"
-      "                    [--epilogue-reps R] [--no-pool]\n"
+      "                    [--epilogue-reps R]\n"
       "                    [--retry-rsd F] [--retry-max N] [--db store.csv]\n"
       "                    [--metrics-csv path] [--metrics-jsonl path]\n"
       "                    [--journal path.jsonl]\n"
@@ -96,7 +96,7 @@ const std::vector<Command> kCommands = {
     {"transitions", cmd_transitions, {}},
     {"reuse", cmd_reuse, {}},
     {"parallel", cmd_parallel, {}},
-    {"campaign", cmd_campaign, {"serial", "quiet", "no-pool", "steal"}},
+    {"campaign", cmd_campaign, {"serial", "quiet", "steal"}},
     {"merge", cmd_merge, {"steal", "quiet"}, true},
     {"serve", cmd_serve, {"no-models", "quiet", "force-poll"}},
     {"pack", cmd_pack, {"verify", "quiet", "no-models"}, true, true},
