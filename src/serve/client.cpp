@@ -25,6 +25,9 @@ namespace {
 constexpr std::size_t kMaxResponseBytes = std::size_t{64} << 20;
 /// Most bytes one recv(2) asks for.
 constexpr std::size_t kRecvChunk = 64 * 1024;
+/// Queued requests go out once they reach this many bytes, even before a
+/// read asks for their answers, so a long burst never sits in memory whole.
+constexpr std::size_t kTransmitFlushBytes = 64 * 1024;
 
 bool send_all(int fd, const std::string& data) {
   std::size_t sent = 0;
@@ -47,7 +50,8 @@ Client::~Client() { close(); }
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       rx_(std::exchange(other.rx_, {})),
-      rx_pos_(std::exchange(other.rx_pos_, 0)) {}
+      rx_pos_(std::exchange(other.rx_pos_, 0)),
+      tx_(std::exchange(other.tx_, {})) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
@@ -55,6 +59,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     rx_ = std::exchange(other.rx_, {});
     rx_pos_ = std::exchange(other.rx_pos_, 0);
+    tx_ = std::exchange(other.tx_, {});
   }
   return *this;
 }
@@ -92,22 +97,35 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  rx_.clear();  // a later connect() must not replay this stream's bytes
+  // A later connect() must neither replay this stream's received bytes nor
+  // send its queued ones.
+  rx_.clear();
   rx_pos_ = 0;
+  tx_.clear();
+}
+
+bool Client::flush() {
+  if (tx_.empty()) return true;
+  const bool sent = send_all(fd_, tx_);
+  tx_.clear();
+  return sent;
 }
 
 std::optional<std::string> Client::read_frame() {
-  std::string payload;
+  std::string_view payload;
   for (;;) {
     switch (decode_frame(rx_, &rx_pos_, kMaxResponseBytes, &payload)) {
       case FrameDecodeStatus::kFrame:
-        return payload;
+        return std::string(payload);
       case FrameDecodeStatus::kNeedMore:
         break;
       case FrameDecodeStatus::kMalformed:
       case FrameDecodeStatus::kOversized:
         return std::nullopt;
     }
+    // About to wait for the peer: the requests queued while buffered
+    // responses were read leave now, together.
+    if (!flush()) return std::nullopt;
     rx_.erase(0, rx_pos_);
     rx_pos_ = 0;
     char chunk[kRecvChunk];
@@ -121,18 +139,23 @@ std::optional<std::string> Client::read_frame() {
 }
 
 std::optional<std::string> Client::roundtrip(const std::string& payload) {
-  return roundtrip_raw(encode_frame(payload));
+  if (fd_ < 0) return std::nullopt;
+  append_frame(tx_, payload);
+  if (!flush()) return std::nullopt;
+  return read_frame();
 }
 
 std::optional<std::string> Client::roundtrip_raw(const std::string& bytes) {
   if (fd_ < 0) return std::nullopt;
-  if (!send_all(fd_, bytes)) return std::nullopt;
+  tx_ += bytes;  // behind any queued requests: wire order is call order
+  if (!flush()) return std::nullopt;
   return read_frame();
 }
 
 bool Client::send_request(const std::string& payload) {
   if (fd_ < 0) return false;
-  return send_all(fd_, encode_frame(payload));
+  append_frame(tx_, payload);
+  return tx_.size() < kTransmitFlushBytes || flush();
 }
 
 void Client::set_trace_id(std::string id) {

@@ -11,10 +11,16 @@ namespace kcoup::serve {
 
 /// Minimal blocking client for the serve protocol (one frame out, one frame
 /// in).  Used by `kcoup query`, the server tests, and the throughput bench.
-/// Responses are read through the server's own frame decoder from a
-/// per-connection receive buffer, so pipelined responses that arrive in one
-/// segment cost one recv(2), and a response announcing more than 64 MiB is
-/// refused as soon as its length arrives, with nothing allocated for it.
+///
+/// Requests are queued in a per-connection transmit buffer and leave in one
+/// send(2) when a read must wait for the peer, in roundtrip() and
+/// roundtrip_raw(), and once 64 KiB are queued; so a pipelined window of
+/// requests reaches the server in one segment and wakes it once.  Responses
+/// are read through the server's own frame decoder from a per-connection
+/// receive buffer, so pipelined responses that arrive in one segment cost
+/// one recv(2), and a response announcing more than 64 MiB is refused as
+/// soon as its length arrives, with nothing allocated for it.  close() and
+/// connect() drop both buffers; a move carries them.
 /// Not thread-safe; open one Client per thread.
 class Client {
  public:
@@ -32,20 +38,28 @@ class Client {
   void close();
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
-  /// Send one framed payload and read one framed response.  Nullopt when
-  /// the connection drops (e.g. the server closed it after an error frame).
+  /// Send one framed payload, behind any queued requests, and read one
+  /// framed response.  Nullopt when the connection drops (e.g. the server
+  /// closed it after an error frame).
   [[nodiscard]] std::optional<std::string> roundtrip(
       const std::string& payload);
 
-  /// Send raw bytes with no framing — for malformed/oversized-frame tests.
-  /// Returns the response payload if the server sends one.
+  /// Send raw bytes with no framing, behind any queued requests — for
+  /// malformed/oversized-frame tests.  Returns the next response payload
+  /// if the server sends one.
   [[nodiscard]] std::optional<std::string> roundtrip_raw(
       const std::string& bytes);
 
-  /// Pipelining primitives: send one framed request without waiting for
-  /// its response, and read one framed response without sending anything.
-  /// The server answers strictly in request order, so K send_request()
-  /// calls followed by K read_response() calls pair up positionally.
+  /// Pipelining primitives: queue one framed request without waiting for
+  /// its response, and read one framed response.  The server answers
+  /// strictly in request order, so K send_request() calls followed by K
+  /// read_response() calls pair up positionally.
+  ///
+  /// send_request returns true once the request is queued; it sends only
+  /// when the queue reaches 64 KiB, and returns false when not connected
+  /// or when that send fails.  Otherwise a failed send shows at the next
+  /// read_response(), as nullopt: the queue leaves when a read has no
+  /// buffered response left and must wait for the peer.
   [[nodiscard]] bool send_request(const std::string& payload);
   [[nodiscard]] std::optional<std::string> read_response() {
     return read_frame();
@@ -84,9 +98,12 @@ class Client {
 
  private:
   /// The next frame from rx_, receiving more bytes only while rx_ lacks a
-  /// whole one.  Nullopt on EOF, a socket error, or a malformed or
-  /// oversized length prefix.
+  /// whole one, after flushing tx_.  Nullopt on EOF, a socket error, a
+  /// failed send, or a malformed or oversized length prefix.
   [[nodiscard]] std::optional<std::string> read_frame();
+  /// Send everything queued in tx_ in one send_all and empty it, sent or
+  /// not.  False when the send failed.
+  [[nodiscard]] bool flush();
   /// The trace id for the next request: the fixed id, a generated one, or
   /// "".  Records it as last_trace_id().
   [[nodiscard]] const std::string& next_trace_id();
@@ -94,6 +111,7 @@ class Client {
   int fd_ = -1;
   std::string rx_;          ///< received bytes not yet returned as frames
   std::size_t rx_pos_ = 0;  ///< offset of the first undecoded byte in rx_
+  std::string tx_;          ///< queued request bytes not yet sent
   std::string trace_id_;
   std::string auto_prefix_;
   std::uint64_t auto_seq_ = 0;

@@ -4,6 +4,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/query_engine.hpp"
@@ -39,8 +40,31 @@ struct Request {
   std::string trace_id;
 };
 
-/// Parse a request payload; nullopt on anything malformed.
-[[nodiscard]] std::optional<Request> parse_request(const std::string& json);
+/// Parse a request payload; nullopt on anything malformed.  "ranks" and
+/// "chain" must be integers in [1, INT_MAX]: a fraction is refused, never
+/// truncated (support::json::parse_integer).
+[[nodiscard]] std::optional<Request> parse_request(std::string_view json);
+
+// --- Encoders ---------------------------------------------------------------
+//
+// Each encoder appends its payload to the end of a caller's string, so the
+// server writes a response straight into a connection's write buffer and
+// the client a request into its transmit buffer.  The string-returning
+// names below wrap them.
+
+void append_predict_request(std::string& out, const QueryKey& query,
+                            std::string_view trace_id = {});
+void append_batch_request(std::string& out, std::span<const QueryKey> queries,
+                          std::string_view trace_id = {});
+void append_prediction_json(std::string& out, const Prediction& p);
+void append_batch_json(std::string& out, std::span<const Prediction> results);
+void append_error_json(std::string& out, std::string_view error, int code);
+/// Splice `,"trace_id":"..."` in front of the closing brace of the JSON
+/// object that runs from out[start] to the end of `out`.  A payload that is
+/// not a JSON object (the metrics exposition) or an empty trace id is left
+/// unchanged.
+void splice_trace_id(std::string& out, std::size_t start,
+                     std::string_view trace_id);
 
 /// Serialize requests (used by the client).  A non-empty `trace_id` is
 /// attached as the optional "trace_id" field.
@@ -56,10 +80,8 @@ struct Request {
 [[nodiscard]] std::string batch_request(const std::vector<QueryKey>& queries,
                                         const std::string& trace_id = {});
 
-/// Splice `,"trace_id":"..."` in front of a JSON object's closing brace —
-/// how the server echoes the request's trace context in its response.  A
-/// payload that is not a JSON object (the metrics exposition) or an empty
-/// trace id returns the payload unchanged.
+/// splice_trace_id over a whole payload — how the server echoes the
+/// request's trace context in its response.
 [[nodiscard]] std::string attach_trace_id(std::string json,
                                           const std::string& trace_id);
 
@@ -73,19 +95,19 @@ struct Request {
 /// without copying the predictions first.
 [[nodiscard]] std::string batch_json(std::span<const Prediction> results);
 /// {"ok":false,"error":...,"code":N} server-level refusal (overload,
-/// malformed frame, bad request).
+/// malformed frame, bad request, a failed prediction window).
 [[nodiscard]] std::string error_json(const std::string& error, int code);
 
 /// Parse one prediction object (the client's inverse of prediction_json);
 /// nullopt when the text is not one JSON object, or when "ranks",
-/// "donor_ranks", "chain" or "snapshot" lies outside the range of its
-/// field's type.
+/// "donor_ranks", "chain" or "snapshot" is a fraction or lies outside the
+/// range of its field's type.  Each key is read from its first occurrence.
 [[nodiscard]] std::optional<Prediction> parse_prediction(
-    const std::string& json);
+    std::string_view json);
 /// Parse a batch response (the client's inverse of batch_json); nullopt
 /// when the frame carries no "results" array or an element fails as in
 /// parse_prediction.
 [[nodiscard]] std::optional<std::vector<Prediction>> parse_batch_response(
-    const std::string& json);
+    std::string_view json);
 
 }  // namespace kcoup::serve

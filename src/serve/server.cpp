@@ -313,6 +313,9 @@ void Server::read_into(Conn& conn) {
     if (n > 0) {
       conn.rbuf.append(buf, static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
+      // A short read drained the socket; asking again would only hear
+      // EAGAIN.  Bytes arriving later make the fd readable again.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return;
       continue;
     }
     if (n == 0) {
@@ -327,16 +330,18 @@ void Server::read_into(Conn& conn) {
 }
 
 void Server::process_frames(Shard& shard, Conn& conn) {
-  std::vector<std::string> window;
+  // Views into rbuf, which stays untouched until every window is handled.
+  // Shard-thread owned, so it stops allocating once grown.
+  thread_local std::vector<std::string_view> window;
   for (;;) {
     window.clear();
     FrameDecodeStatus status = FrameDecodeStatus::kNeedMore;
     while (window.size() < config_.max_pipeline) {
-      std::string payload;
+      std::string_view payload;
       status = decode_frame(conn.rbuf, &conn.rpos, config_.max_frame_bytes,
                             &payload);
       if (status != FrameDecodeStatus::kFrame) break;
-      window.push_back(std::move(payload));
+      window.push_back(payload);
     }
     // Frames ahead of a framing error still get their answers; the error
     // frame goes out last and the connection closes once it is flushed
@@ -344,13 +349,14 @@ void Server::process_frames(Shard& shard, Conn& conn) {
     if (!window.empty()) handle_window(shard, conn, window);
     if (status == FrameDecodeStatus::kMalformed) {
       c_malformed_frames_.add(1);
-      conn.wbuf += encode_frame(error_json("malformed frame", 400));
+      append_frame(conn.wbuf, error_json("malformed frame", 400));
       conn.close_after_flush = true;
       break;
     }
     if (status == FrameDecodeStatus::kOversized) {
       c_oversized_frames_.add(1);
-      conn.wbuf += encode_frame(
+      append_frame(
+          conn.wbuf,
           error_json("frame exceeds " +
                          std::to_string(config_.max_frame_bytes) + " bytes",
                      413));
@@ -370,7 +376,7 @@ void Server::process_frames(Shard& shard, Conn& conn) {
 }
 
 void Server::handle_window(Shard& shard, Conn& conn,
-                           const std::vector<std::string>& payloads) {
+                           std::span<const std::string_view> payloads) {
   const auto t0 = std::chrono::steady_clock::now();
   ShardWindows& windows = *windows_[shard.index];
 
@@ -403,11 +409,20 @@ void Server::handle_window(Shard& shard, Conn& conn,
 
   std::shared_ptr<const PredictorSnapshot> snapshot;
   std::vector<Prediction> results;
+  // Set when predict_batch threw: the window's predict/batch frames are
+  // answered with it as a code-500 error, and the shard keeps serving.
+  std::optional<std::string> failure;
   if (!queries.empty()) {
     snapshot = source_->current();
     if (snapshot != nullptr) {
-      results = engine_->predict_batch(*snapshot, queries);
-      c_predictions_.add(results.size());
+      try {
+        results = engine_->predict_batch(*snapshot, queries);
+        c_predictions_.add(results.size());
+      } catch (const std::exception& e) {
+        failure = std::string("prediction failed: ") + e.what();
+      } catch (...) {
+        failure = "prediction failed";
+      }
     }
   }
 
@@ -419,7 +434,9 @@ void Server::handle_window(Shard& shard, Conn& conn,
     const char* op_name = "malformed";
     const std::string* source = nullptr;
     bool frame_ok = true;
-    std::string response;
+    // The response is encoded straight into wbuf behind a length prefix
+    // inserted once its size is known.
+    const std::size_t start = conn.wbuf.size();
     if (frame.request.has_value() && span.active() &&
         !frame.request->trace_id.empty()) {
       span.annotate("trace_id", frame.request->trace_id);
@@ -428,31 +445,31 @@ void Server::handle_window(Shard& shard, Conn& conn,
       c_errors_.add(1);
       frame_ok = false;
       if (span.active()) span.annotate("op", "malformed");
-      response = error_json("malformed request", 400);
+      append_error_json(conn.wbuf, "malformed request", 400);
     } else {
       switch (frame.request->op) {
         case RequestOp::kPing:
           op_name = "ping";
           if (span.active()) span.annotate("op", "ping");
-          response = "{\"ok\":true,\"op\":\"ping\"}";
+          conn.wbuf += "{\"ok\":true,\"op\":\"ping\"}";
           break;
         case RequestOp::kStats: {
           op_name = "stats";
           if (span.active()) span.annotate("op", "stats");
-          response = stats_json();
+          conn.wbuf += stats_json();
           break;
         }
         case RequestOp::kMetrics: {
           op_name = "metrics";
           if (span.active()) span.annotate("op", "metrics");
           // The one non-JSON payload on the wire: raw Prometheus text.
-          response = prometheus();
+          conn.wbuf += prometheus();
           break;
         }
         case RequestOp::kSlowlog: {
           op_name = "slowlog";
           if (span.active()) span.annotate("op", "slowlog");
-          response = slowlog_.to_json();
+          conn.wbuf += slowlog_.to_json();
           break;
         }
         case RequestOp::kPredict:
@@ -463,7 +480,13 @@ void Server::handle_window(Shard& shard, Conn& conn,
           if (snapshot == nullptr) {
             c_errors_.add(1);
             frame_ok = false;
-            response = error_json("no snapshot loaded", 503);
+            append_error_json(conn.wbuf, "no snapshot loaded", 503);
+            break;
+          }
+          if (failure.has_value()) {
+            c_errors_.add(1);
+            frame_ok = false;
+            append_error_json(conn.wbuf, *failure, 500);
             break;
           }
           // A view, not a copy: Prediction carries four strings, and the
@@ -494,9 +517,9 @@ void Server::handle_window(Shard& shard, Conn& conn,
             }
           }
           if (single && !slice.empty()) {
-            response = prediction_json(slice.front());
+            append_prediction_json(conn.wbuf, slice.front());
           } else {
-            response = batch_json(slice);
+            append_batch_json(conn.wbuf, slice);
           }
           break;
         }
@@ -505,11 +528,10 @@ void Server::handle_window(Shard& shard, Conn& conn,
       // one timeline.  The metrics payload is raw Prometheus text, not
       // JSON — nothing to splice into.
       if (frame.request->op != RequestOp::kMetrics) {
-        response = attach_trace_id(std::move(response),
-                                   frame.request->trace_id);
+        splice_trace_id(conn.wbuf, start, frame.request->trace_id);
       }
     }
-    conn.wbuf += encode_frame(response);
+    prefix_frame(conn.wbuf, start);
     c_requests_.add(1);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - t0;

@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -201,16 +202,20 @@ class Server {
   void shard_loop(Shard& shard);
   void wake(Shard& shard);
 
-  /// Non-blocking read into rbuf (bounded per wakeup); sets peer_eof on
-  /// EOF or a hard socket error.
+  /// Non-blocking read into rbuf (bounded per wakeup); returns after a
+  /// recv that did not fill its buffer, since level-triggered readiness
+  /// re-fires for anything that arrives later.  Sets peer_eof on EOF or a
+  /// hard socket error.
   void read_into(Conn& conn);
   /// Decode + handle every complete frame currently buffered (in windows
   /// of max_pipeline), appending responses to wbuf.
   void process_frames(Shard& shard, Conn& conn);
-  /// Handle one pipelined window: parse all payloads, run every query in
-  /// one predict_batch, serialize responses in request order.
+  /// Handle one pipelined window: parse all payloads (views into rbuf),
+  /// run every query in one predict_batch, and encode each response frame
+  /// straight into wbuf in request order.  A throw from predict_batch
+  /// answers the window's predict/batch frames with code-500 errors.
   void handle_window(Shard& shard, Conn& conn,
-                     const std::vector<std::string>& payloads);
+                     std::span<const std::string_view> payloads);
   /// The stats-op payload: ServeMetrics flat JSON extended with nested
   /// "windows" (1s/10s/60s merged across shards), "sources" and "drift".
   [[nodiscard]] std::string stats_json();

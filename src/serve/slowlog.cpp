@@ -14,10 +14,12 @@ SlowLog::SlowLog(std::size_t slow_capacity, std::size_t failed_capacity)
   failed_.reserve(failed_capacity_);
 }
 
-std::string SlowLog::truncate_request(const std::string& payload,
+std::string SlowLog::truncate_request(std::string_view payload,
                                       std::size_t max_bytes) {
-  if (payload.size() <= max_bytes) return payload;
-  return payload.substr(0, max_bytes) + "...";
+  if (payload.size() <= max_bytes) return std::string(payload);
+  std::string out(payload.substr(0, max_bytes));
+  out += "...";
+  return out;
 }
 
 void SlowLog::record(Entry entry) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kcoup::serve {
@@ -57,7 +58,7 @@ class SlowLog {
 
   /// Truncate a request payload for storage (keeps the JSON readable
   /// without keeping whole batch bodies alive).
-  [[nodiscard]] static std::string truncate_request(const std::string& payload,
+  [[nodiscard]] static std::string truncate_request(std::string_view payload,
                                                     std::size_t max_bytes = 120);
 
  private:

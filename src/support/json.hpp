@@ -13,18 +13,21 @@
 
 namespace kcoup::support::json {
 
-/// Escape a byte string for use inside a JSON string literal: quotes and
+/// Append `s` escaped for use inside a JSON string literal: quotes and
 /// backslashes, the named escapes (\n \t \r \b \f), and every other byte
 /// below 0x20 as \u00XX (raw control bytes are invalid JSON).  Bytes >=
-/// 0x80 pass through untouched, so UTF-8 stays UTF-8.  Object::string
-/// decodes all of these, making escape→parse a lossless round trip for
-/// arbitrary byte strings.
-[[nodiscard]] inline std::string escape(std::string_view s) {
+/// 0x80 pass through untouched, so UTF-8 stays UTF-8.  Runs that need no
+/// escape are appended whole.  Object::string decodes all of these, making
+/// escape→parse a lossless round trip for arbitrary byte strings.
+inline void append_escaped(std::string& out, std::string_view s) {
   static constexpr const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
+  std::size_t run = 0;  // start of the bytes not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto u = static_cast<unsigned char>(s[i]);
+    if (u >= 0x20 && u != '"' && u != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (u) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
@@ -32,19 +35,21 @@ namespace kcoup::support::json {
       case '\r': out += "\\r"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default: {
-        const auto u = static_cast<unsigned char>(c);
-        if (u < 0x20) {
-          out += "\\u00";
-          out += kHex[(u >> 4) & 0xF];
-          out += kHex[u & 0xF];
-        } else {
-          out += c;
-        }
+      default:
+        out += "\\u00";
+        out += kHex[(u >> 4) & 0xF];
+        out += kHex[u & 0xF];
         break;
-      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+/// append_escaped into a new string.
+[[nodiscard]] inline std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
@@ -84,13 +89,43 @@ class Object {
   [[nodiscard]] std::optional<std::vector<Object>> objects(
       std::string_view key) const;
 
- private:
   struct Field {
     std::string_view key;  ///< raw bytes between the quotes, undecoded
-    std::string_view value;
+    std::string_view value;  ///< as raw() returns it
   };
+  /// Every top-level field in text order, duplicates included, for a
+  /// decoder that reads many keys in one walk (the first duplicate is the
+  /// one the accessors read).
+  [[nodiscard]] const std::vector<Field>& fields() const { return fields_; }
+
+ private:
   std::vector<Field> fields_;
 };
+
+/// Decode a raw string value (as Object::raw returns it, quotes included).
+/// \uXXXX decodes to UTF-8 (BMP only; escape never writes surrogate pairs);
+/// an unknown escape is the literal byte.  Nullopt when the value is not a
+/// string or an escape is cut short.
+[[nodiscard]] inline std::optional<std::string> string_value(
+    std::string_view raw);
+
+/// How an integer value's text reads (see parse_integer).
+enum class IntegerRead {
+  kNotNumber,  ///< the text is no number at all
+  kRefused,    ///< a number, but fractional or outside the bounds
+  kRead,       ///< an integral number within the bounds, stored
+};
+
+/// Read an integer value's text (as Object::raw returns it) into *out.  The
+/// one integer rule for every untrusted integer: a number reads only when
+/// it is integral and lies in [lo, hi] (T's range by default), so it is
+/// never truncated, and never cast where the cast would be undefined
+/// behaviour.  Exponent and fraction spellings of an integral value
+/// ("4.0", "1e3") read as that integer.
+template <typename T>
+[[nodiscard]] IntegerRead parse_integer(
+    std::string_view text, T* out, T lo = std::numeric_limits<T>::min(),
+    T hi = std::numeric_limits<T>::max());
 
 namespace detail {
 
@@ -194,40 +229,46 @@ inline std::optional<std::string_view> Object::raw(
   return std::nullopt;
 }
 
-inline std::optional<std::string> Object::string(std::string_view key) const {
-  const auto v = raw(key);
-  if (!v || v->empty() || v->front() != '"') return std::nullopt;
+inline std::optional<std::string> string_value(std::string_view raw) {
+  if (raw.empty() || raw.front() != '"') return std::nullopt;
   std::string out;
-  for (std::size_t i = 1; i < v->size(); ++i) {
-    const char c = (*v)[i];
+  std::size_t run = 1;  // start of the bytes not yet appended
+  for (std::size_t i = 1; i < raw.size(); ++i) {
+    const char c = raw[i];
+    if (c != '"' && c != '\\') continue;
+    out.append(raw.data() + run, i - run);
     if (c == '"') return out;
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++i >= v->size()) return std::nullopt;
-    switch ((*v)[i]) {
+    if (++i >= raw.size()) return std::nullopt;
+    run = i + 1;
+    switch (raw[i]) {
       case 'n': out += '\n'; break;
       case 't': out += '\t'; break;
       case 'r': out += '\r'; break;
       case 'b': out += '\b'; break;
       case 'f': out += '\f'; break;
       case 'u': {
-        if (i + 4 >= v->size()) return std::nullopt;
+        if (i + 4 >= raw.size()) return std::nullopt;
         unsigned code = 0;
         for (std::size_t k = 1; k <= 4; ++k) {
-          const int d = detail::hex_value((*v)[i + k]);
+          const int d = detail::hex_value(raw[i + k]);
           if (d < 0) return std::nullopt;
           code = code * 16 + static_cast<unsigned>(d);
         }
         i += 4;
+        run = i + 1;
         detail::append_utf8(out, code);
         break;
       }
-      default: out += (*v)[i]; break;  // \" \\ \/ and unknown escapes
+      default: out += raw[i]; break;  // \" \\ \/ and unknown escapes
     }
   }
   return std::nullopt;
+}
+
+inline std::optional<std::string> Object::string(std::string_view key) const {
+  const auto v = raw(key);
+  if (!v) return std::nullopt;
+  return string_value(*v);
 }
 
 inline std::optional<double> Object::number(std::string_view key) const {
@@ -236,22 +277,31 @@ inline std::optional<double> Object::number(std::string_view key) const {
   return parse_double(*v);
 }
 
+template <typename T>
+IntegerRead parse_integer(std::string_view text, T* out, T lo, T hi) {
+  const auto v = parse_double(text);
+  if (!v) return IntegerRead::kNotNumber;
+  // Both range ends are exact doubles: -2^digits (or 0) and 2^digits.
+  const double past_max = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double min = std::numeric_limits<T>::is_signed ? -past_max : 0.0;
+  if (!(*v >= min && *v < past_max) || std::trunc(*v) != *v) {
+    return IntegerRead::kRefused;
+  }
+  const T value = static_cast<T>(*v);
+  if (value < lo || value > hi) return IntegerRead::kRefused;
+  *out = value;
+  return IntegerRead::kRead;
+}
+
 /// Store integer field `name` of `json`, when present, into *out.  False
-/// when the value lies outside T's range, where the cast would be undefined
-/// behaviour.  The cast truncates toward zero, so exactly the values in
-/// (min - 1, max + 1) convert; both bounds are exact doubles.  Static, so
-/// callers inline it like a file-local helper (parse_prediction's code).
+/// when parse_integer refuses the value: a fraction, or a value outside
+/// T's range.  A value that is no number reads as absent.  Static, so
+/// callers inline it like a file-local helper.
 template <typename T>
 [[nodiscard]] static bool read_integer(const Object& json, const char* name,
                                        T* out) {
-  const auto v = json.number(name);
-  if (!v) return true;
-  const double past_max = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  const double before_min =
-      std::numeric_limits<T>::is_signed ? -past_max - 1.0 : -1.0;
-  if (!(*v > before_min && *v < past_max)) return false;
-  *out = static_cast<T>(*v);
-  return true;
+  const auto v = json.raw(name);
+  return !v || parse_integer(*v, out) != IntegerRead::kRefused;
 }
 
 inline std::optional<Object> Object::object(std::string_view key) const {

@@ -438,6 +438,43 @@ TEST(JournalIntegerFieldTest, ValuesPastEachFieldsRangeAreRefused) {
   }
 }
 
+TEST(JournalIntegerFieldTest, BoundaryValuesFollowTheOneIntegerRule) {
+  const JournalEntry entry{TaskKey{"A", "C", 4, TaskKind::kChain, 1, 2}, 0.5,
+                           1, ""};
+  struct Case {
+    const char* text;
+    bool fits_int;     // ranks, attempts
+    bool fits_size_t;  // index, length
+  };
+  // A fraction is refused, never truncated: "ranks":4.9 once loaded as
+  // ranks 4, the key of another task.
+  for (const Case& c : {Case{"0", true, true}, Case{"1", true, true},
+                        Case{"-1", true, false}, Case{"4.9", false, false},
+                        Case{"2147483647", true, true},
+                        Case{"2147483648", false, true},
+                        Case{"9007199254740992", false, true},
+                        Case{"1e300", false, false}}) {
+    for (const char* name : {"ranks", "attempts", "index", "length"}) {
+      SCOPED_TRACE(std::string(name) + " = " + c.text);
+      const bool is_int = std::string(name) == "ranks" ||
+                          std::string(name) == "attempts";
+      const auto back = parse_journal_line(with_field(entry, name, c.text));
+      ASSERT_EQ(back.has_value(), is_int ? c.fits_int : c.fits_size_t);
+      if (!back.has_value()) continue;
+      const std::string want = c.text;
+      if (std::string(name) == "ranks") {
+        EXPECT_EQ(std::to_string(back->key.ranks), want);
+      } else if (std::string(name) == "attempts") {
+        EXPECT_EQ(std::to_string(back->attempts), want);
+      } else if (std::string(name) == "index") {
+        EXPECT_EQ(std::to_string(back->key.index), want);
+      } else {
+        EXPECT_EQ(std::to_string(back->key.length), want);
+      }
+    }
+  }
+}
+
 TEST(JournalIntegerFieldTest, EachFieldsRangeEndsRoundTrip) {
   constexpr int kIntMin = std::numeric_limits<int>::min();
   constexpr int kIntMax = std::numeric_limits<int>::max();

@@ -3,8 +3,10 @@
 // non-blocking reject send, the client's buffered frame reader against a
 // scripted peer, JSON escaping of control characters, the string- and
 // depth-aware JSON reader with its truncation and bit-flip sweep, request
-// pipelining order, mid-pipeline framing errors, and the poll(2) fallback
-// backend.
+// pipelining order, mid-pipeline framing errors, the poll(2) fallback
+// backend, a throwing prediction, the client's transmit buffer, and a
+// golden of served response bytes (tests/data/served_frames.txt;
+// KCOUP_REGEN_GOLDEN=1 rewrites it).
 
 #include <gtest/gtest.h>
 
@@ -18,16 +20,22 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "coupling/analysis.hpp"
 #include "coupling/database.hpp"
+#include "machine/config.hpp"
 #include "serve/client.hpp"
 #include "serve/framing.hpp"
 #include "serve/poller.hpp"
@@ -686,6 +694,10 @@ class WireWorkload final : public serve::Workload {
  public:
   static constexpr std::size_t kLoop = 3;
 
+  /// measure_cell throws for this rank count (0: never) — a request path
+  /// that fails inside the engine.
+  int throwing_ranks = 0;
+
   bool valid_cell(const std::string& application, const std::string& config,
                   int ranks) const override {
     return application == "APP" && config == "X" && ranks >= 1;
@@ -696,6 +708,9 @@ class WireWorkload final : public serve::Workload {
                                  int ranks) const override {
     if (!valid_cell(application, config, ranks)) {
       throw std::invalid_argument("WireWorkload: invalid cell");
+    }
+    if (ranks == throwing_ranks) {
+      throw std::runtime_error("WireWorkload: measurement failed");
     }
     serve::CellInputs cell;
     for (std::size_t k = 0; k < kLoop; ++k) {
@@ -960,6 +975,239 @@ TEST_F(WireServerTest, AcceptLoopSurvivesNonReadingRejectedPeers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(accepted);
+}
+
+
+TEST_F(WireServerTest, ThrowingPredictionAnswers500AndTheShardKeepsServing) {
+  workload_->throwing_ranks = 7;
+  serve::ServerConfig config;
+  config.workers = 1;  // the throw and the later requests share one shard
+  start_server(config);
+  serve::Client client = connect();
+  const auto failed = client.roundtrip(serve::predict_request({"APP", "X", 7, 2}));
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(*failed,
+            serve::error_json("prediction failed: WireWorkload: measurement "
+                              "failed",
+                              500));
+  EXPECT_EQ(server_->metrics().errors, 1u);
+
+  // Pipelined behind a throwing predict: every predict/batch frame of its
+  // window fails with it, other ops are answered, and the connection lives.
+  ASSERT_TRUE(client.send_request(serve::predict_request({"APP", "X", 7, 2})));
+  ASSERT_TRUE(client.send_request(serve::ping_request("after-throw")));
+  const auto second = client.read_response();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_NE(second->find("\"code\":500"), std::string::npos) << *second;
+  const auto ping = client.read_response();
+  ASSERT_TRUE(ping.has_value());
+  EXPECT_EQ(*ping,
+            "{\"ok\":true,\"op\":\"ping\",\"trace_id\":\"after-throw\"}");
+
+  // The canonical predict on the same connection still answers.
+  const auto canonical = client.predict({"APP", "X", 4, 2});
+  ASSERT_TRUE(canonical.has_value());
+  EXPECT_TRUE(canonical->ok) << canonical->error;
+  EXPECT_EQ(server_->metrics().errors, 2u);
+}
+
+TEST_F(WireServerTest, BurstOfTenThousandQueuedRequestsIsAnsweredInFull) {
+  start_server();
+  serve::Client client = connect();
+  const std::string payload = serve::predict_request({"APP", "X", 4, 2});
+  constexpr int kBurst = 10000;  // ~650 KB of requests, ten 64 KiB flushes
+  for (int i = 0; i < kBurst; ++i) ASSERT_TRUE(client.send_request(payload));
+  for (int i = 0; i < kBurst; ++i) {
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "response " << i;
+    ASSERT_NE(response->find("\"ok\":true"), std::string::npos) << *response;
+  }
+  EXPECT_EQ(server_->requests_handled(), static_cast<std::uint64_t>(kBurst));
+}
+
+TEST_F(WireServerTest, CloseAndConnectDropQueuedRequestsAndMovesCarryThem) {
+  start_server();
+  serve::Client client = connect();
+  // Queued, never sent: close() drops them with the connection.
+  ASSERT_TRUE(client.send_request(serve::ping_request()));
+  ASSERT_TRUE(client.send_request(serve::ping_request()));
+  client.close();
+  client.connect("127.0.0.1", server_->port());
+  // connect() on an open client starts it empty too.
+  ASSERT_TRUE(client.send_request(serve::ping_request()));
+  client.connect("127.0.0.1", server_->port());
+  const auto first = client.roundtrip(serve::predict_request({"APP", "X", 16, 2}));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_NE(first->find("\"ranks\":16,"), std::string::npos) << *first;
+  EXPECT_EQ(server_->requests_handled(), 1u);
+
+  // A move carries the queued request; the moved-from client has none.
+  ASSERT_TRUE(client.send_request(serve::predict_request({"APP", "X", 4, 2})));
+  serve::Client moved = std::move(client);
+  EXPECT_FALSE(client.read_response().has_value());
+  ASSERT_TRUE(moved.send_request(serve::ping_request()));
+  serve::Client assigned;
+  assigned = std::move(moved);
+  const auto predict = assigned.read_response();
+  ASSERT_TRUE(predict.has_value());
+  EXPECT_NE(predict->find("\"ranks\":4,"), std::string::npos) << *predict;
+  const auto ping = assigned.read_response();
+  ASSERT_TRUE(ping.has_value());
+  EXPECT_EQ(*ping, "{\"ok\":true,\"op\":\"ping\"}");
+  EXPECT_EQ(server_->requests_handled(), 3u);
+}
+
+TEST_F(WireServerTest, RequestQueuedToAClosedConnectionReadsAsNullopt) {
+  // A peer that accepts and closes at once.  Were the client's sends
+  // missing MSG_NOSIGNAL, the writes after the reset would raise SIGPIPE
+  // and end this process.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  serve::Client client;
+  client.connect("127.0.0.1", ntohs(addr.sin_port));
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  ::close(accepted);
+  ::close(listener);
+
+  const std::string payload = serve::predict_request({"APP", "X", 4, 2});
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(client.send_request(payload)) << "round " << round;
+    EXPECT_FALSE(client.read_response().has_value()) << "round " << round;
+  }
+  // Past 64 KiB the queue is sent from send_request itself, which then
+  // reports the failed send.
+  bool refused = false;
+  for (int i = 0; i < 10000 && !refused; ++i) {
+    refused = !client.send_request(payload);
+  }
+  EXPECT_TRUE(refused);
+}
+
+// --- Served bytes golden ----------------------------------------------------
+
+/// Send one request frame on a plain socket and return the raw bytes of the
+/// one response frame, length prefix included.  Nothing else is in flight,
+/// so the bytes received up to the frame's end are exactly that frame.
+std::string raw_exchange(int fd, const std::string& request) {
+  const std::string frame = serve::encode_frame(request);
+  std::size_t sent = 0;
+  while (sent < frame.size()) {
+    const ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) return {};
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string got;
+  for (;;) {
+    std::size_t pos = 0;
+    std::string_view payload;
+    if (serve::decode_frame(std::string_view(got), &pos, 1 << 20,
+                            &payload) != serve::FrameDecodeStatus::kNeedMore) {
+      return got;
+    }
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return got;
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// Every served answer kind over the committed NPB campaign, with models
+/// fitted: exact, nearest-donor, model path, unknown application, a
+/// malformed request and a batch, each without and with a trace id, each as
+/// request payload and raw response frame.
+std::string render_served_frames() {
+  serve::NpbWorkload workload(machine::ibm_sp_p2sc());
+  serve::QueryEngine engine(&workload);
+  serve::SnapshotSource source(
+      std::string(KCOUP_TEST_DATA_DIR) + "/npb_campaign.csv",
+      [&engine](const std::string& a, const std::string& c, int p) {
+        return engine.cell(a, c, p);
+      },
+      serve::SnapshotOptions{});
+  source.load();
+  serve::ServerConfig config;
+  config.workers = 1;
+  serve::Server server(&source, &engine, config);
+  server.start();
+
+  const serve::QueryKey exact{"bt", "S", 4, 2};
+  const serve::QueryKey nearest{"bt", "S", 9, 2};
+  const serve::QueryKey model{"bt", "S", 5, 2};
+  const serve::QueryKey unknown{"xx", "S", 4, 2};
+  const std::vector<serve::QueryKey> batch{
+      exact, {"SP", "w", 16, 3}, nearest, {"lu", "S", 5, 2}, unknown};
+  struct Case {
+    const char* name;
+    std::string request;
+  };
+  std::vector<Case> cases;
+  for (const char* id : {"", "golden-trace-1"}) {
+    cases.push_back({"exact", serve::predict_request(exact, id)});
+    cases.push_back({"nearest-donor", serve::predict_request(nearest, id)});
+    cases.push_back({"model", serve::predict_request(model, id)});
+    cases.push_back({"unknown-app", serve::predict_request(unknown, id)});
+    cases.push_back(
+        {"malformed", serve::attach_trace_id(
+                          "{\"op\":\"predict\",\"app\":\"bt\",\"config\":"
+                          "\"S\",\"chain\":2}",
+                          id)});
+    cases.push_back({"batch", serve::batch_request(batch, id)});
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string text;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
+      0) {
+    for (const Case& c : cases) {
+      text += "=== ";
+      text += c.name;
+      text += '\n';
+      text += c.request;
+      text += '\n';
+      text += raw_exchange(fd, c.request);
+      text += '\n';
+    }
+  }
+  ::close(fd);
+  server.stop();
+  return text;
+}
+
+TEST(ServedFramesGolden, ResponseBytesMatchTheCheckedInFrames) {
+  const std::string path =
+      std::string(KCOUP_TEST_DATA_DIR) + "/served_frames.txt";
+  const std::string text = render_served_frames();
+  ASSERT_FALSE(text.empty()) << "could not reach the server";
+
+  if (std::getenv("KCOUP_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good()) << "failed to write " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path << " missing; run with KCOUP_REGEN_GOLDEN=1";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(golden.str(), text)
+      << "a served frame drifted from tests/data/served_frames.txt";
 }
 
 }  // namespace
