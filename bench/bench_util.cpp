@@ -106,7 +106,7 @@ void print_error_summary(const std::string& title,
   std::printf("\n");
 }
 
-void print_shape_check(const std::string& what,
+bool print_shape_check(const std::string& what,
                        const StudyAcrossProcs& study) {
   const double sum_err = mean_summation_error(study);
   double best_coupling = sum_err;
@@ -128,6 +128,7 @@ void print_shape_check(const std::string& what,
       report::format_percent(sum_err).c_str(),
       best_coupling < sum_err ? "coupling predictor wins (as in paper)"
                               : "MISMATCH: summation wins");
+  return best_coupling < sum_err;
 }
 
 }  // namespace kcoup::bench

@@ -33,8 +33,10 @@ void print_error_summary(const std::string& title,
                          const StudyAcrossProcs& study);
 
 /// Emit a PAPER-vs-MEASURED shape check line: does the best coupling
-/// predictor beat summation on average?
-void print_shape_check(const std::string& what, const StudyAcrossProcs& study);
+/// predictor beat summation on average?  Returns that verdict, so a table
+/// bench can exit non-zero when the paper's shape does not hold.
+[[nodiscard]] bool print_shape_check(const std::string& what,
+                                     const StudyAcrossProcs& study);
 
 /// Average over processor counts of the summation predictor's relative error.
 [[nodiscard]] double mean_summation_error(const StudyAcrossProcs& study);

@@ -31,6 +31,5 @@ int main() {
   bench::print_error_summary("Average relative errors (paper: summation "
                              "30.72 %, 2-kernel coupling 28.39 %):",
                              study);
-  bench::print_shape_check("BT Class S", study);
-  return 0;
+  return bench::print_shape_check("BT Class S", study) ? 0 : 1;
 }

@@ -31,6 +31,5 @@ int main() {
       "Average relative errors (paper: summation 22.42 %, 3-kernel coupling "
       "1.42 %):",
       study);
-  bench::print_shape_check("BT Class W", study);
-  return 0;
+  return bench::print_shape_check("BT Class W", study) ? 0 : 1;
 }

@@ -30,6 +30,5 @@ int main() {
       "Average relative errors (paper: summation 21.80 %, 4-kernel coupling "
       "0.79 %):",
       study);
-  bench::print_shape_check("BT Class A", study);
-  return 0;
+  return bench::print_shape_check("BT Class A", study) ? 0 : 1;
 }

@@ -31,6 +31,7 @@ int main() {
        "paper: worst coupling 1.85 % vs best summation 18.61 %"},
   };
 
+  bool shape_holds = true;
   for (const auto& c : cases) {
     const auto make = [&](int p, const machine::MachineConfig& cfg) {
       return npb::sp::make_modeled_sp(c.cls, p, cfg);
@@ -48,8 +49,8 @@ int main() {
     bench::print_error_summary(std::string("Average relative errors (") +
                                    c.paper + "):",
                                study);
-    bench::print_shape_check(
+    shape_holds &= bench::print_shape_check(
         std::string("SP Class ") + npb::to_string(c.cls), study);
   }
-  return 0;
+  return shape_holds ? 0 : 1;
 }

@@ -42,18 +42,19 @@ std::vector<ChainCoupling> measure_chains(
   return chains;
 }
 
+namespace {
+
+bool holds_member(const ChainCoupling& c, std::size_t k) {
+  return c.contains(k);
+}
+
+}  // namespace
+
 std::vector<double> coupling_coefficients(
     std::size_t kernel_count, std::span<const ChainCoupling> chains) {
-  std::vector<double> alpha(kernel_count, 1.0);
+  std::vector<double> alpha(kernel_count);
   for (std::size_t k = 0; k < kernel_count; ++k) {
-    double weighted = 0.0;
-    double weight = 0.0;
-    for (const ChainCoupling& c : chains) {
-      if (!c.contains(k)) continue;
-      weighted += c.coupling() * c.chain_time;
-      weight += c.chain_time;
-    }
-    if (weight > 0.0) alpha[k] = weighted / weight;
+    alpha[k] = coupling_coefficient(chains, k, holds_member);
   }
   return alpha;
 }
@@ -83,9 +84,9 @@ double summation_prediction(const PredictionInputs& in) {
 
 double coupling_prediction(const PredictionInputs& in,
                            std::span<const ChainCoupling> chains) {
-  const std::vector<double> alpha =
-      coupling_coefficients(in.isolated_means.size(), chains);
-  return alpha_prediction(in, alpha);
+  return compose_prediction(in, [chains](std::size_t k) {
+    return coupling_coefficient(chains, k, holds_member);
+  });
 }
 
 double alpha_prediction(const PredictionInputs& in,
@@ -94,12 +95,7 @@ double alpha_prediction(const PredictionInputs& in,
     throw std::invalid_argument(
         "alpha_prediction: one coefficient per loop kernel required");
   }
-  double loop = 0.0;
-  for (std::size_t k = 0; k < in.isolated_means.size(); ++k) {
-    loop += alpha[k] * in.isolated_means[k];
-  }
-  return in.prologue_s + static_cast<double>(in.iterations) * loop +
-         in.epilogue_s;
+  return compose_prediction(in, [alpha](std::size_t k) { return alpha[k]; });
 }
 
 }  // namespace kcoup::coupling

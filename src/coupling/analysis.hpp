@@ -50,6 +50,37 @@ struct ChainCoupling {
 [[nodiscard]] std::vector<double> coupling_coefficients(
     std::size_t kernel_count, std::span<const ChainCoupling> chains);
 
+/// Whether the cyclic chain of `length` adjacent kernels starting at loop
+/// position `start` < loop_size contains kernel k: the membership
+/// measure_chains() stores in ChainCoupling::members, computed instead.
+[[nodiscard]] constexpr bool in_cyclic_chain(std::size_t k, std::size_t start,
+                                             std::size_t length,
+                                             std::size_t loop_size) {
+  return k < loop_size &&
+         (k >= start ? k - start : k + loop_size - start) < length;
+}
+
+/// alpha_k of coupling_coefficients() for one kernel k: the chain-time
+/// weighted average of C_S over the chains for which holds(chain, k) is
+/// true, taken in range order; 1 when their weight is not positive.  A
+/// chain is anything with chain_time and coupling(): a ChainCoupling, or a
+/// stored CouplingRecord.  This is the formula's one implementation —
+/// coupling_coefficients(), coupling_prediction() and the donor form of
+/// reuse_prediction() all evaluate it, so their sums run in one order and
+/// agree bit for bit.
+template <class Chains, class Holds>
+[[nodiscard]] double coupling_coefficient(const Chains& chains, std::size_t k,
+                                          const Holds& holds) {
+  double weighted = 0.0;
+  double weight = 0.0;
+  for (const auto& c : chains) {
+    if (!holds(c, k)) continue;
+    weighted += c.coupling() * c.chain_time;
+    weight += c.chain_time;
+  }
+  return weight > 0.0 ? weighted / weight : 1.0;
+}
+
 /// Ablation variant: plain (unweighted) average of the coupling values of
 /// the chains containing each kernel.  The paper motivates the time
 /// weighting with "a large coupling value for a pair of kernels that
@@ -84,5 +115,20 @@ struct PredictionInputs {
 /// from the chains.  `alpha` must have one entry per loop kernel.
 [[nodiscard]] double alpha_prediction(const PredictionInputs& in,
                                       std::span<const double> alpha);
+
+/// T = Tinit + I * sum_k alpha(k) * T_k + Tfinal, summed in loop order, with
+/// each coefficient asked for as the sum reaches it: alpha_prediction() and
+/// coupling_prediction() both evaluate this, so a caller that computes
+/// alpha_k on the fly gets the bits of one that stored the coefficients.
+template <class Alpha>
+[[nodiscard]] double compose_prediction(const PredictionInputs& in,
+                                        const Alpha& alpha) {
+  double loop = 0.0;
+  for (std::size_t k = 0; k < in.isolated_means.size(); ++k) {
+    loop += alpha(k) * in.isolated_means[k];
+  }
+  return in.prologue_s + static_cast<double>(in.iterations) * loop +
+         in.epilogue_s;
+}
 
 }  // namespace kcoup::coupling

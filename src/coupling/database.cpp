@@ -7,12 +7,13 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
-#include <numeric>
 #include <ostream>
+#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "support/num_format.hpp"
 
@@ -41,47 +42,27 @@ void check_values(const CouplingRecord& r, const char* who) {
   }
 }
 
-// The index's sort order, and its prefixes.  Each prefix of the order
-// selects one contiguous run of index entries.
-auto group_of(const CouplingKey& k) {
-  return std::tie(k.application, k.config, k.chain_length);
-}
-auto series_of(const CouplingKey& k) {
-  return std::tie(k.application, k.config, k.chain_length, k.chain_start);
-}
-auto order_of(const CouplingKey& k) {
-  return std::tie(k.application, k.config, k.chain_length, k.chain_start,
-                  k.ranks);
+/// The first entry of `entries` (one group, sorted) whose (chain_start,
+/// ranks) is not below the given one: the key's first record when the
+/// group holds it, else where an entry for it belongs.
+template <class Entries>
+auto first_at(Entries& entries, std::size_t chain_start, int ranks) {
+  return std::ranges::lower_bound(
+      entries, std::pair{chain_start, ranks}, {}, [](const auto& e) {
+        return std::pair{e.chain_start, e.ranks};
+      });
 }
 
-/// The index entries whose key matches `probe` under the prefix `part`.
-template <class Part>
-std::span<const std::size_t> run_of(const std::vector<CouplingRecord>& records,
-                                    const std::vector<std::size_t>& index,
-                                    const CouplingKey& probe, Part part) {
-  const auto first = std::lower_bound(
-      index.begin(), index.end(), probe,
-      [&](std::size_t pos, const CouplingKey& k) {
-        return part(records[pos].key) < part(k);
-      });
-  const auto last = std::upper_bound(
-      first, index.end(), probe, [&](const CouplingKey& k, std::size_t pos) {
-        return part(k) < part(records[pos].key);
-      });
-  return {first, last};
-}
-
-/// The log-nearest rank count to `ranks` among one series' records.
+/// The log-nearest rank count to `ranks` among one series' entries.
 /// Log-scale distance |log p - log t| orders candidates exactly like the
 /// ratio max(p,t)/min(p,t), which integer cross-multiplication compares
 /// without rounding — so equidistant candidates (e.g. P=2 and P=8 for a
-/// P=4 target) are recognised exactly and tie-break on the smaller rank
-/// count, never on record insertion order.  Of several records with one
-/// rank count the first in the series wins, which is the earliest one:
-/// the index orders equal keys by position.
-const CouplingRecord* nearest_in(const std::vector<CouplingRecord>& records,
-                                 std::span<const std::size_t> series,
-                                 int ranks) {
+/// P=4 target) are recognised exactly.  The series ascends by rank count,
+/// then by position, so keeping the first of equally near entries resolves
+/// a tie to the smaller rank count, never to record insertion order, and
+/// of several records with one rank count to the earliest one.
+template <class Entry>
+const Entry* nearest_in(std::span<const Entry> series, int ranks) {
   const auto closer = [ranks](int p, int q) {
     const long long pn = std::max(p, ranks);
     const long long pd = std::min(p, ranks);
@@ -89,31 +70,73 @@ const CouplingRecord* nearest_in(const std::vector<CouplingRecord>& records,
     const long long qd = std::min(q, ranks);
     return pn * qd < qn * pd;  // pn/pd < qn/qd
   };
-  const CouplingRecord* best = nullptr;
-  for (const std::size_t pos : series) {
-    const CouplingRecord& r = records[pos];
-    if (best == nullptr || closer(r.key.ranks, best->key.ranks) ||
-        (!closer(best->key.ranks, r.key.ranks) &&
-         r.key.ranks < best->key.ranks)) {
-      best = &r;
-    }
+  const Entry* best = nullptr;
+  for (const Entry& e : series) {
+    if (best == nullptr || closer(e.ranks, best->ranks)) best = &e;
   }
   return best;
 }
 
+/// The nearest-ranks donor entry of every chain start 0..loop_size-1 of
+/// `group`, in start order, passed to visit(start, entry).  Returns false
+/// at the first start with no entry.  The group holds each start's series
+/// back to back in chain_start order, so one pass covers them all.
+template <class Entry, class Visit>
+bool visit_donors(std::span<const Entry> group, int ranks,
+                  std::size_t loop_size, Visit&& visit) {
+  auto next = group.begin();
+  for (std::size_t start = 0; start < loop_size; ++start) {
+    const auto series_end = std::find_if(
+        next, group.end(),
+        [start](const Entry& e) { return e.chain_start != start; });
+    const Entry* donor = nearest_in<Entry>({next, series_end}, ranks);
+    if (donor == nullptr) return false;
+    visit(start, *donor);
+    next = series_end;
+  }
+  return true;
+}
+
 }  // namespace
+
+std::size_t CouplingDatabase::GroupHash::hash(const GroupView& g) noexcept {
+  const std::hash<std::string_view> text;
+  std::size_t h = text(g.application);
+  h = h * 1000003 ^ text(g.config);
+  return h * 1000003 ^ g.chain_length;
+}
+
+std::span<const CouplingDatabase::Entry> CouplingDatabase::group_entries(
+    std::string_view application, std::string_view config,
+    std::size_t chain_length) const {
+  const auto group = index_.find(GroupView{application, config, chain_length});
+  if (group == index_.end()) return {};
+  return group->second;
+}
 
 void CouplingDatabase::record(CouplingRecord rec) {
   check_values(rec, "CouplingDatabase::record");
-  const auto same = run_of(records_, index_, rec.key, order_of);
-  if (!same.empty()) {
-    records_[same.front()] = std::move(rec);  // the index entry stays put
-    return;
+  const Entry entry{rec.key.chain_start, rec.key.ranks, records_.size()};
+  const auto group = index_.find(
+      GroupView{rec.key.application, rec.key.config, rec.key.chain_length});
+  std::vector<Entry>::iterator at{};  // where a new entry goes, if grouped
+  if (group != index_.end()) {
+    at = first_at(group->second, entry.chain_start, entry.ranks);
+    if (at != group->second.end() && at->chain_start == entry.chain_start &&
+        at->ranks == entry.ranks) {
+      records_[at->position] = std::move(rec);  // the entry stays put
+      return;
+    }
   }
-  const auto at = same.data() - index_.data();
   records_.push_back(std::move(rec));
   try {
-    index_.insert(index_.begin() + at, records_.size() - 1);
+    if (group != index_.end()) {
+      group->second.insert(at, entry);
+    } else {
+      const CouplingKey& key = records_.back().key;
+      index_.emplace(Group{key.application, key.config, key.chain_length},
+                     std::vector<Entry>{entry});
+    }
   } catch (...) {
     records_.pop_back();
     throw;
@@ -124,23 +147,43 @@ void CouplingDatabase::adopt(std::vector<CouplingRecord> records) {
   for (const CouplingRecord& r : records) {
     check_values(r, "CouplingDatabase::adopt");
   }
-  std::vector<std::size_t> index(records.size());
-  std::iota(index.begin(), index.end(), std::size_t{0});
-  // Stable: records with equal keys stay in position order.
-  std::stable_sort(index.begin(), index.end(),
-                   [&records](std::size_t a, std::size_t b) {
-                     return order_of(records[a].key) <
-                            order_of(records[b].key);
-                   });
+  Index index;
+  for (std::size_t pos = 0; pos < records.size(); ++pos) {
+    const CouplingKey& key = records[pos].key;
+    auto group =
+        index.find(GroupView{key.application, key.config, key.chain_length});
+    if (group == index.end()) {
+      group = index
+                  .emplace(Group{key.application, key.config,
+                                 key.chain_length},
+                           std::vector<Entry>{})
+                  .first;
+    }
+    group->second.push_back({key.chain_start, key.ranks, pos});
+  }
+  // Position breaks ties, so records with equal keys stay in record order
+  // and a lookup meets the first of them.
+  for (auto& [group, entries] : index) {
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) {
+                return std::tie(a.chain_start, a.ranks, a.position) <
+                       std::tie(b.chain_start, b.ranks, b.position);
+              });
+  }
   records_ = std::move(records);
   index_ = std::move(index);
 }
 
 std::optional<CouplingRecord> CouplingDatabase::find(
     const CouplingKey& key) const {
-  const auto same = run_of(records_, index_, key, order_of);
-  if (same.empty()) return std::nullopt;
-  return records_[same.front()];
+  const std::span<const Entry> group =
+      group_entries(key.application, key.config, key.chain_length);
+  const auto at = first_at(group, key.chain_start, key.ranks);
+  if (at == group.end() || at->chain_start != key.chain_start ||
+      at->ranks != key.ranks) {
+    return std::nullopt;
+  }
+  return records_[at->position];
 }
 
 std::optional<CouplingRecord> CouplingDatabase::find_nearest_ranks(
@@ -152,25 +195,25 @@ std::optional<CouplingRecord> CouplingDatabase::find_nearest_ranks(
 
 const CouplingRecord* CouplingDatabase::find_nearest_ranks_ref(
     const CouplingKey& key) const {
-  return nearest_in(records_, run_of(records_, index_, key, series_of),
-                    key.ranks);
+  const std::span<const Entry> series = std::ranges::equal_range(
+      group_entries(key.application, key.config, key.chain_length),
+      key.chain_start, {}, &Entry::chain_start);
+  const Entry* best = nearest_in(series, key.ranks);
+  return best == nullptr ? nullptr : &records_[best->position];
 }
 
-std::optional<CouplingRecord> CouplingDatabase::find_other_config(
-    const CouplingKey& key, const std::string& preferred_config) const {
-  const CouplingRecord* fallback = nullptr;
-  for (const CouplingRecord& r : records_) {
-    if (r.key.application != key.application || r.key.ranks != key.ranks ||
-        r.key.chain_length != key.chain_length ||
-        r.key.chain_start != key.chain_start ||
-        r.key.config == key.config) {
-      continue;
-    }
-    if (r.key.config == preferred_config) return r;
-    if (fallback == nullptr) fallback = &r;
-  }
-  if (fallback == nullptr) return std::nullopt;
-  return *fallback;
+bool CouplingDatabase::nearest_donors_into(
+    std::string_view application, std::string_view config, int ranks,
+    std::size_t chain_length, std::size_t loop_size,
+    std::vector<const CouplingRecord*>* out) const {
+  out->clear();
+  const bool found = visit_donors(
+      group_entries(application, config, chain_length), ranks, loop_size,
+      [&](std::size_t, const Entry& donor) {
+        out->push_back(&records_[donor.position]);
+      });
+  if (!found) out->clear();
+  return found;
 }
 
 std::vector<ChainCoupling> CouplingDatabase::reuse_chains_for(
@@ -194,38 +237,28 @@ bool CouplingDatabase::reuse_chains_into(const std::string& application,
   // label buffers alive between calls, so a warm scratch vector fills with
   // zero allocations.
   out->resize(loop_size);
-  // One search finds every chain start's series: the index holds them
-  // back to back, in chain_start order.
-  const std::span<const std::size_t> group = run_of(
-      records_, index_, CouplingKey{application, config, ranks, chain_length, 0},
-      group_of);
-  auto next = group.begin();
   int first_donor_ranks = 0;
-  for (std::size_t start = 0; start < loop_size; ++start) {
-    const auto series_end =
-        std::find_if(next, group.end(), [&](std::size_t pos) {
-          return records_[pos].key.chain_start != start;
-        });
-    const CouplingRecord* donor =
-        nearest_in(records_, {next, series_end}, ranks);
-    if (donor == nullptr) {
-      out->clear();
-      return false;
-    }
-    next = series_end;
-    if (start == 0) first_donor_ranks = donor->key.ranks;
-    ChainCoupling& c = (*out)[start];
-    c.start = start;
-    c.length = chain_length;
-    c.members.clear();
-    for (std::size_t i = 0; i < chain_length; ++i) {
-      c.members.push_back((start + i) % loop_size);
-    }
-    c.label = "reused(P=";
-    c.label += std::to_string(donor->key.ranks);
-    c.label += ')';
-    c.chain_time = donor->chain_time;
-    c.isolated_sum = donor->isolated_sum;
+  const bool found = visit_donors(
+      group_entries(application, config, chain_length), ranks, loop_size,
+      [&](std::size_t start, const Entry& entry) {
+        const CouplingRecord& donor = records_[entry.position];
+        if (start == 0) first_donor_ranks = donor.key.ranks;
+        ChainCoupling& c = (*out)[start];
+        c.start = start;
+        c.length = chain_length;
+        c.members.clear();
+        for (std::size_t i = 0; i < chain_length; ++i) {
+          c.members.push_back((start + i) % loop_size);
+        }
+        c.label = "reused(P=";
+        c.label += std::to_string(donor.key.ranks);
+        c.label += ')';
+        c.chain_time = donor.chain_time;
+        c.isolated_sum = donor.isolated_sum;
+      });
+  if (!found) {
+    out->clear();
+    return false;
   }
   if (donor_ranks != nullptr) *donor_ranks = first_donor_ranks;
   return true;
@@ -364,6 +397,21 @@ double reuse_prediction(const PredictionInputs& in,
   // The donor supplies the coupling values (and their relative time
   // weights); the target supplies fresh isolated means and counts.
   return coupling_prediction(in, donor);
+}
+
+double reuse_prediction(const PredictionInputs& in,
+                        std::span<const CouplingRecord* const> donors) {
+  const std::size_t loop_size = donors.size();
+  const auto chains = donors | std::views::transform(
+                                   [](const CouplingRecord* r)
+                                       -> const CouplingRecord& { return *r; });
+  const auto holds = [loop_size](const CouplingRecord& c, std::size_t k) {
+    return in_cyclic_chain(k, c.key.chain_start, c.key.chain_length,
+                           loop_size);
+  };
+  return compose_prediction(in, [&](std::size_t k) {
+    return coupling_coefficient(chains, k, holds);
+  });
 }
 
 }  // namespace kcoup::coupling

@@ -4,7 +4,10 @@
 #include <iosfwd>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "coupling/analysis.hpp"
@@ -51,13 +54,15 @@ struct CouplingRecord {
 /// target configuration instead of N chain measurements per chain length.
 ///
 /// Records keep their insertion order: records(), save_csv() and the packed
-/// snapshot all follow it.  Lookups go through a sorted index of record
-/// positions ordered by (application, config, chain_length, chain_start,
-/// ranks), equal keys by position, so every series of rank counts is one
-/// contiguous run.  In the complexities below n is size() and k the number
-/// of rank counts in one series.  The mutators keep the index current
-/// before they return, so a const database can be read from any number of
-/// threads without locks.
+/// snapshot all follow it.  Lookups go through an index by (application,
+/// config, chain_length) group: one hash probe, which allocates nothing,
+/// finds the group, whose compact (chain_start, ranks, position) entries
+/// are sorted in that order, so every series of rank counts is one
+/// contiguous run and equal keys are ordered by position.  In the
+/// complexities below g is the size of one group and k the number of rank
+/// counts in one series.  The mutators keep the index current before they
+/// return, so a const database can be read from any number of threads
+/// without locks.
 class CouplingDatabase {
  public:
   /// Record every chain of one study.
@@ -65,45 +70,51 @@ class CouplingDatabase {
               int ranks, std::span<const ChainCoupling> chains);
 
   /// Record a single measurement, replacing the record with the same key if
-  /// one exists: O(log n) to search, plus an O(n) index shift to insert.
-  /// Throws std::invalid_argument for non-finite or non-positive
-  /// chain/isolated times: such a record can never yield a meaningful
-  /// coupling value, and persisting it would corrupt every campaign that
-  /// reuses the store.  A call that throws leaves the store unchanged.
+  /// one exists: a hash probe and an O(log g) search, plus an O(g) entry
+  /// shift to insert.  Throws std::invalid_argument for non-finite or
+  /// non-positive chain/isolated times: such a record can never yield a
+  /// meaningful coupling value, and persisting it would corrupt every
+  /// campaign that reuses the store.  A call that throws leaves the store
+  /// unchanged.
   void record(CouplingRecord record);
 
   /// Bulk-install records (e.g. decoded from a packed snapshot), replacing
-  /// the current contents; one O(n log n) index sort instead of n record()
-  /// calls.  Values are validated like record(), but records are installed
-  /// as given: of several records with one key, every lookup answers with
-  /// the first.
+  /// the current contents: one hash probe per record and one sort per
+  /// group instead of n record() calls.  Values are validated like
+  /// record(), but records are installed as given: of several records with
+  /// one key, every lookup answers with the first.
   void adopt(std::vector<CouplingRecord> records);
 
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
-  /// Exact lookup, O(log n).
+  /// Exact lookup: a hash probe and an O(log g) search.
   [[nodiscard]] std::optional<CouplingRecord> find(const CouplingKey& key) const;
 
   /// Reuse lookup: the record for the same application/config/chain with
   /// the processor count nearest to `ranks` (log-scale distance; exact hits
   /// included).  Equidistant candidates resolve to the smaller rank count,
   /// independent of insertion order.  Returns nullopt if no candidate
-  /// exists.  O(log n + k).
+  /// exists.  A hash probe, O(log g + k).
   [[nodiscard]] std::optional<CouplingRecord> find_nearest_ranks(
       const CouplingKey& key) const;
 
   /// find_nearest_ranks without the value copy: a pointer into the store,
-  /// valid until the next mutation.  The hot query path uses this form.
+  /// valid until the next mutation.
   [[nodiscard]] const CouplingRecord* find_nearest_ranks_ref(
       const CouplingKey& key) const;
 
-  /// Reuse lookup across configurations: the record for the same
-  /// application/ranks/chain whose config label differs (e.g. reuse Class W
-  /// couplings when predicting Class A).  Prefers `preferred_config` if
-  /// present, otherwise any other config.  A linear scan, O(n): no serve or
-  /// reload path calls it.
-  [[nodiscard]] std::optional<CouplingRecord> find_other_config(
-      const CouplingKey& key, const std::string& preferred_config) const;
+  /// The nearest-ranks donor of every chain start 0..loop_size-1 of the
+  /// target (application, config, ranks, chain_length), in start order:
+  /// pointers into the store, valid until the next mutation.  Returns false
+  /// (and clears *out) if any chain has no donor.  The query engine's
+  /// nearest-donor path uses this form and composes the prediction with
+  /// reuse_prediction() over the donors, building no chain objects.  A
+  /// hash probe and one pass over the group's entries, O(g); a warm *out
+  /// fills without allocating.
+  bool nearest_donors_into(std::string_view application,
+                           std::string_view config, int ranks,
+                           std::size_t chain_length, std::size_t loop_size,
+                           std::vector<const CouplingRecord*>* out) const;
 
   /// Assemble a full chain set for the target (application, config, ranks,
   /// chain_length) by reusing the nearest-ranks donor for each chain start.
@@ -113,11 +124,10 @@ class CouplingDatabase {
       std::size_t chain_length, std::size_t loop_size) const;
 
   /// reuse_chains_for into a caller-owned vector whose element capacity
-  /// (members/label buffers) is reused across calls — the allocation-free
-  /// form the query engine's per-thread scratch uses.  Returns false (and
+  /// (members/label buffers) is reused across calls.  Returns false (and
   /// clears *out) if any chain has no donor.  On success, `donor_ranks`
-  /// (when given) receives the chain_start = 0 donor's rank count.
-  /// O(log n + loop_size * k).
+  /// (when given) receives the chain_start = 0 donor's rank count.  The
+  /// donors are nearest_donors_into()'s: O(g + loop_size * chain_length).
   bool reuse_chains_into(const std::string& application,
                          const std::string& config, int ranks,
                          std::size_t chain_length, std::size_t loop_size,
@@ -144,8 +154,55 @@ class CouplingDatabase {
   }
 
  private:
+  /// One record in its group's entry list.
+  struct Entry {
+    std::size_t chain_start = 0;
+    int ranks = 0;
+    std::size_t position = 0;  ///< in records_
+  };
+  /// A group's identity, owning its names so a copied store's index stays
+  /// valid.
+  struct Group {
+    std::string application;
+    std::string config;
+    std::size_t chain_length = 0;
+  };
+  /// The same identity as views: what a lookup hashes and compares.
+  struct GroupView {
+    std::string_view application;
+    std::string_view config;
+    std::size_t chain_length = 0;
+  };
+  /// Hash and equality over Group and GroupView alike (transparent), so a
+  /// lookup by views never builds a Group.
+  struct GroupHash {
+    using is_transparent = void;
+    template <class G>
+    std::size_t operator()(const G& g) const noexcept {
+      return hash(GroupView{g.application, g.config, g.chain_length});
+    }
+    static std::size_t hash(const GroupView& g) noexcept;
+  };
+  struct GroupEqual {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.chain_length == b.chain_length &&
+             std::string_view(a.application) == b.application &&
+             std::string_view(a.config) == b.config;
+    }
+  };
+  using Index =
+      std::unordered_map<Group, std::vector<Entry>, GroupHash, GroupEqual>;
+
+  /// The entries of one group, sorted by (chain_start, ranks, position);
+  /// empty when the store holds no record of the group.
+  [[nodiscard]] std::span<const Entry> group_entries(
+      std::string_view application, std::string_view config,
+      std::size_t chain_length) const;
+
   std::vector<CouplingRecord> records_;  ///< insertion order
-  std::vector<std::size_t> index_;       ///< positions in records_, sorted
+  Index index_;
 };
 
 /// Coupling prediction using reused chain couplings (from a donor
@@ -153,5 +210,13 @@ class CouplingDatabase {
 /// the paper's reduced-experiment workflow.
 [[nodiscard]] double reuse_prediction(const PredictionInputs& in,
                                       std::span<const ChainCoupling> donor);
+
+/// The same prediction straight from the donor records
+/// nearest_donors_into() returns: donor s stands for the cyclic chain of
+/// its chain_length starting at loop position s of a donors.size()-kernel
+/// loop, which is the chain reuse_chains_for() builds from it, so the
+/// result equals reuse_prediction() over those chains bit for bit.
+[[nodiscard]] double reuse_prediction(
+    const PredictionInputs& in, std::span<const CouplingRecord* const> donors);
 
 }  // namespace kcoup::coupling

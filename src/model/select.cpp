@@ -168,11 +168,16 @@ double SelectedModel::evaluate(double n, double p) const {
 
 std::string SelectedModel::term_names() const {
   std::string s;
-  for (const FittedTerm& ft : terms) {
-    if (!s.empty()) s += '+';
-    s += term_at(ft.id).name;
-  }
+  append_term_names(&s);
   return s;
+}
+
+void SelectedModel::append_term_names(std::string* out) const {
+  const std::size_t start = out->size();
+  for (const FittedTerm& ft : terms) {
+    if (out->size() != start) *out += '+';
+    *out += term_at(ft.id).name;
+  }
 }
 
 std::string SelectedModel::to_string() const {

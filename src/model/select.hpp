@@ -47,6 +47,8 @@ struct SelectedModel {
   /// form string golden tests pin (coefficient-free, so stable under
   /// last-ulp jitter).
   [[nodiscard]] std::string term_names() const;
+  /// term_names() appended to *out, with no temporary string.
+  void append_term_names(std::string* out) const;
   /// Human-readable "3.0e-03*1 + 2.1e-09*n^3/P" form for reports.
   [[nodiscard]] std::string to_string() const;
 };

@@ -51,7 +51,11 @@ Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       rx_(std::exchange(other.rx_, {})),
       rx_pos_(std::exchange(other.rx_pos_, 0)),
-      tx_(std::exchange(other.tx_, {})) {}
+      tx_(std::exchange(other.tx_, {})),
+      trace_id_(std::exchange(other.trace_id_, {})),
+      auto_prefix_(std::exchange(other.auto_prefix_, {})),
+      auto_seq_(std::exchange(other.auto_seq_, 0)),
+      last_trace_id_(std::exchange(other.last_trace_id_, {})) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
@@ -60,6 +64,10 @@ Client& Client::operator=(Client&& other) noexcept {
     rx_ = std::exchange(other.rx_, {});
     rx_pos_ = std::exchange(other.rx_pos_, 0);
     tx_ = std::exchange(other.tx_, {});
+    trace_id_ = std::exchange(other.trace_id_, {});
+    auto_prefix_ = std::exchange(other.auto_prefix_, {});
+    auto_seq_ = std::exchange(other.auto_seq_, 0);
+    last_trace_id_ = std::exchange(other.last_trace_id_, {});
   }
   return *this;
 }

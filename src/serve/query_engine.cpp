@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "coupling/analysis.hpp"
+#include "coupling/database.hpp"
+#include "model/select.hpp"
 #include "trace/stats.hpp"
 
 namespace kcoup::serve {
@@ -100,9 +102,10 @@ Prediction QueryEngine::predict(const PredictorSnapshot& snapshot,
     loop_size = fitted->size();
     mi.isolated_means.reserve(loop_size);
     for (const model::PiecewiseModel& pw : *fitted) {
-      mi.isolated_means.push_back(pw.evaluate(shape->grid_extent, ranks_d));
+      const model::SelectedModel& form = pw.segment_for(ranks_d).model;
+      mi.isolated_means.push_back(form.evaluate(shape->grid_extent, ranks_d));
       if (!p.model_form.empty()) p.model_form += ',';
-      p.model_form += pw.segment_for(ranks_d).model.term_names();
+      form.append_term_names(&p.model_form);
     }
     p.summation_s = coupling::summation_prediction(mi);
     p.inputs_source = "model";
@@ -122,16 +125,17 @@ Prediction QueryEngine::predict(const PredictorSnapshot& snapshot,
     p.coupling_s = coupling::alpha_prediction(*inputs, group->alpha);
     p.alpha_source = "exact";
   } else {
-    // The chain_start=0 donor's rank count feeds the server's
-    // rank-distance telemetry.
-    if (!snapshot.database().reuse_chains_into(
+    if (!snapshot.database().nearest_donors_into(
             p.key.application, p.key.config, p.key.ranks, query.chain_length,
-            loop_size, &scratch.donor, &p.donor_ranks)) {
+            loop_size, &scratch.donors)) {
       p.error = "no coupling data for " + p.key.application + "/" +
                 p.key.config + " q=" + std::to_string(query.chain_length);
       return p;
     }
-    p.coupling_s = coupling::coupling_prediction(*inputs, scratch.donor);
+    // loop_size >= chain_length >= 1, so there is a chain_start=0 donor;
+    // its rank count feeds the server's rank-distance telemetry.
+    p.donor_ranks = scratch.donors.front()->key.ranks;
+    p.coupling_s = coupling::reuse_prediction(*inputs, scratch.donors);
     p.alpha_source = "nearest";
   }
 

@@ -68,13 +68,17 @@ struct EngineOptions {
 /// inputs depend only on the workload, never on the database.
 ///
 /// Hot path per query: one sharded-LRU lookup for the cell inputs (isolated
-/// means et al.), one precomputed-alpha lookup in the snapshot, then the
-/// composition algebra T = Tinit + I * sum_k alpha_k E_k + Tfinal.  A cell
-/// miss measures the N cheap isolated loops once (two workers racing on the
-/// same cold cell may both measure; the values are deterministic, so
+/// means et al.), one hash probe for the snapshot's precomputed alpha, then
+/// the composition algebra T = Tinit + I * sum_k alpha_k E_k + Tfinal.  A
+/// cell miss measures the N cheap isolated loops once (two workers racing
+/// on the same cold cell may both measure; the values are deterministic, so
 /// last-write-wins is harmless).  Missing exact coupling groups fall back
-/// to the database's nearest-ranks donor chains; cells that cannot be
-/// measured at all fall back to the snapshot's fitted scaling models.
+/// to the database's nearest-ranks donors: one hash probe for the
+/// (application, config, chain_length) group and one pass over its compact
+/// entries, with alpha_k computed straight from the donors' (P_S, sum P_k)
+/// — no chain objects, labels or alpha vector.  Cells that cannot be
+/// measured at all fall back to the snapshot's fitted scaling models, whose
+/// active forms' term names are appended straight into the answer.
 class QueryEngine {
  public:
   QueryEngine(const Workload* workload, EngineOptions options = {});
@@ -113,14 +117,14 @@ class QueryEngine {
 
   /// Per-thread request state, reused across predict() calls so a warm
   /// query allocates nothing: the LRU hit assigns into `cell`'s existing
-  /// buffers, the fallback paths fill `model_inputs`/`donor` in place.
+  /// buffers, the fallback paths fill `model_inputs`/`donors` in place.
   /// Every field is (re)written before it is read within one call — stale
   /// values can never leak into a later query.
   struct RequestScratch {
     CellKey cell_key;
     CellInputs cell;
     coupling::PredictionInputs model_inputs;
-    std::vector<coupling::ChainCoupling> donor;
+    std::vector<const coupling::CouplingRecord*> donors;
   };
 
   bool cell_into(const CellKey& key, CellInputs* out, bool* was_hit);

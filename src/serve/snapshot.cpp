@@ -18,18 +18,15 @@ namespace kcoup::serve {
 
 namespace {
 
-/// Component-wise (key < probe) without materializing a GroupKey — the
-/// lookup path would otherwise copy two strings per query.
-bool group_key_before(const PredictorSnapshot::GroupKey& key,
-                      const std::string& application,
-                      const std::string& config, int ranks,
-                      std::size_t chain_length) {
-  if (const int c = std::get<0>(key).compare(application); c != 0) {
-    return c < 0;
-  }
-  if (const int c = std::get<1>(key).compare(config); c != 0) return c < 0;
-  if (std::get<2>(key) != ranks) return std::get<2>(key) < ranks;
-  return std::get<3>(key) < chain_length;
+std::size_t alpha_hash(std::string_view application, std::string_view config,
+                       int ranks, std::size_t chain_length) {
+  const std::hash<std::string_view> text;
+  std::size_t h = text(application);
+  h = h * 1000003 ^ text(config);
+  h = h * 1000003 ^ static_cast<std::size_t>(ranks);
+  h = h * 1000003 ^ chain_length;
+  // Fold the high bits in: the table keeps only the low ones.
+  return h ^ (h >> 29);
 }
 
 /// Reconstruct the full chain set of one complete group, in start order,
@@ -101,10 +98,11 @@ PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
     group.loop_size = chains->size();
     group.alpha = coupling::coupling_coefficients(group.loop_size, *chains);
     group.chains = std::move(*chains);
-    // by_group is a std::map, so emplace_back lands in sorted key order —
-    // the invariant find_alpha's binary search relies on.
+    // by_group is a std::map, so emplace_back lands in sorted key order,
+    // the order the packer writes.
     groups_.emplace_back(key, std::move(group));
   }
+  index_alpha_groups();
 
   if (options.detect_transitions) {
     // Purely record-derived: the coupling series over ranks for every
@@ -176,24 +174,38 @@ PredictorSnapshot::PredictorSnapshot(coupling::CouplingDatabase db,
       version_(version),
       groups_(std::move(precomputed.groups)),
       fitted_(std::move(precomputed.fitted)),
-      transitions_(std::move(precomputed.transitions)) {}
+      transitions_(std::move(precomputed.transitions)) {
+  index_alpha_groups();
+}
 
-const AlphaGroup* PredictorSnapshot::find_alpha(const std::string& application,
-                                                const std::string& config,
+void PredictorSnapshot::index_alpha_groups() {
+  alpha_slots_.assign(
+      groups_.empty() ? 0 : std::bit_ceil(2 * groups_.size()), 0);
+  const std::size_t mask = alpha_slots_.size() - 1;
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    const auto& [application, config, ranks, chain_length] = groups_[i].first;
+    std::size_t slot = alpha_hash(application, config, ranks, chain_length);
+    while (alpha_slots_[slot & mask] != 0) ++slot;
+    alpha_slots_[slot & mask] = i + 1;
+  }
+}
+
+const AlphaGroup* PredictorSnapshot::find_alpha(std::string_view application,
+                                                std::string_view config,
                                                 int ranks,
                                                 std::size_t chain_length) const {
-  const auto it = std::lower_bound(
-      groups_.begin(), groups_.end(), 0,
-      [&](const std::pair<GroupKey, AlphaGroup>& entry, int) {
-        return group_key_before(entry.first, application, config, ranks,
-                                chain_length);
-      });
-  if (it == groups_.end() || std::get<0>(it->first) != application ||
-      std::get<1>(it->first) != config || std::get<2>(it->first) != ranks ||
-      std::get<3>(it->first) != chain_length) {
-    return nullptr;
+  if (alpha_slots_.empty()) return nullptr;
+  const std::size_t mask = alpha_slots_.size() - 1;
+  for (std::size_t slot = alpha_hash(application, config, ranks, chain_length);;
+       ++slot) {
+    const std::size_t at = alpha_slots_[slot & mask];
+    if (at == 0) return nullptr;
+    const auto& [key, group] = groups_[at - 1];
+    if (std::get<2>(key) == ranks && std::get<3>(key) == chain_length &&
+        std::get<0>(key) == application && std::get<1>(key) == config) {
+      return &group;
+    }
   }
-  return &it->second;
 }
 
 const std::vector<model::PiecewiseModel>* PredictorSnapshot::fitted_models_for(

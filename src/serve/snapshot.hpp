@@ -11,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -104,8 +105,9 @@ class PredictorSnapshot {
 
   /// The precomputed group for an exact (application, config, ranks, q)
   /// point, or nullptr when the database has no complete chain set for it.
-  [[nodiscard]] const AlphaGroup* find_alpha(const std::string& application,
-                                             const std::string& config,
+  /// One probe of a hash table over the groups; allocates nothing.
+  [[nodiscard]] const AlphaGroup* find_alpha(std::string_view application,
+                                             std::string_view config,
                                              int ranks,
                                              std::size_t chain_length) const;
 
@@ -151,13 +153,19 @@ class PredictorSnapshot {
  private:
   /// Position of `application` in fitted_, or fitted_.size() when absent.
   [[nodiscard]] std::size_t fitted_index(const std::string& application) const;
+  /// Fill alpha_slots_ from groups_; both constructors end with it.
+  void index_alpha_groups();
 
   coupling::CouplingDatabase db_;
   std::uint64_t version_ = 0;
-  // Flat sorted arrays, not maps: a cold lookup is a branchless-ish binary
-  // search over contiguous pairs instead of a pointer chase per tree level,
-  // and the layout is what the packer serializes byte-for-byte.
+  // Flat sorted arrays, not maps: the layout is what the packer
+  // serializes byte-for-byte.
   std::vector<std::pair<GroupKey, AlphaGroup>> groups_;
+  /// Open-addressed probe table over groups_ (linear probing, a power of
+  /// two at least twice groups_.size(), so a probe always meets an empty
+  /// slot): each slot holds 1 + a position in groups_, 0 when empty.
+  /// Positions, not pointers, so a copied snapshot's table stays valid.
+  std::vector<std::size_t> alpha_slots_;
   std::vector<std::pair<std::string, std::vector<model::PiecewiseModel>>>
       fitted_;
   std::vector<model::CouplingTransition> transitions_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <clocale>
 #include <cmath>
 #include <filesystem>
@@ -11,9 +12,11 @@
 #include <iterator>
 #include <limits>
 #include <locale>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coupling/database.hpp"
@@ -118,21 +121,6 @@ TEST(DatabaseTest, NearestRanksTieBreaksOnSmallerRankCount) {
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->key.ranks, 2);
   }
-}
-
-TEST(DatabaseTest, OtherConfigPrefersRequested) {
-  CouplingDatabase db;
-  db.record(CouplingRecord{CouplingKey{"BT", "S", 4, 2, 0}, 1.0, 1.0});
-  db.record(CouplingRecord{CouplingKey{"BT", "W", 4, 2, 0}, 2.0, 2.0});
-  const auto r =
-      db.find_other_config(CouplingKey{"BT", "A", 4, 2, 0}, "W");
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->key.config, "W");
-  const auto any =
-      db.find_other_config(CouplingKey{"BT", "A", 4, 2, 0}, "missing");
-  ASSERT_TRUE(any.has_value());
-  // Never returns the target config itself.
-  EXPECT_NE(any->key.config, "A");
 }
 
 TEST(DatabaseTest, ReuseChainsAssemblesFullSet) {
@@ -607,6 +595,72 @@ TEST(DatabaseIndexTest, LoadCsvThatThrowsMidFileLeavesAConsistentStore) {
     db.record({keys.stored(), keys.time(), keys.time()});
     expect_random_lookups_match_scan(db, keys, 5);
   }
+}
+
+TEST(DatabaseIndexTest, ConcurrentConstReadsAnswerAsOneThreadDoes) {
+  // Const lookups take no lock: threads reading one store see exactly what
+  // a single reader sees.
+  KeySpace keys(7);
+  CouplingDatabase db;
+  for (int i = 0; i < 400; ++i) {
+    db.record({keys.stored(), keys.time(), keys.time()});
+  }
+  struct Answer {
+    std::optional<CouplingRecord> found;
+    const CouplingRecord* nearest = nullptr;
+    std::vector<const CouplingRecord*> donors;
+    std::vector<double> chain_times;
+  };
+  std::vector<CouplingKey> probes;
+  std::vector<std::size_t> loops;
+  std::vector<Answer> want;
+  for (int i = 0; i < 300; ++i) {
+    probes.push_back(keys.probe());
+    loops.push_back(1 + keys.below(5));
+  }
+  const auto answer = [&db](const CouplingKey& probe, std::size_t loop,
+                            Answer* out, std::vector<ChainCoupling>* chains) {
+    out->found = db.find(probe);
+    out->nearest = db.find_nearest_ranks_ref(probe);
+    db.nearest_donors_into(probe.application, probe.config, probe.ranks,
+                           probe.chain_length, loop, &out->donors);
+    db.reuse_chains_into(probe.application, probe.config, probe.ranks,
+                         probe.chain_length, loop, chains);
+    out->chain_times.clear();
+    for (const ChainCoupling& c : *chains) {
+      out->chain_times.push_back(c.chain_time);
+    }
+  };
+  std::vector<ChainCoupling> chains;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    want.emplace_back();
+    answer(probes[i], loops[i], &want.back(), &chains);
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      Answer got;
+      std::vector<ChainCoupling> warm;
+      for (int pass = 0; pass < 20; ++pass) {
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          answer(probes[i], loops[i], &got, &warm);
+          const Answer& w = want[i];
+          const bool same_found =
+              got.found.has_value() == w.found.has_value() &&
+              (!w.found.has_value() ||
+               (got.found->key == w.found->key &&
+                got.found->chain_time == w.found->chain_time));
+          if (!same_found || got.nearest != w.nearest ||
+              got.donors != w.donors || got.chain_times != w.chain_times) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(DatabaseTest, ReusePredictionUsesDonorCouplings) {

@@ -900,11 +900,29 @@ TEST_F(SnapshotSourceTest, BackgroundPollerPicksUpChanges) {
 
 TEST_F(SnapshotSourceTest, ConcurrentReadersOfCurrentAndDriftDuringReloads) {
   // Readers take the published snapshot and drift report the way the
-  // server does, once per window, while this thread polls reloads.  Every
-  // pair they see is complete, and neither version ever goes back.
+  // server does, once per window, and answer an exact, a nearest-donor and
+  // a model query on it, while this thread polls reloads that fit models
+  // through the same engine.  Every pair they see is complete, neither
+  // version ever goes back, and every query keeps its answer kind — with
+  // the bits of its first answer where every published store agrees.
   write_db({4});
-  serve::SnapshotSource source(path_.string(), {}, {false});
+  FakeWorkload workload;
+  serve::QueryEngine engine(&workload);
+  serve::SnapshotSource source(
+      path_.string(),
+      [&engine](const std::string& a, const std::string& c, int p) {
+        return engine.cell(a, c, p);
+      },
+      {true});
   source.load();
+  const std::vector<std::pair<serve::QueryKey, std::string>> queries{
+      {{"APP", "X", 4, 2}, "exact"},
+      {{"APP", "X", 6, 2}, "nearest-donor"},
+      {{"APP", "X", 5, 2}, "model"}};
+  std::vector<double> first;
+  for (const auto& [q, source_name] : queries) {
+    first.push_back(engine.predict(*source.current(), q).coupling_s);
+  }
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
   std::atomic<std::uint64_t> bad{0};
@@ -921,6 +939,16 @@ TEST_F(SnapshotSourceTest, ConcurrentReadersOfCurrentAndDriftDuringReloads) {
           ++bad;
         } else {
           version = snapshot->version();
+          for (std::size_t i = 0; i < queries.size(); ++i) {
+            const serve::Prediction p =
+                engine.predict(*snapshot, queries[i].first);
+            // Both stores hold the P=4 group, the exact answer and the
+            // P=6 query's donor; the model's fit depends on the store.
+            if (!p.ok || p.source != queries[i].second ||
+                (p.source != "model" && p.coupling_s != first[i])) {
+              ++bad;
+            }
+          }
         }
         if (drift != nullptr) {
           if (drift->to_version < drift_version ||

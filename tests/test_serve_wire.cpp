@@ -1057,6 +1057,35 @@ TEST_F(WireServerTest, CloseAndConnectDropQueuedRequestsAndMovesCarryThem) {
   EXPECT_EQ(server_->requests_handled(), 3u);
 }
 
+TEST_F(WireServerTest, MovesCarryTheTraceContext) {
+  start_server();
+  // A fixed id survives both moves and goes out with the next request.
+  serve::Client fixed = connect();
+  fixed.set_trace_id("abc");
+  serve::Client moved = std::move(fixed);
+  EXPECT_EQ(fixed.last_trace_id(), "");
+  ASSERT_TRUE(moved.ping());
+  EXPECT_EQ(moved.last_trace_id(), "abc");
+  serve::Client assigned;
+  assigned = std::move(moved);
+  ASSERT_TRUE(assigned.ping());
+  EXPECT_EQ(assigned.last_trace_id(), "abc");
+
+  // Generated ids keep their prefix and count across a move.
+  serve::Client generated = connect();
+  generated.auto_trace_ids("p");
+  ASSERT_TRUE(generated.ping());
+  EXPECT_EQ(generated.last_trace_id(), "p-1");
+  serve::Client carried = std::move(generated);
+  EXPECT_EQ(carried.last_trace_id(), "p-1");
+  ASSERT_TRUE(carried.ping());
+  EXPECT_EQ(carried.last_trace_id(), "p-2");
+  serve::Client reassigned;
+  reassigned = std::move(carried);
+  ASSERT_TRUE(reassigned.ping());
+  EXPECT_EQ(reassigned.last_trace_id(), "p-3");
+}
+
 TEST_F(WireServerTest, RequestQueuedToAClosedConnectionReadsAsNullopt) {
   // A peer that accepts and closes at once.  Were the client's sends
   // missing MSG_NOSIGNAL, the writes after the reset would raise SIGPIPE
