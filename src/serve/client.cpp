@@ -168,9 +168,7 @@ bool Client::send_request(const std::string& payload) {
 
 void Client::set_trace_id(std::string id) {
   trace_id_ = std::move(id);
-  if (trace_id_.size() > kMaxTraceIdBytes) {
-    trace_id_.resize(kMaxTraceIdBytes);
-  }
+  truncate_trace_id(trace_id_);
   auto_prefix_.clear();
 }
 
@@ -185,9 +183,7 @@ void Client::auto_trace_ids(std::string prefix) {
 const std::string& Client::next_trace_id() {
   if (!auto_prefix_.empty()) {
     last_trace_id_ = auto_prefix_ + "-" + std::to_string(++auto_seq_);
-    if (last_trace_id_.size() > kMaxTraceIdBytes) {
-      last_trace_id_.resize(kMaxTraceIdBytes);
-    }
+    truncate_trace_id(last_trace_id_);
   } else {
     last_trace_id_ = trace_id_;
   }

@@ -85,11 +85,11 @@ class Client {
   // typed call records (when obs::Tracer is enabled), so a client trace
   // export and the server's --trace-out stitch into one timeline.
 
-  /// Use this exact id for every subsequent request (empty = none).
-  /// Overrides auto-generation.
+  /// Use this exact id for every subsequent request (empty = none), cut as
+  /// the server cuts it (truncate_trace_id).  Overrides auto-generation.
   void set_trace_id(std::string id);
-  /// Generate a fresh `<prefix>-<n>` id per request; an empty prefix picks
-  /// a process-unique default ("c<pid>").
+  /// Generate a fresh `<prefix>-<n>` id per request, cut like a set id; an
+  /// empty prefix picks a process-unique default ("c<pid>").
   void auto_trace_ids(std::string prefix = {});
   /// The id attached to the most recent typed request ("" when none).
   [[nodiscard]] const std::string& last_trace_id() const {

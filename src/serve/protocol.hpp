@@ -31,6 +31,12 @@ enum class RequestOp { kPing, kStats, kMetrics, kSlowlog, kPredict, kBatch };
 /// id echoed in the response always matches the one in the server's spans.
 inline constexpr std::size_t kMaxTraceIdBytes = 40;
 
+/// Cut `id` to at most kMaxTraceIdBytes, at a UTF-8 code-point boundary: a
+/// character that would straddle the limit is dropped whole, so an echoed
+/// id stays valid UTF-8.  An ASCII id keeps exactly kMaxTraceIdBytes.  The
+/// server cuts a request's id with it, and the client the ids it sends.
+void truncate_trace_id(std::string& id);
+
 struct Request {
   RequestOp op = RequestOp::kPing;
   std::vector<QueryKey> queries;  ///< one for kPredict, many for kBatch
@@ -40,17 +46,25 @@ struct Request {
   std::string trace_id;
 };
 
-/// Parse a request payload; nullopt on anything malformed.  "ranks" and
-/// "chain" must be integers in [1, INT_MAX]: a fraction is refused, never
-/// truncated (support::json::parse_integer).
+/// Parse a request payload into *out, reusing its storage: a server shard
+/// keeps one Request per pipelined frame across windows, so a warm window
+/// decodes without allocating.  False on anything malformed, and *out is
+/// then unspecified; on true every field of *out comes from `json`.
+/// "ranks" and "chain" must be integers in [1, INT_MAX]: a fraction is
+/// refused, never truncated (support::json::parse_integer).  The trace id
+/// is cut by truncate_trace_id.
+[[nodiscard]] bool parse_request_into(std::string_view json, Request* out);
+/// parse_request_into a new Request; nullopt where it returns false.
 [[nodiscard]] std::optional<Request> parse_request(std::string_view json);
 
 // --- Encoders ---------------------------------------------------------------
 //
 // Each encoder appends its payload to the end of a caller's string, so the
 // server writes a response straight into a connection's write buffer and
-// the client a request into its transmit buffer.  The string-returning
-// names below wrap them.
+// the client a request into its transmit buffer.  An encoder sizes the
+// string once, to a bound computed from its field list, writes through a
+// cursor and trims to what it wrote.  The string-returning names below
+// wrap them.
 
 void append_predict_request(std::string& out, const QueryKey& query,
                             std::string_view trace_id = {});

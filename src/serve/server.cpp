@@ -383,27 +383,31 @@ void Server::handle_window(Shard& shard, Conn& conn,
   // Parse every frame up front so the whole window's queries can share one
   // snapshot acquisition and one engine call; each frame keeps a [offset,
   // offset+count) view into the shared result vector.  The vectors belong
-  // to the shard thread and are cleared here, so once they have grown to a
-  // window's high-water size the setup stops allocating.
+  // to the shard thread and are reused: each frame's Request is decoded
+  // into in place and the query list is cleared, so once they have grown
+  // to a window's high-water size decoding stops allocating.
   struct Frame {
-    std::optional<Request> request;
+    Request request;
+    bool parsed = false;  ///< false: malformed, `request` unspecified
     std::size_t offset = 0;
     std::size_t count = 0;
   };
   thread_local std::vector<Frame> frames;
   thread_local std::vector<QueryKey> queries;
-  frames.clear();
-  frames.resize(payloads.size());
+  if (frames.size() < payloads.size()) frames.resize(payloads.size());
   queries.clear();
   for (std::size_t i = 0; i < payloads.size(); ++i) {
-    frames[i].request = parse_request(payloads[i]);
-    const auto& request = frames[i].request;
-    if (request.has_value() && (request->op == RequestOp::kPredict ||
-                                request->op == RequestOp::kBatch)) {
-      frames[i].offset = queries.size();
-      frames[i].count = request->queries.size();
-      queries.insert(queries.end(), request->queries.begin(),
-                     request->queries.end());
+    Frame& frame = frames[i];
+    frame.parsed = parse_request_into(payloads[i], &frame.request);
+    frame.offset = 0;
+    frame.count = 0;
+    const Request& request = frame.request;
+    if (frame.parsed && (request.op == RequestOp::kPredict ||
+                         request.op == RequestOp::kBatch)) {
+      frame.offset = queries.size();
+      frame.count = request.queries.size();
+      queries.insert(queries.end(), request.queries.begin(),
+                     request.queries.end());
     }
   }
 
@@ -437,17 +441,16 @@ void Server::handle_window(Shard& shard, Conn& conn,
     // The response is encoded straight into wbuf behind a length prefix
     // inserted once its size is known.
     const std::size_t start = conn.wbuf.size();
-    if (frame.request.has_value() && span.active() &&
-        !frame.request->trace_id.empty()) {
-      span.annotate("trace_id", frame.request->trace_id);
+    if (frame.parsed && span.active() && !frame.request.trace_id.empty()) {
+      span.annotate("trace_id", frame.request.trace_id);
     }
-    if (!frame.request.has_value()) {
+    if (!frame.parsed) {
       c_errors_.add(1);
       frame_ok = false;
       if (span.active()) span.annotate("op", "malformed");
       append_error_json(conn.wbuf, "malformed request", 400);
     } else {
-      switch (frame.request->op) {
+      switch (frame.request.op) {
         case RequestOp::kPing:
           op_name = "ping";
           if (span.active()) span.annotate("op", "ping");
@@ -474,7 +477,7 @@ void Server::handle_window(Shard& shard, Conn& conn,
         }
         case RequestOp::kPredict:
         case RequestOp::kBatch: {
-          const bool single = frame.request->op == RequestOp::kPredict;
+          const bool single = frame.request.op == RequestOp::kPredict;
           op_name = single ? "predict" : "batch";
           if (span.active()) span.annotate("op", op_name);
           if (snapshot == nullptr) {
@@ -527,8 +530,8 @@ void Server::handle_window(Shard& shard, Conn& conn,
       // Echo the client's trace context so its export and ours stitch into
       // one timeline.  The metrics payload is raw Prometheus text, not
       // JSON — nothing to splice into.
-      if (frame.request->op != RequestOp::kMetrics) {
-        splice_trace_id(conn.wbuf, start, frame.request->trace_id);
+      if (frame.request.op != RequestOp::kMetrics) {
+        splice_trace_id(conn.wbuf, start, frame.request.trace_id);
       }
     }
     prefix_frame(conn.wbuf, start);
@@ -547,9 +550,7 @@ void Server::handle_window(Shard& shard, Conn& conn,
       entry.ok = frame_ok;
       entry.op = op_name;
       if (source != nullptr) entry.source = *source;
-      if (frame.request.has_value()) {
-        entry.trace_id = frame.request->trace_id;
-      }
+      if (frame.parsed) entry.trace_id = frame.request.trace_id;
       entry.request = SlowLog::truncate_request(payloads[i]);
       slowlog_.record(std::move(entry));
     }

@@ -1,148 +1,72 @@
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "support/num_format.hpp"
 
 namespace kcoup::support::json {
 
-/// Append `s` escaped for use inside a JSON string literal: quotes and
-/// backslashes, the named escapes (\n \t \r \b \f), and every other byte
-/// below 0x20 as \u00XX (raw control bytes are invalid JSON).  Bytes >=
-/// 0x80 pass through untouched, so UTF-8 stays UTF-8.  Runs that need no
-/// escape are appended whole.  Object::string decodes all of these, making
-/// escape→parse a lossless round trip for arbitrary byte strings.
-inline void append_escaped(std::string& out, std::string_view s) {
-  static constexpr const char* kHex = "0123456789abcdef";
-  std::size_t run = 0;  // start of the bytes not yet appended
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto u = static_cast<unsigned char>(s[i]);
-    if (u >= 0x20 && u != '"' && u != '\\') continue;
-    out.append(s.data() + run, i - run);
-    run = i + 1;
-    switch (u) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        out += "\\u00";
-        out += kHex[(u >> 4) & 0xF];
-        out += kHex[u & 0xF];
-        break;
-    }
-  }
-  out.append(s.data() + run, s.size() - run);
-}
-
-/// append_escaped into a new string.
-[[nodiscard]] inline std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped(out, s);
-  return out;
-}
-
-/// One JSON object, its top-level keys indexed in a single pass over the
-/// text.  The accessors then decode one value each without rescanning.
-/// The Object views the text it was parsed from, which must outlive it.
-///
-/// Rules:
-///   - a string is a key only when the next non-space byte is ':', and only
-///     at the object's own depth: keys inside nested values never count;
-///   - a backslash inside a string consumes the next byte;
-///   - the first of duplicate keys wins;
-///   - whitespace is allowed around the colon;
-///   - a value runs to the next ',' or the closing '}' at the object's
-///     depth, and an accessor decodes its first token;
-///   - parse refuses anything but one complete object: the text opens with
-///     '{', closes at its last byte, and terminates every string — so a
-///     truncated record is never mistaken for a shorter whole one.
-class Object {
- public:
-  [[nodiscard]] static std::optional<Object> parse(std::string_view text);
-
-  /// The value's bytes with surrounding whitespace trimmed, e.g. `true`,
-  /// `12`, `"a\"b"`, `{...}`; nullopt when the key is absent.
-  [[nodiscard]] std::optional<std::string_view> raw(
-      std::string_view key) const;
-  /// A decoded string value.  \uXXXX decodes to UTF-8 (BMP only; escape
-  /// never writes surrogate pairs); an unknown escape is the literal byte.
-  [[nodiscard]] std::optional<std::string> string(std::string_view key) const;
-  /// A number value, parsed locale-independently (support::parse_double).
-  [[nodiscard]] std::optional<double> number(std::string_view key) const;
-  /// A nested object value.
-  [[nodiscard]] std::optional<Object> object(std::string_view key) const;
-  /// The `{...}` elements of an array value, in order (other elements are
-  /// skipped); nullopt when the value is not an array or an element object
-  /// is malformed.
-  [[nodiscard]] std::optional<std::vector<Object>> objects(
-      std::string_view key) const;
-
-  struct Field {
-    std::string_view key;  ///< raw bytes between the quotes, undecoded
-    std::string_view value;  ///< as raw() returns it
-  };
-  /// Every top-level field in text order, duplicates included, for a
-  /// decoder that reads many keys in one walk (the first duplicate is the
-  /// one the accessors read).
-  [[nodiscard]] const std::vector<Field>& fields() const { return fields_; }
-
- private:
-  std::vector<Field> fields_;
-};
-
-/// Decode a raw string value (as Object::raw returns it, quotes included).
-/// \uXXXX decodes to UTF-8 (BMP only; escape never writes surrogate pairs);
-/// an unknown escape is the literal byte.  Nullopt when the value is not a
-/// string or an escape is cut short.
-[[nodiscard]] inline std::optional<std::string> string_value(
-    std::string_view raw);
-
-/// How an integer value's text reads (see parse_integer).
-enum class IntegerRead {
-  kNotNumber,  ///< the text is no number at all
-  kRefused,    ///< a number, but fractional or outside the bounds
-  kRead,       ///< an integral number within the bounds, stored
-};
-
-/// Read an integer value's text (as Object::raw returns it) into *out.  The
-/// one integer rule for every untrusted integer: a number reads only when
-/// it is integral and lies in [lo, hi] (T's range by default), so it is
-/// never truncated, and never cast where the cast would be undefined
-/// behaviour.  Exponent and fraction spellings of an integral value
-/// ("4.0", "1e3") read as that integer.
-template <typename T>
-[[nodiscard]] IntegerRead parse_integer(
-    std::string_view text, T* out, T lo = std::numeric_limits<T>::min(),
-    T hi = std::numeric_limits<T>::max());
-
 namespace detail {
 
-[[nodiscard]] inline bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+/// Byte classes of the scanner, one 256-entry table read per byte instead
+/// of a chain of compares.
+enum : unsigned char {
+  kStructural = 1,  ///< '"' '{' '}' '[' ']' ',': what the field scan stops at
+  kStringStop = 2,  ///< '"' '\\': what a string body is skipped to
+  kSpace = 4,       ///< the JSON whitespace bytes
+};
+
+inline constexpr std::array<unsigned char, 256> kByteClass = [] {
+  std::array<unsigned char, 256> t{};
+  for (const char c : {'"', '{', '}', '[', ']', ','}) {
+    t[static_cast<unsigned char>(c)] |= kStructural;
+  }
+  t['"'] |= kStringStop;
+  t['\\'] |= kStringStop;
+  for (const char c : {' ', '\t', '\n', '\r'}) {
+    t[static_cast<unsigned char>(c)] |= kSpace;
+  }
+  return t;
+}();
+
+[[nodiscard]] inline bool has_class(char c, unsigned char cls) {
+  return (kByteClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
+[[nodiscard]] inline bool is_space(char c) { return has_class(c, kSpace); }
+
+/// The escape of each byte inside a JSON string literal: 0 for a byte
+/// written as it is, else the letter after the backslash ('u' for
+/// \u00XX).
+inline constexpr std::array<char, 256> kEscape = [] {
+  std::array<char, 256> t{};
+  for (std::size_t u = 0; u < 0x20; ++u) t[u] = 'u';
+  t['"'] = '"';
+  t['\\'] = '\\';
+  t['\n'] = 'n';
+  t['\t'] = 't';
+  t['\r'] = 'r';
+  t['\b'] = 'b';
+  t['\f'] = 'f';
+  return t;
+}();
+
 /// Offset of the quote closing the string that opens at `open`, or npos
-/// when the string is unterminated.
+/// when the string is unterminated.  A backslash consumes the next byte.
 [[nodiscard]] inline std::size_t string_end(std::string_view text,
                                             std::size_t open) {
   for (std::size_t i = open + 1; i < text.size(); ++i) {
-    if (text[i] == '\\') {
-      ++i;
-    } else if (text[i] == '"') {
-      return i;
-    }
+    if (!has_class(text[i], kStringStop)) continue;
+    if (text[i] == '"') return i;
+    ++i;
   }
   return std::string_view::npos;
 }
@@ -169,56 +93,240 @@ inline void append_utf8(std::string& out, unsigned code) {
 
 }  // namespace detail
 
-inline std::optional<Object> Object::parse(std::string_view text) {
-  constexpr std::size_t kNone = std::string_view::npos;
-  if (text.size() < 2 || text.front() != '{' || text.back() != '}') {
-    return std::nullopt;
-  }
-  Object obj;
-  obj.fields_.reserve(16);
-  std::size_t open_field = kNone;  // the field whose value is being scanned
-  std::size_t value_start = 0;
-  const auto close_value = [&](std::size_t end) {
-    if (open_field == kNone) return;
-    while (end > value_start && detail::is_space(text[end - 1])) --end;
-    obj.fields_[open_field].value =
-        text.substr(value_start, end - value_start);
-    open_field = kNone;
-  };
-  int depth = 1;
-  for (std::size_t i = 1; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '"') {
-      const std::size_t close = detail::string_end(text, i);
-      if (close == kNone) return std::nullopt;
-      std::size_t next = close + 1;
-      while (next < text.size() && detail::is_space(text[next])) ++next;
-      if (depth != 1 || next >= text.size() || text[next] != ':') {
-        i = close;
-        continue;
-      }
-      close_value(i);
-      obj.fields_.push_back({text.substr(i + 1, close - i - 1), {}});
-      open_field = obj.fields_.size() - 1;
-      value_start = next + 1;
-      while (value_start < text.size() &&
-             detail::is_space(text[value_start])) {
-        ++value_start;
-      }
-      i = value_start - 1;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (--depth == 0) {
-        if (i + 1 != text.size()) return std::nullopt;
-        close_value(i);
-        return obj;
-      }
-    } else if (c == ',' && depth == 1) {
-      close_value(i);
+/// Most bytes write_escaped writes per input byte (a control byte's
+/// \u00XX).
+inline constexpr std::size_t kMaxEscapedBytes = 6;
+
+/// Write `s` escaped for use inside a JSON string literal at `out`, which
+/// must have room for kMaxEscapedBytes * s.size() bytes, and return one
+/// past the last byte written.  Quotes and backslashes, the named escapes
+/// (\n \t \r \b \f), and every other byte below 0x20 as \u00XX (raw
+/// control bytes are invalid JSON).  Bytes >= 0x80 pass through untouched,
+/// so UTF-8 stays UTF-8.  string_value decodes all of these, making
+/// escape→parse a lossless round trip for arbitrary byte strings.
+inline char* write_escaped(char* out, std::string_view s) {
+  static constexpr const char* kHex = "0123456789abcdef";
+  for (const char c : s) {
+    const char e = detail::kEscape[static_cast<unsigned char>(c)];
+    if (e == 0) {
+      *out++ = c;
+      continue;
+    }
+    *out++ = '\\';
+    *out++ = e;
+    if (e == 'u') {
+      const auto u = static_cast<unsigned char>(c);
+      *out++ = '0';
+      *out++ = '0';
+      *out++ = kHex[u >> 4];
+      *out++ = kHex[u & 0xF];
     }
   }
-  return std::nullopt;  // unbalanced: the last '}' closed a nested value
+  return out;
+}
+
+/// Append `s` to `out` escaped as write_escaped escapes it.
+inline void append_escaped(std::string& out, std::string_view s) {
+  const std::size_t at = out.size();
+  out.resize(at + kMaxEscapedBytes * s.size());
+  out.resize(static_cast<std::size_t>(write_escaped(out.data() + at, s) -
+                                      out.data()));
+}
+
+/// append_escaped into a new string.
+[[nodiscard]] inline std::string escape(std::string_view s) {
+  std::string out;
+  append_escaped(out, s);
+  return out;
+}
+
+/// Walk the top-level fields of the one JSON object in `text`, in one pass
+/// and in text order, calling visit(key, value) as each value closes: `key`
+/// is the raw bytes between the key's quotes, undecoded, and `value` the
+/// value's bytes with surrounding whitespace trimmed, e.g. `true`, `12`,
+/// `"a\"b"`, `{...}`.  Duplicate keys are all visited.  Returns false when
+/// visit returns false, or when the text is not one complete object, which
+/// may be found only after some fields were visited: a decoder keeps
+/// nothing it read from a walk that returns false.
+///
+/// Rules:
+///   - a string is a key only when the next non-space byte is ':', and only
+///     at the object's own depth: keys inside nested values never count;
+///   - a backslash inside a string consumes the next byte;
+///   - whitespace is allowed around the colon;
+///   - a value runs to the next ',' or key at the object's depth, or to the
+///     closing '}';
+///   - the text must open with '{', close at its last byte, and terminate
+///     every string, so a truncated record is never mistaken for a shorter
+///     whole one.
+template <typename Visit>
+[[nodiscard]] bool for_each_field(std::string_view text, Visit&& visit) {
+  if (text.size() < 2 || text.front() != '{' || text.back() != '}') {
+    return false;
+  }
+  const char* const s = text.data();
+  const std::size_t last = text.size() - 1;
+  std::string_view key;
+  bool in_value = false;  // a field's value is being scanned
+  std::size_t value_start = 0;
+  const auto close_value = [&](std::size_t end) {
+    in_value = false;
+    while (end > value_start && detail::is_space(s[end - 1])) --end;
+    return visit(key, text.substr(value_start, end - value_start));
+  };
+  int depth = 1;
+  for (std::size_t i = 1;; ++i) {
+    // The closing '}' is structural, so this skip stops at the last byte
+    // at the latest, and every case below leaves i at or before it.
+    while (!detail::has_class(s[i], detail::kStructural)) ++i;
+    switch (s[i]) {
+      case '"': {
+        const std::size_t close = detail::string_end(text, i);
+        if (close == std::string_view::npos) return false;
+        std::size_t next = close + 1;
+        while (detail::is_space(s[next])) ++next;  // stops at '}' or before
+        if (depth != 1 || s[next] != ':') {
+          i = close;
+          break;
+        }
+        if (in_value && !close_value(i)) return false;
+        key = text.substr(i + 1, close - i - 1);
+        in_value = true;
+        value_start = next + 1;
+        while (detail::is_space(s[value_start])) ++value_start;
+        i = value_start - 1;
+        break;
+      }
+      case ',':
+        if (depth == 1 && in_value && !close_value(i)) return false;
+        break;
+      case '{':
+      case '[':
+        ++depth;
+        break;
+      default:  // '}' or ']'
+        if (--depth == 0) {
+          if (i != last) return false;
+          return !in_value || close_value(i);
+        }
+        if (i == last) return false;  // unbalanced: it closed a nested value
+        break;
+    }
+  }
+}
+
+/// Walk the `{...}` elements of the array value `array` (as for_each_field
+/// hands it over), in order, calling visit(element) with each element's
+/// text; other elements are skipped.  Returns false when the value is not
+/// an array, a string in it is unterminated, its brackets do not balance,
+/// or visit returns false.
+template <typename Visit>
+[[nodiscard]] bool for_each_object(std::string_view array, Visit&& visit) {
+  constexpr std::size_t kNone = std::string_view::npos;
+  if (array.size() < 2 || array.front() != '[' || array.back() != ']') {
+    return false;
+  }
+  int depth = 0;  // nesting inside the array
+  std::size_t element_start = kNone;
+  for (std::size_t i = 1; i + 1 < array.size(); ++i) {
+    switch (array[i]) {
+      case '"':
+        i = detail::string_end(array, i);
+        if (i == kNone) return false;
+        break;
+      case '{':
+      case '[':
+        if (depth++ == 0) element_start = array[i] == '{' ? i : kNone;
+        break;
+      case '}':
+      case ']':
+        if (--depth < 0) return false;
+        if (depth == 0 && element_start != kNone &&
+            !visit(array.substr(element_start, i - element_start + 1))) {
+          return false;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return depth == 0;
+}
+
+/// One JSON object's top-level fields, collected by for_each_field, so
+/// the accessors decode one value each without rescanning.  The Object
+/// views the text it was parsed from, which must outlive it.  The first of
+/// duplicate keys is the one the accessors read.
+class Object {
+ public:
+  /// Nullopt unless for_each_field accepts the text.
+  [[nodiscard]] static std::optional<Object> parse(std::string_view text);
+
+  /// The value's bytes with surrounding whitespace trimmed, e.g. `true`,
+  /// `12`, `"a\"b"`, `{...}`; nullopt when the key is absent.
+  [[nodiscard]] std::optional<std::string_view> raw(
+      std::string_view key) const;
+  /// A decoded string value (string_value).
+  [[nodiscard]] std::optional<std::string> string(std::string_view key) const;
+  /// A number value, parsed locale-independently (support::parse_double).
+  [[nodiscard]] std::optional<double> number(std::string_view key) const;
+  /// A nested object value.
+  [[nodiscard]] std::optional<Object> object(std::string_view key) const;
+
+  struct Field {
+    std::string_view key;  ///< raw bytes between the quotes, undecoded
+    std::string_view value;  ///< as raw() returns it
+  };
+  /// Every top-level field in text order, duplicates included.
+  [[nodiscard]] const std::vector<Field>& fields() const { return fields_; }
+
+ private:
+  std::vector<Field> fields_;
+};
+
+/// Decode a raw string value (as for_each_field hands it over, quotes
+/// included) into *out, replacing its contents: the bytes up to the first
+/// unescaped quote, unescaped runs assigned whole.  \uXXXX decodes to UTF-8
+/// (BMP only; write_escaped never writes surrogate pairs); an unknown
+/// escape is the literal byte.  False when the value is not a string or an
+/// escape or the string is cut short; *out is then unspecified.  The one
+/// decoder of escapes.
+[[nodiscard]] inline bool string_value(std::string_view raw, std::string* out);
+
+/// string_value into a new string; nullopt where it returns false.
+[[nodiscard]] inline std::optional<std::string> string_value(
+    std::string_view raw);
+
+/// How an integer value's text reads (see parse_integer).
+enum class IntegerRead {
+  kNotNumber,  ///< the text is no number at all
+  kRefused,    ///< a number, but fractional or outside the bounds
+  kRead,       ///< an integral number within the bounds, stored
+};
+
+/// Read an integer value's text (as Object::raw returns it) into *out.  The
+/// one integer rule for every untrusted integer: a number reads only when
+/// it is integral and lies in [lo, hi] (T's range by default), so it is
+/// never truncated, and never cast where the cast would be undefined
+/// behaviour.  Exponent and fraction spellings of an integral value
+/// ("4.0", "1e3") read as that integer.  Every text reads as
+/// support::parse_double reads it; up to 15 plain digits, which a double
+/// holds exactly, are read without the double.
+template <typename T>
+[[nodiscard]] IntegerRead parse_integer(
+    std::string_view text, T* out, T lo = std::numeric_limits<T>::min(),
+    T hi = std::numeric_limits<T>::max());
+
+inline std::optional<Object> Object::parse(std::string_view text) {
+  Object obj;
+  obj.fields_.reserve(16);
+  const bool whole =
+      for_each_field(text, [&obj](std::string_view key, std::string_view value) {
+        obj.fields_.push_back({key, value});
+        return true;
+      });
+  if (!whole) return std::nullopt;
+  return obj;
 }
 
 inline std::optional<std::string_view> Object::raw(
@@ -229,40 +337,45 @@ inline std::optional<std::string_view> Object::raw(
   return std::nullopt;
 }
 
-inline std::optional<std::string> string_value(std::string_view raw) {
-  if (raw.empty() || raw.front() != '"') return std::nullopt;
-  std::string out;
-  std::size_t run = 1;  // start of the bytes not yet appended
+inline bool string_value(std::string_view raw, std::string* out) {
+  if (raw.empty() || raw.front() != '"') return false;
+  out->clear();
+  std::size_t run = 1;  // start of the bytes not yet copied
   for (std::size_t i = 1; i < raw.size(); ++i) {
-    const char c = raw[i];
-    if (c != '"' && c != '\\') continue;
-    out.append(raw.data() + run, i - run);
-    if (c == '"') return out;
-    if (++i >= raw.size()) return std::nullopt;
+    if (!detail::has_class(raw[i], detail::kStringStop)) continue;
+    out->append(raw.data() + run, i - run);
+    if (raw[i] == '"') return true;
+    if (++i >= raw.size()) return false;
     run = i + 1;
     switch (raw[i]) {
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
+      case 'n': *out += '\n'; break;
+      case 't': *out += '\t'; break;
+      case 'r': *out += '\r'; break;
+      case 'b': *out += '\b'; break;
+      case 'f': *out += '\f'; break;
       case 'u': {
-        if (i + 4 >= raw.size()) return std::nullopt;
+        if (i + 4 >= raw.size()) return false;
         unsigned code = 0;
         for (std::size_t k = 1; k <= 4; ++k) {
           const int d = detail::hex_value(raw[i + k]);
-          if (d < 0) return std::nullopt;
+          if (d < 0) return false;
           code = code * 16 + static_cast<unsigned>(d);
         }
         i += 4;
         run = i + 1;
-        detail::append_utf8(out, code);
+        detail::append_utf8(*out, code);
         break;
       }
-      default: out += raw[i]; break;  // \" \\ \/ and unknown escapes
+      default: *out += raw[i]; break;  // \" \\ \/ and unknown escapes
     }
   }
-  return std::nullopt;
+  return false;
+}
+
+inline std::optional<std::string> string_value(std::string_view raw) {
+  std::string out;
+  if (!string_value(raw, &out)) return std::nullopt;
+  return out;
 }
 
 inline std::optional<std::string> Object::string(std::string_view key) const {
@@ -279,10 +392,28 @@ inline std::optional<double> Object::number(std::string_view key) const {
 
 template <typename T>
 IntegerRead parse_integer(std::string_view text, T* out, T lo, T hi) {
-  const auto v = parse_double(text);
-  if (!v) return IntegerRead::kNotNumber;
   // Both range ends are exact doubles: -2^digits (or 0) and 2^digits.
   const double past_max = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  // 15 plain digits or fewer: below 2^53, so the double reads this value.
+  constexpr std::size_t kPlainDigits = 15;
+  if (!text.empty() && text.size() <= kPlainDigits) {
+    std::uint64_t digits = 0;
+    std::size_t i = 0;
+    for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+      digits = digits * 10 + static_cast<std::uint64_t>(text[i] - '0');
+    }
+    if (i == text.size()) {
+      if (!(static_cast<double>(digits) < past_max)) {
+        return IntegerRead::kRefused;
+      }
+      const T value = static_cast<T>(digits);
+      if (value < lo || value > hi) return IntegerRead::kRefused;
+      *out = value;
+      return IntegerRead::kRead;
+    }
+  }
+  const auto v = parse_double(text);
+  if (!v) return IntegerRead::kNotNumber;
   const double min = std::numeric_limits<T>::is_signed ? -past_max : 0.0;
   if (!(*v >= min && *v < past_max) || std::trunc(*v) != *v) {
     return IntegerRead::kRefused;
@@ -308,36 +439,6 @@ inline std::optional<Object> Object::object(std::string_view key) const {
   const auto v = raw(key);
   if (!v) return std::nullopt;
   return parse(*v);
-}
-
-inline std::optional<std::vector<Object>> Object::objects(
-    std::string_view key) const {
-  constexpr std::size_t kNone = std::string_view::npos;
-  const auto v = raw(key);
-  if (!v || v->size() < 2 || v->front() != '[' || v->back() != ']') {
-    return std::nullopt;
-  }
-  std::vector<Object> out;
-  int depth = 0;  // nesting inside the array
-  std::size_t element_start = kNone;
-  for (std::size_t i = 1; i + 1 < v->size(); ++i) {
-    const char c = (*v)[i];
-    if (c == '"') {
-      i = detail::string_end(*v, i);
-      if (i == kNone) return std::nullopt;
-    } else if (c == '{' || c == '[') {
-      if (depth++ == 0) element_start = c == '{' ? i : kNone;
-    } else if (c == '}' || c == ']') {
-      if (--depth < 0) return std::nullopt;
-      if (depth == 0 && element_start != kNone) {
-        auto element = parse(v->substr(element_start, i - element_start + 1));
-        if (!element) return std::nullopt;
-        out.push_back(std::move(*element));
-      }
-    }
-  }
-  if (depth != 0) return std::nullopt;
-  return out;
 }
 
 }  // namespace kcoup::support::json

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <locale>
 #include <optional>
 #include <sstream>
@@ -18,15 +19,19 @@ namespace kcoup::support {
 /// "nan" or "-nan").  Seventeen digits (max_digits10) round-trip every
 /// finite double exactly, which the campaign journal relies on for
 /// bit-identical resume.  std::to_chars never consults a locale.  Writes
-/// into `buf`, which must hold 24 bytes (the longest output is
-/// "-1.7976931348623157e+308"), and returns one past the last character.
+/// into `buf`, which must hold kFormatDoubleBytes, and returns one past the
+/// last character.
+inline constexpr std::size_t kFormatDoubleBytes =
+    sizeof("-1.7976931348623157e+308") - 1;  // the longest output
 inline char* format_double(char* buf, double v) {
-  return std::to_chars(buf, buf + 24, v, std::chars_format::general, 17).ptr;
+  return std::to_chars(buf, buf + kFormatDoubleBytes, v,
+                       std::chars_format::general, 17)
+      .ptr;
 }
 
 /// format_double into a new string.
 [[nodiscard]] inline std::string format_double(double v) {
-  char buf[24];
+  char buf[kFormatDoubleBytes];
   return std::string(buf, format_double(buf, v));
 }
 

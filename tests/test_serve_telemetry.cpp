@@ -148,6 +148,21 @@ TEST(TraceContextProtocolTest, ParseTruncatesOversizedIds) {
   const auto request = serve::parse_request(serve::ping_request(longid));
   ASSERT_TRUE(request.has_value());
   EXPECT_EQ(request->trace_id.size(), serve::kMaxTraceIdBytes);
+
+  // 41 bytes whose 40-byte cut falls inside the last two-byte character:
+  // the character goes whole, so the echoed id stays valid UTF-8.
+  std::string accented = "a";
+  for (int i = 0; i < 20; ++i) accented += "\xc3\xa9";
+  const std::string kept = accented.substr(0, 39);
+  const auto cut = serve::parse_request(serve::ping_request(accented));
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_EQ(cut->trace_id, kept);
+  // The client cuts the ids it sends the same way; unconnected, the id is
+  // cut before the send fails.
+  serve::Client client;
+  client.set_trace_id(accented);
+  EXPECT_FALSE(client.ping());
+  EXPECT_EQ(client.last_trace_id(), kept);
 }
 
 TEST(TraceContextProtocolTest, BuildersCarryTheId) {

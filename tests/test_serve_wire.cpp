@@ -4,9 +4,10 @@
 // scripted peer, JSON escaping of control characters, the string- and
 // depth-aware JSON reader with its truncation and bit-flip sweep, request
 // pipelining order, mid-pipeline framing errors, the poll(2) fallback
-// backend, a throwing prediction, the client's transmit buffer, and a
-// golden of served response bytes (tests/data/served_frames.txt;
-// KCOUP_REGEN_GOLDEN=1 rewrites it).
+// backend, a throwing prediction, integer boundary values that must not
+// stop a shard, the client's transmit buffer, and a golden of served
+// response bytes (tests/data/served_frames.txt; KCOUP_REGEN_GOLDEN=1
+// rewrites it).
 
 #include <gtest/gtest.h>
 
@@ -614,7 +615,11 @@ void touch_every_field(const std::string& text) {
     (void)object->string(key);
     (void)object->number(key);
     if (const auto nested = object->object(key)) (void)nested->raw("1s");
-    (void)object->objects(key);
+    if (const auto array = object->raw(key)) {
+      (void)support::json::for_each_object(*array, [](std::string_view e) {
+        return support::json::Object::parse(e).has_value();
+      });
+    }
   }
 }
 
@@ -1009,6 +1014,117 @@ TEST_F(WireServerTest, ThrowingPredictionAnswers500AndTheShardKeepsServing) {
   ASSERT_TRUE(canonical.has_value());
   EXPECT_TRUE(canonical->ok) << canonical->error;
   EXPECT_EQ(server_->metrics().errors, 2u);
+}
+
+/// A blocking connection whose reads give up after a deadline, so a shard
+/// that stops answering fails the test instead of hanging it.
+class DeadlineConnection {
+ public:
+  DeadlineConnection(int port, int deadline_s) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    const timeval timeout{deadline_s, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+  }
+  ~DeadlineConnection() { ::close(fd_); }
+  DeadlineConnection(const DeadlineConnection&) = delete;
+  DeadlineConnection& operator=(const DeadlineConnection&) = delete;
+
+  /// The answer to `payload`, or nullopt when none arrives in time.
+  std::optional<std::string> roundtrip(const std::string& payload) {
+    const std::string frame = serve::encode_frame(payload);
+    if (::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(frame.size())) {
+      return std::nullopt;
+    }
+    for (;;) {
+      std::string_view answer;
+      const auto status = serve::decode_frame(std::string_view(rx_), &pos_,
+                                              std::size_t{1} << 20, &answer);
+      if (status == serve::FrameDecodeStatus::kFrame) return std::string(answer);
+      if (status != serve::FrameDecodeStatus::kNeedMore) return std::nullopt;
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return std::nullopt;  // closed, or the deadline passed
+      rx_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  std::string rx_;
+  std::size_t pos_ = 0;
+};
+
+TEST_F(WireServerTest, NoRequestValueStopsTheShard) {
+  // Each boundary value of the integer rule, and each spelling at the edge
+  // of its digit path, as `ranks` and as `chain`, in a predict and in a
+  // batch element: every request is answered, refused with 400 or served,
+  // and the one shard then answers a canonical predict.
+  struct Value {
+    const char* text;
+    bool served;  // an integer in [1, INT_MAX]
+  };
+  const Value kValues[] = {
+      {"0", false},
+      {"1", true},
+      {"-1", false},
+      {"4.9", false},
+      {"2147483647", true},
+      {"2147483648", false},
+      {"9007199254740992", false},
+      {"1e300", false},
+      {"999999999999999", false},
+      {"1000000000000000", false},
+      {"9007199254740993", false},
+      {"0004", true},
+      {"+4", true},
+      {" 4", true},
+  };
+  serve::ServerConfig config;
+  config.workers = 1;
+  start_server(config);
+  DeadlineConnection peer(server_->port(), 10);
+  const std::string canonical = serve::predict_request({"APP", "X", 4, 2});
+  for (const Value& v : kValues) {
+    for (const bool ranks : {true, false}) {
+      const std::string fields =
+          std::string("\"app\":\"APP\",\"config\":\"X\",\"ranks\":") +
+          (ranks ? v.text : "4") + ",\"chain\":" + (ranks ? "2" : v.text);
+      const std::string predict = "{\"op\":\"predict\"," + fields + "}";
+      const std::string batch =
+          "{\"op\":\"batch\",\"queries\":[{\"app\":\"APP\",\"config\":"
+          "\"X\",\"ranks\":4,\"chain\":2},{" +
+          fields + "}]}";
+      for (const std::string& payload : {predict, batch}) {
+        SCOPED_TRACE(payload);
+        const auto answer = peer.roundtrip(payload);
+        ASSERT_TRUE(answer.has_value()) << "no answer in time";
+        if (!v.served) {
+          EXPECT_NE(answer->find("\"code\":400"), std::string::npos)
+              << *answer;
+        } else if (payload == predict) {
+          EXPECT_TRUE(serve::parse_prediction(*answer).has_value()) << *answer;
+        } else {
+          const auto results = serve::parse_batch_response(*answer);
+          ASSERT_TRUE(results.has_value()) << *answer;
+          EXPECT_EQ(results->size(), 2u);
+        }
+        const auto after = peer.roundtrip(canonical);
+        ASSERT_TRUE(after.has_value()) << "the shard stopped";
+        const auto p = serve::parse_prediction(*after);
+        ASSERT_TRUE(p.has_value()) << *after;
+        EXPECT_TRUE(p->ok) << *after;
+      }
+    }
+  }
 }
 
 TEST_F(WireServerTest, BurstOfTenThousandQueuedRequestsIsAnsweredInFull) {

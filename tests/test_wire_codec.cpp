@@ -1,13 +1,15 @@
 // Differential pin of the wire codecs (serve/protocol.hpp, serve/framing.hpp,
-// support/json.hpp): the appending encoders must write the same bytes as
-// the string-building encoders they replaced, and the one-pass decoders
+// support/json.hpp): the sized-region encoders must write the same bytes as
+// the string-building encoders they replaced, and the field-scan decoders
 // must accept and refuse what the per-key decoders accepted and refused,
-// with the same fields.  The replaced codecs are kept here verbatim as the
-// reference, their namespace qualifiers aside.  The one allowed difference
-// is the integer rule: a fractional value in an integer field, which the
-// reference truncated, is refused now.  The same rule is checked on every
-// integer surface with the boundary values 0, 1, -1, 4.9, 2^31 - 1, 2^31,
-// 2^53 and 1e300.
+// with the same fields; so must support::json::Object, field for field.
+// The replaced codecs are kept here verbatim as the reference, their
+// namespace qualifiers aside.  Two differences are intended.  The integer
+// rule: a fractional value in an integer field, which the reference
+// truncated, is refused now; the same rule is checked on every integer
+// surface with the boundary values 0, 1, -1, 4.9, 2^31 - 1, 2^31, 2^53 and
+// 1e300.  And a trace id longer than kMaxTraceIdBytes is cut at a UTF-8
+// character boundary, where the reference cut inside a character.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -560,6 +563,51 @@ std::string encode_frame(const std::string& payload) {
 
 }  // namespace ref
 
+// ref::Object keeps its fields private, as it was written.  An explicit
+// instantiation may name a private member, so one hands out the pointer to
+// it through a friend, and the differential reads the fields without
+// editing the reference.
+struct RefFieldsTag {};
+constexpr auto private_member(RefFieldsTag);
+template <typename Tag, auto kMember>
+struct PrivateMember {
+  friend constexpr auto private_member(Tag) { return kMember; }
+};
+template struct PrivateMember<RefFieldsTag, &ref::Object::fields_>;
+
+/// Every field of an Object: (raw key, raw value) in text order.
+using FieldList = std::vector<std::pair<std::string_view, std::string_view>>;
+
+FieldList ref_fields(const ref::Object& object) {
+  FieldList out;
+  for (const auto& field : object.*private_member(RefFieldsTag{})) {
+    out.emplace_back(field.key, field.value);
+  }
+  return out;
+}
+
+/// The trace-id cut the decoders apply, stated apart from serve's: at most
+/// kMaxTraceIdBytes, backed over at most three UTF-8 continuation bytes so
+/// that no character is split.
+std::string cut_trace_id(std::string id) {
+  if (id.size() <= serve::kMaxTraceIdBytes) return id;
+  std::size_t cut = serve::kMaxTraceIdBytes;
+  for (int k = 0; k < 3 && cut > 0 &&
+                  (static_cast<unsigned char>(id[cut]) & 0xC0) == 0x80;
+       ++k) {
+    --cut;
+  }
+  return id.substr(0, cut);
+}
+
+/// "a" and twenty two-byte characters: 41 bytes, whose byte cut at 40
+/// splits the last character.
+std::string accented_trace_id() {
+  std::string id = "a";
+  for (int i = 0; i < 20; ++i) id += "\xc3\xa9";
+  return id;
+}
+
 // --- Random inputs ----------------------------------------------------------
 
 /// Deterministic xorshift so every run checks the same inputs.
@@ -717,6 +765,33 @@ TEST(WireCodecEncoders, ByteIdenticalToTheReferenceOverRandomInputs) {
   }
 }
 
+TEST(WireCodecEncoders, WidestPredictionFitsTheComputedBound) {
+  // The widest answer: an error with every integer at its widest decimal,
+  // five 24-character doubles and all seven strings present, 410 bytes
+  // beside the strings' bytes, each of them a control byte that takes six.
+  serve::Prediction p;
+  p.ok = false;
+  p.key.ranks = std::numeric_limits<int>::min();
+  p.key.chain_length = std::numeric_limits<std::size_t>::max();
+  p.donor_ranks = std::numeric_limits<int>::max();
+  p.snapshot_version = std::numeric_limits<std::uint64_t>::max();
+  p.coupling_s = p.summation_s = p.actual_s = p.coupling_error =
+      p.summation_error = std::numeric_limits<double>::lowest();
+  for (const std::size_t control_bytes : {1, 7}) {
+    const std::string s(control_bytes, '\x01');
+    p.error = p.key.application = p.key.config = p.alpha_source =
+        p.inputs_source = p.source = p.model_form = s;
+    const std::string want = ref::prediction_json(p);
+    ASSERT_EQ(want.size(), 410 + 7 * 6 * control_bytes);
+    // A fresh string holds exactly the encoder's bound, so under ASan a
+    // bound short of the widest answer overflows its allocation.
+    EXPECT_EQ(serve::prediction_json(p), want);
+    std::string out = "kept";
+    serve::append_prediction_json(out, p);
+    EXPECT_EQ(out, "kept" + want);
+  }
+}
+
 // --- Decoders ---------------------------------------------------------------
 
 const char* const kIntegerKeys[] = {"ranks", "chain", "donor_ranks",
@@ -772,10 +847,49 @@ void expect_same_prediction(const serve::Prediction& got,
   EXPECT_EQ(got.snapshot_version, want.snapshot_version) << text;
 }
 
+/// The reference request's trace id with the intended cut: the decoded id
+/// in full, from the reference object, cut by cut_trace_id.
+std::string want_trace_id(const std::string& text) {
+  const auto object = ref::Object::parse(text);
+  const auto id = object ? object->string("trace_id") : std::nullopt;
+  return id ? cut_trace_id(*id) : std::string();
+}
+
+void expect_same_request(const serve::Request& got, const serve::Request& want,
+                         const std::string& text) {
+  EXPECT_EQ(got.op, want.op) << text;
+  EXPECT_EQ(got.trace_id, want.trace_id) << text;
+  EXPECT_EQ(got.queries.size(), want.queries.size()) << text;
+  for (std::size_t i = 0; i < got.queries.size() && i < want.queries.size();
+       ++i) {
+    EXPECT_EQ(got.queries[i].application, want.queries[i].application);
+    EXPECT_EQ(got.queries[i].config, want.queries[i].config);
+    EXPECT_EQ(got.queries[i].ranks, want.queries[i].ranks);
+    EXPECT_EQ(got.queries[i].chain_length, want.queries[i].chain_length);
+  }
+}
+
+/// support::json::Object reads the same fields as the reference Object:
+/// the same accept/refuse, and (key, raw value) in the same order.
+void expect_same_fields(const std::string& text) {
+  const auto want = ref::Object::parse(text);
+  const auto got = support::json::Object::parse(text);
+  ASSERT_EQ(got.has_value(), want.has_value()) << text;
+  if (!got.has_value()) return;
+  FieldList fields;
+  for (const support::json::Object::Field& f : got->fields()) {
+    fields.emplace_back(f.key, f.value);
+  }
+  EXPECT_EQ(fields, ref_fields(*want)) << text;
+}
+
 /// Same accept/refuse and fields from all three decoders, or a refusal the
-/// integer rule explains.  Returns how many decoders accepted the text.
-int expect_same_decoding(const std::string& text) {
+/// integer rule explains.  `reused` is decoded into by parse_request_into
+/// and must then hold what a fresh parse_request returns.  Returns how many
+/// decoders accepted the text.
+int expect_same_decoding(const std::string& text, serve::Request* reused) {
   int accepted = 0;
+  expect_same_fields(text);
   {
     const auto want = ref::parse_prediction(text);
     const auto got = serve::parse_prediction(text);
@@ -804,24 +918,18 @@ int expect_same_decoding(const std::string& text) {
     }
   }
   {
-    const auto want = ref::parse_request(text);
+    auto want = ref::parse_request(text);
     const auto got = serve::parse_request(text);
+    EXPECT_EQ(serve::parse_request_into(text, reused), got.has_value())
+        << text;
+    if (got.has_value()) expect_same_request(*reused, *got, text);
     if (got.has_value() != want.has_value()) {
       EXPECT_TRUE(want.has_value() &&
                   fraction_explains_refusal(text, "queries"))
           << "parse_request accept/refuse differs: " << text;
     } else if (got.has_value()) {
-      EXPECT_EQ(got->op, want->op) << text;
-      EXPECT_EQ(got->trace_id, want->trace_id) << text;
-      EXPECT_EQ(got->queries.size(), want->queries.size()) << text;
-      for (std::size_t i = 0;
-           i < got->queries.size() && i < want->queries.size(); ++i) {
-        EXPECT_EQ(got->queries[i].application, want->queries[i].application);
-        EXPECT_EQ(got->queries[i].config, want->queries[i].config);
-        EXPECT_EQ(got->queries[i].ranks, want->queries[i].ranks);
-        EXPECT_EQ(got->queries[i].chain_length,
-                  want->queries[i].chain_length);
-      }
+      want->trace_id = want_trace_id(text);
+      expect_same_request(*got, *want, text);
       ++accepted;
     }
   }
@@ -843,7 +951,8 @@ std::vector<std::string> seed_frames(Rng& rng) {
       serve::ping_request(), serve::stats_request("t-1"),
       "{\"op\": \"predict\", \"app\": \"BT\", \"config\": \"S\", "
       "\"ranks\": 4, \"chain\": 2}",
-      serve::error_json("malformed request", 400)};
+      serve::error_json("malformed request", 400),
+      serve::predict_request({"BT", "S", 4, 2}, accented_trace_id())};
   for (int i = 0; i < 64; ++i) {
     serve::QueryKey q = random_query(rng);
     q.ranks = 1 + static_cast<int>(rng.below(64));
@@ -926,20 +1035,24 @@ void mutate(Rng& rng, std::string& s) {
 
 TEST(WireCodecDecoders, SameAsTheReferenceOnValidFrames) {
   Rng rng{0x2545f4914f6cdd1dull};
+  serve::Request reused;
   for (const std::string& seed : seed_frames(rng)) {
-    EXPECT_GE(expect_same_decoding(seed), 1) << seed;
+    EXPECT_GE(expect_same_decoding(seed, &reused), 1) << seed;
   }
 }
 
 TEST(WireCodecDecoders, SameAsTheReferenceOverRandomMutations) {
   Rng rng{0xda942042e4dd58b5ull};
   const std::vector<std::string> seeds = seed_frames(rng);
+  // One Request decoded into across the whole sweep, as a server shard
+  // decodes each pipelined frame into the one it kept.
+  serve::Request reused;
   std::size_t accepted = 0;
   constexpr std::size_t kMutations = 300000;
   for (std::size_t i = 0; i < kMutations; ++i) {
     std::string text = seeds[rng.below(seeds.size())];
     for (std::size_t n = 1 + rng.below(3); n > 0; --n) mutate(rng, text);
-    accepted += static_cast<std::size_t>(expect_same_decoding(text));
+    accepted += static_cast<std::size_t>(expect_same_decoding(text, &reused));
     if (::testing::Test::HasFailure()) FAIL() << "stopped at mutation " << i;
   }
   // The sweep must reach the field decoders, not only the scanner's
@@ -1059,6 +1172,24 @@ TEST(WireIntegerRule, ParseIntegerBoundsAndSpellings) {
   EXPECT_EQ(u, 18446744073709549568u);
   EXPECT_EQ(parse_integer<std::uint64_t>("18446744073709551616", &u),
             IntegerRead::kRefused);
+  // The digit path's edges: up to 15 plain digits are read directly, and
+  // every other spelling through the double, which reads the same value
+  // there; 16 digits and more keep the double's rounding.
+  EXPECT_EQ(parse_integer<std::uint64_t>("999999999999999", &u),
+            IntegerRead::kRead);
+  EXPECT_EQ(u, 999999999999999u);
+  EXPECT_EQ(parse_integer<int>("999999999999999", &v), IntegerRead::kRefused);
+  EXPECT_EQ(parse_integer<std::uint64_t>("1000000000000000", &u),
+            IntegerRead::kRead);
+  EXPECT_EQ(u, 1000000000000000u);
+  EXPECT_EQ(parse_integer<std::uint64_t>("9007199254740993", &u),
+            IntegerRead::kRead);
+  EXPECT_EQ(u, 9007199254740992u);  // 2^53 + 1 reads as the double 2^53
+  for (const char* four : {"0004", "+4", " 4"}) {
+    v = 0;
+    EXPECT_EQ(parse_integer<int>(four, &v), IntegerRead::kRead) << four;
+    EXPECT_EQ(v, 4) << four;
+  }
 }
 
 }  // namespace
