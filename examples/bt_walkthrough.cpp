@@ -38,8 +38,10 @@ int main() {
     const machine::CostBreakdown c = mk->invoke_detailed();
     bd.add_row({"compute", report::format_seconds(c.compute_s)});
     for (std::size_t l = 0; l < c.cache_s.size(); ++l) {
-      bd.add_row({"L" + std::to_string(l + 1) + " traffic",
-                  report::format_seconds(c.cache_s[l])});
+      std::string level = "L";
+      level += std::to_string(l + 1);
+      level += " traffic";
+      bd.add_row({std::move(level), report::format_seconds(c.cache_s[l])});
     }
     bd.add_row({"memory traffic", report::format_seconds(c.memory_s)});
     bd.add_row({"communication", report::format_seconds(c.comm_s)});

@@ -172,8 +172,9 @@ MergeResult merge_shards(const CampaignSpec& spec, const MergeOptions& options,
     TaskSetResult run =
         execute_tasks(spec, unrecorded, options.workers, &reg, &journal);
     merged.tasks_stolen = unrecorded.size();
-    for (const auto& [key, out] : run.outcomes) {
-      if (out.ok) values.emplace(key, out.value);
+    for (std::size_t i = 0; i < unrecorded.size(); ++i) {
+      const TaskExecution& out = run.outcomes[i];
+      if (out.ok) values.emplace(unrecorded[i].key, out.value);
     }
     failures.insert(failures.end(), run.failures.begin(), run.failures.end());
   } else {

@@ -294,7 +294,7 @@ TaskSetResult execute_tasks(const CampaignSpec& spec,
   auto journal_done = [journal](const TaskKey& key, const TaskOutcome& out) {
     if (journal == nullptr) return;
     if (out.ok) {
-      journal->append(JournalEntry{key, out.value, out.attempts});
+      journal->append(JournalEntry{key, out.value, out.attempts, ""});
     } else {
       // Failure records let a merge coordinator account for the hole; the
       // resume loader skips them, so the task is retried on the next run,
@@ -355,10 +355,9 @@ TaskSetResult execute_tasks(const CampaignSpec& spec,
   if (first_error) std::rethrow_exception(first_error);
 
   TaskSetResult result;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const TaskOutcome& out = outcomes[i];
-    result.outcomes.emplace(
-        tasks[i].key,
+  result.outcomes.reserve(tasks.size());
+  for (const TaskOutcome& out : outcomes) {
+    result.outcomes.push_back(
         TaskExecution{out.value, out.attempts, out.measure_s, out.ok});
   }
   result.handles_created = created.load();
@@ -379,13 +378,19 @@ CampaignResult assemble_campaign(
   for (std::size_t s = 0; s < spec.studies.size(); ++s) {
     const CampaignStudy& cell = spec.studies[s];
     const StudyShape& shape = plan.shapes[s];
-    auto key = [&](TaskKind kind, std::size_t index, std::size_t length) {
-      return TaskKey{cell.application, cell.config, cell.ranks, kind, index,
-                     length};
+    // One key per study, its cell labels copied once; each lookup sets only
+    // the measurement fields.
+    TaskKey task{cell.application, cell.config, cell.ranks};
+    auto key = [&task](TaskKind kind, std::size_t index,
+                       std::size_t length) -> const TaskKey& {
+      task.kind = kind;
+      task.index = index;
+      task.length = length;
+      return task;
     };
-    auto resolve = [&](const TaskKey& k) -> double {
-      if (const auto v = value_of(k)) return *v;
-      result.missing[s].push_back(k);
+    auto resolve = [&](const TaskKey& want) -> double {
+      if (const auto v = value_of(want)) return *v;
+      result.missing[s].push_back(want);
       return std::numeric_limits<double>::quiet_NaN();
     };
 
@@ -422,6 +427,13 @@ CampaignResult assemble_campaign(
         coupling::ChainCoupling c;
         c.start = start;
         c.length = q;
+        c.members.reserve(q);
+        std::size_t label_size = 2 * (q - 1);
+        for (std::size_t i = 0; i < q; ++i) {
+          label_size +=
+              shape.kernel_names[(start + i) % shape.loop_size].size();
+        }
+        c.label.reserve(label_size);
         for (std::size_t i = 0; i < q; ++i) {
           const std::size_t k = (start + i) % shape.loop_size;
           c.members.push_back(k);
@@ -471,12 +483,14 @@ CampaignResult execute_plan(const CampaignSpec& spec, const CampaignPlan& plan,
 
   const Clock::time_point assemble0 = Clock::now();
   obs::ScopedSpan assemble_span("assemble_phase", "campaign");
+  // Each executed key's outcome sits at its plan position.
+  const TaskIndex position(plan.tasks);
   // nullopt == the task ran and failed; its values become explicit missing
   // markers.  A key absent from both stores is a plan inconsistency.
   auto value_of = [&](const TaskKey& key) -> std::optional<double> {
-    const auto it = run.outcomes.find(key);
-    if (it != run.outcomes.end()) {
-      if (it->second.ok) return it->second.value;
+    if (const std::size_t i = position.find(key); i != TaskIndex::npos) {
+      const TaskExecution& out = run.outcomes[i];
+      if (out.ok) return out.value;
       return std::nullopt;
     }
     const auto cached = plan.cached.find(key);
@@ -511,7 +525,7 @@ CampaignResult execute_plan(const CampaignSpec& spec, const CampaignPlan& plan,
   count("campaign.handles_created", run.handles_created);
   count("campaign.handles_reused", run.handles_reused);
   trace::RunningStats task_times;
-  for (const auto& [k, o] : run.outcomes) task_times.add(o.seconds);
+  for (const TaskExecution& o : run.outcomes) task_times.add(o.seconds);
   if (task_times.count() > 0) {
     reg.gauge("campaign.task_min_s").set(task_times.min());
     reg.gauge("campaign.task_max_s").set(task_times.max());

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,9 +49,9 @@ struct TaskExecution {
 };
 
 /// What executing a bare task set produced.  `outcomes` holds every task —
-/// failed ones with `ok == false` — keyed exactly like the plan.
+/// failed ones with `ok == false` — at its position in the executed tasks.
 struct TaskSetResult {
-  std::map<TaskKey, TaskExecution> outcomes;
+  std::vector<TaskExecution> outcomes;
   std::vector<TaskFailure> failures;  ///< unsorted (worker completion order)
   std::size_t handles_created = 0;
   std::size_t handles_reused = 0;

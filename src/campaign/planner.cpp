@@ -38,6 +38,39 @@ double task_cost(const TaskKey& key, const StudyShape& shape,
 
 }  // namespace
 
+TaskIndex::TaskIndex(const std::vector<MeasurementTask>& tasks)
+    : tasks_(&tasks) {
+  rebuild(16);
+}
+
+void TaskIndex::add_last() {
+  // At most half full, so every probe ends at an empty slot.
+  if (2 * (size_ + 1) > slots_.size()) {
+    rebuild(2 * slots_.size());
+  } else {
+    slots_[probe(tasks_->back().key)] = tasks_->size() - 1;
+    ++size_;
+  }
+}
+
+std::size_t TaskIndex::probe(const TaskKey& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = TaskKeyHash{}(key) & mask;
+  while (slots_[s] != npos && !((*tasks_)[slots_[s]].key == key)) {
+    s = (s + 1) & mask;
+  }
+  return s;
+}
+
+void TaskIndex::rebuild(std::size_t slots) {
+  while (slots < 2 * tasks_->size()) slots *= 2;
+  slots_.assign(slots, npos);
+  size_ = tasks_->size();
+  for (std::size_t i = 0; i < size_; ++i) {
+    slots_[probe((*tasks_)[i].key)] = i;
+  }
+}
+
 CampaignPlan plan_campaign(const CampaignSpec& spec,
                            const coupling::CouplingDatabase* db) {
   std::set<std::size_t> lengths;
@@ -95,12 +128,13 @@ CampaignPlan plan_campaign(const CampaignSpec& spec,
     }
   }
 
-  std::set<TaskKey> planned;
+  plan.tasks.reserve(plan.tasks_requested);
+  TaskIndex planned(plan.tasks);
   auto add = [&](std::size_t study, TaskKey key) {
-    if (planned.insert(key).second) {
-      const double cost = task_cost(key, plan.shapes[study], spec.measurement);
-      plan.tasks.push_back(MeasurementTask{std::move(key), study, cost});
-    }
+    if (planned.find(key) != TaskIndex::npos) return;
+    const double cost = task_cost(key, plan.shapes[study], spec.measurement);
+    plan.tasks.push_back(MeasurementTask{std::move(key), study, cost});
+    planned.add_last();
   };
 
   for (std::size_t s = 0; s < spec.studies.size(); ++s) {
@@ -126,7 +160,8 @@ CampaignPlan plan_campaign(const CampaignSpec& spec,
   // Chains the database already holds become cache entries, not tasks.  The
   // cached value supplies P_S only; isolated sums are always assembled from
   // this campaign's fresh isolated means, exactly like measure_chains().
-  if (db != nullptr) {
+  // An empty store holds none, so its tasks are not probed one by one.
+  if (db != nullptr && db->size() > 0) {
     std::vector<MeasurementTask> remaining;
     remaining.reserve(plan.tasks.size());
     for (MeasurementTask& t : plan.tasks) {

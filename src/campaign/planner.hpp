@@ -27,7 +27,9 @@ struct StudyShape {
 /// estimate in kernel invocations — chain traversals multiply chain length
 /// by the repetition budget, actual/epilogue tasks pay for full application
 /// runs — which the executor sums per study cell to claim the dearest
-/// cells first, so one expensive straggler cannot serialize the tail.
+/// cells first, so one expensive straggler cannot serialize the tail.  It
+/// estimates full pricing; a modeled loop that reaches a fixed point costs
+/// far less, so the estimate only ranks cells.
 struct MeasurementTask {
   TaskKey key;
   std::size_t study = 0;
@@ -48,6 +50,34 @@ struct CampaignPlan {
   std::size_t tasks_deduplicated = 0;
   std::size_t cache_hits = 0;
   std::size_t journal_hits = 0;      ///< tasks replayed by apply_journal()
+};
+
+/// Positions in a task list, found by key: an open-addressed table of
+/// positions over the list itself, so the planner's deduplication and the
+/// executor's assembly allocate nothing and copy no key per task.  The
+/// list may grow (add_last); the index reads it through the reference.
+class TaskIndex {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Indexes every task already in `tasks`.
+  explicit TaskIndex(const std::vector<MeasurementTask>& tasks);
+
+  /// Position of the task with `key`, or npos.
+  [[nodiscard]] std::size_t find(const TaskKey& key) const {
+    return slots_[probe(key)];
+  }
+  /// Index tasks.back(), whose key find() does not know yet.
+  void add_last();
+
+ private:
+  /// The slot holding `key`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(const TaskKey& key) const;
+  void rebuild(std::size_t slots);
+
+  const std::vector<MeasurementTask>* tasks_;
+  std::vector<std::size_t> slots_;  ///< positions, npos when empty
+  std::size_t size_ = 0;
 };
 
 /// Expand a spec into the minimal set of atomic measurements:

@@ -206,8 +206,8 @@ ShardResult run_shard(const CampaignSpec& spec, const ShardOptions& options,
     obs::ScopedSpan measure_span("shard_measure", "campaign");
     TaskSetResult run = execute_tasks(spec, todo, workers, &reg, &journal);
     result.tasks_executed = todo.size();
-    for (const auto& [key, out] : run.outcomes) {
-      if (out.ok) done.insert(key);
+    for (std::size_t i = 0; i < todo.size(); ++i) {
+      if (run.outcomes[i].ok) done.insert(todo[i].key);
     }
     result.failures = std::move(run.failures);
   }
@@ -252,8 +252,8 @@ ShardResult run_shard(const CampaignSpec& spec, const ShardOptions& options,
       TaskSetResult stolen = execute_tasks(spec, pending, workers, &reg,
                                            &journal);
       result.tasks_stolen += pending.size();
-      for (const auto& [key, out] : stolen.outcomes) {
-        if (out.ok) done.insert(key);
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        if (stolen.outcomes[i].ok) done.insert(pending[i].key);
       }
       result.failures.insert(result.failures.end(),
                              stolen.failures.begin(), stolen.failures.end());

@@ -2,6 +2,7 @@
 
 #include <compare>
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,6 +28,23 @@ struct TaskKey {
   std::size_t length = 0;  ///< chain length; 1 == isolated kernel
 
   [[nodiscard]] auto operator<=>(const TaskKey&) const = default;
+};
+
+/// Hash over every TaskKey field, for the unordered containers that keep
+/// the campaign's per-task bookkeeping.
+struct TaskKeyHash {
+  [[nodiscard]] std::size_t operator()(const TaskKey& k) const noexcept {
+    std::size_t h = std::hash<std::string_view>{}(k.application);
+    const auto mix = [&h](std::size_t v) {
+      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    };
+    mix(std::hash<std::string_view>{}(k.config));
+    mix(static_cast<std::size_t>(k.ranks));
+    mix(static_cast<std::size_t>(k.kind));
+    mix(k.index);
+    mix(k.length);
+    return h;
+  }
 };
 
 [[nodiscard]] constexpr const char* to_string(TaskKind k) {

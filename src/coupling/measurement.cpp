@@ -1,5 +1,6 @@
 #include "coupling/measurement.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -28,18 +29,21 @@ trace::RunningStats MeasurementHarness::chain_stats(std::size_t start,
   app_->reset();
   (void)state_repeats();
   trace::RunningStats stats;
+  const int passes = options_.warmup + options_.repetitions;
   double t = 0.0;
   bool fixed = false;
-  for (int pass = 0; pass < options_.warmup + options_.repetitions; ++pass) {
-    if (!fixed) {
-      t = 0.0;
-      for (std::size_t i = 0; i < length; ++i) {
-        t += app_->loop[(start + i) % n]->invoke();
-      }
-      fixed = state_repeats();
+  int pass = 0;
+  for (; pass < passes && !fixed; ++pass) {
+    t = 0.0;
+    for (std::size_t i = 0; i < length; ++i) {
+      t += app_->loop[(start + i) % n]->invoke();
     }
+    fixed = state_repeats();
     if (pass >= options_.warmup) stats.add(t);
   }
+  // Every pass after a fixed point costs what the last one did.
+  const int left = passes - std::max(pass, options_.warmup);
+  if (left > 0) stats.add_repeated(t, static_cast<std::size_t>(left));
   return stats;
 }
 
@@ -67,17 +71,18 @@ trace::RunningStats MeasurementHarness::prologue_stats(
   trace::RunningStats stats;
   double t = 0.0;
   bool fixed = false;
-  for (int r = 0; r < options_.repetitions; ++r) {
-    if (!fixed) {
-      app_->reset();
-      for (std::size_t i = 0; i <= index; ++i) {
-        const double dt = app_->prologue[i]->invoke();
-        if (i == index) t = dt;
-      }
-      fixed = state_repeats();
+  int r = 0;
+  for (; r < options_.repetitions && !fixed; ++r) {
+    app_->reset();
+    for (std::size_t i = 0; i <= index; ++i) {
+      const double dt = app_->prologue[i]->invoke();
+      if (i == index) t = dt;
     }
+    fixed = state_repeats();
     stats.add(t);
   }
+  const int left = options_.repetitions - r;
+  if (left > 0) stats.add_repeated(t, static_cast<std::size_t>(left));
   return stats;
 }
 
@@ -97,9 +102,10 @@ trace::RunningStats MeasurementHarness::epilogue_stats(
     // Once an iteration leaves the state unchanged, the epilogue starts
     // from that state however many iterations remain.
     (void)state_repeats();
-    for (int it = 0; it < app_->iterations; ++it) {
+    bool fixed = false;
+    for (int it = 0; it < app_->iterations && !fixed; ++it) {
       for (Kernel* k : app_->loop) k->invoke();
-      if (state_repeats()) break;
+      fixed = state_repeats();
     }
     double t = 0.0;
     for (std::size_t i = 0; i <= index; ++i) {
@@ -107,6 +113,15 @@ trace::RunningStats MeasurementHarness::epilogue_stats(
       if (i == index) t = dt;
     }
     stats.add(t);
+    // The hook answers true only for an application that cold-starts its
+    // own machine and runs only its own kernels, so a run from reset is a
+    // pure function of the cold state: every later repetition repeats this
+    // sample.
+    if (fixed) {
+      stats.add_repeated(
+          t, static_cast<std::size_t>(options_.epilogue_repetitions - r - 1));
+      break;
+    }
   }
   return stats;
 }

@@ -39,7 +39,12 @@ struct MeasurementOptions {
 /// When the application sets LoopApplication::state_repeats, a measurement
 /// stops pricing once a traversal leaves the state as it found it and
 /// replays that traversal's costs, in the same order, for the remaining
-/// passes: the results are bit-identical to pricing every pass.
+/// passes: the results are bit-identical to pricing every pass.  Samples
+/// after the fixed point are added in O(1) (RunningStats::add_repeated).
+/// The hook answers true only for an application whose run from reset is a
+/// pure function of its cold state, so an epilogue measurement whose run
+/// reached a fixed point prices that run once and repeats its sample for
+/// the remaining repetitions.
 class MeasurementHarness {
  public:
   MeasurementHarness(const LoopApplication* app, MeasurementOptions options)

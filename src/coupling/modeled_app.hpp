@@ -75,16 +75,29 @@ class ModeledApp {
 
   /// True when every kernel `app` runs is one of ours and its reset is our
   /// cold start, so each traversal is a pure function of the machine state.
-  [[nodiscard]] bool deterministic(const LoopApplication& app) const {
+  /// The ownership scan runs only when `app`'s kernel lists differ from the
+  /// last ones it passed: our kernels live as long as we do, so no foreign
+  /// kernel can take the address of one the scan found ours.
+  [[nodiscard]] bool deterministic(const LoopApplication& app) {
     const auto* reset = app.reset.target<ColdStart>();
     if (reset == nullptr || reset->machine != &machine_) return false;
+    if (app.prologue == owned_prologue_ && app.loop == owned_loop_ &&
+        app.epilogue == owned_epilogue_) {
+      return true;
+    }
     const auto owned = [this](const Kernel* k) {
       return std::any_of(kernels_.begin(), kernels_.end(),
                          [k](const auto& own) { return own.get() == k; });
     };
-    return std::all_of(app.prologue.begin(), app.prologue.end(), owned) &&
-           std::all_of(app.loop.begin(), app.loop.end(), owned) &&
-           std::all_of(app.epilogue.begin(), app.epilogue.end(), owned);
+    if (!(std::all_of(app.prologue.begin(), app.prologue.end(), owned) &&
+          std::all_of(app.loop.begin(), app.loop.end(), owned) &&
+          std::all_of(app.epilogue.begin(), app.epilogue.end(), owned))) {
+      return false;
+    }
+    owned_prologue_ = app.prologue;
+    owned_loop_ = app.loop;
+    owned_epilogue_ = app.epilogue;
+    return true;
   }
 
   bool state_repeats(const LoopApplication& app) {
@@ -103,6 +116,8 @@ class ModeledApp {
   LoopApplication app_;
   machine::Machine::State saved_;  ///< state at the last state_repeats()
   bool saved_valid_ = false;
+  /// The kernel lists deterministic() last found to be all ours.
+  std::vector<Kernel*> owned_prologue_, owned_loop_, owned_epilogue_;
 };
 
 }  // namespace kcoup::coupling

@@ -31,8 +31,9 @@ std::unique_ptr<ModeledApp> make_synthetic_app(
   std::vector<std::size_t> region_bytes;
   for (std::size_t r = 0; r < spec.regions; ++r) {
     region_bytes.push_back(size_dist(rng));
-    regions.push_back(
-        modeled->region("r" + std::to_string(r), region_bytes.back()));
+    std::string name = "r";
+    name += std::to_string(r);
+    regions.push_back(modeled->region(std::move(name), region_bytes.back()));
   }
 
   // Each kernel k writes region k (mod pool); kernel k reads the previous
@@ -40,7 +41,8 @@ std::unique_ptr<ModeledApp> make_synthetic_app(
   std::uniform_int_distribution<std::size_t> pick(0, spec.regions - 1);
   for (std::size_t k = 0; k < spec.kernels; ++k) {
     machine::WorkProfile p;
-    p.label = "K" + std::to_string(k);
+    p.label = "K";
+    p.label += std::to_string(k);
     p.kernel = static_cast<machine::KernelId>(k);
     p.flops = flops_dist(rng);
     p.pipeline_stages = spec.pipeline_stages;

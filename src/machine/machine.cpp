@@ -34,7 +34,12 @@ CostBreakdown& CostBreakdown::operator+=(const CostBreakdown& o) {
 }
 
 Machine::Machine(MachineConfig config)
-    : config_(std::move(config)), cache_(config_) {
+    : config_(std::move(config)),
+      cache_(config_),
+      contention_(1.0 + config_.net_contention_coeff * log2p(config_.ranks)),
+      tree_depth_(std::ceil(std::log2(static_cast<double>(config_.ranks)))),
+      skew_scale_((1.0 - 1.0 / static_cast<double>(config_.ranks)) *
+                  log2p(config_.ranks)) {
   assert(config_.flops_per_second > 0.0);
   assert(config_.ranks >= 1);
 }
@@ -78,29 +83,23 @@ CostBreakdown Machine::execute(const WorkProfile& profile) {
   cache_.end_invocation(profile.kernel, footprint_so_far);
 
   // --- Communication. ------------------------------------------------------
-  const double contention =
-      1.0 + config_.net_contention_coeff * log2p(config_.ranks);
   double latency_bound_s = 0.0;  // per-message latency; drives imbalance
   for (const MessageOp& m : profile.messages) {
     const double n = static_cast<double>(m.count);
     latency_bound_s += n * config_.net_latency_s;
     cost.comm_s += n * (config_.net_latency_s +
                         static_cast<double>(m.bytes_each) *
-                            config_.net_seconds_per_byte * contention);
+                            config_.net_seconds_per_byte * contention_);
   }
 
   // --- Synchronisation & load imbalance. -----------------------------------
   if (profile.synchronizes && config_.ranks > 1) {
-    const double tree_depth =
-        std::ceil(std::log2(static_cast<double>(config_.ranks)));
-    cost.sync_s += config_.sync_latency_s * tree_depth;
+    cost.sync_s += config_.sync_latency_s * tree_depth_;
 
     const double corr = skew_correlation(prev_kernel_, profile.kernel);
-    const double scale = (1.0 - 1.0 / static_cast<double>(config_.ranks)) *
-                         log2p(config_.ranks);
-    cost.sync_s += (1.0 - corr) * config_.imbalance_coeff * scale *
+    cost.sync_s += (1.0 - corr) * config_.imbalance_coeff * skew_scale_ *
                    profile.imbalance_weight *
-                   (latency_bound_s + config_.sync_latency_s * tree_depth);
+                   (latency_bound_s + config_.sync_latency_s * tree_depth_);
   }
 
   prev_kernel_ = profile.kernel;

@@ -111,6 +111,11 @@ class Machine {
   MachineConfig config_;
   CacheModel cache_;
   KernelId prev_kernel_ = kInvalidKernel;
+  // Pure functions of the config that execute() reads, computed once by
+  // the constructor.
+  double contention_;  ///< 1 + kappa log2 P, the bandwidth contention factor
+  double tree_depth_;  ///< ceil(log2 P) barrier tree hops
+  double skew_scale_;  ///< (1 - 1/P) log2 P, the imbalance penalty's P term
 };
 
 }  // namespace kcoup::machine

@@ -174,7 +174,8 @@ void Client::set_trace_id(std::string id) {
 
 void Client::auto_trace_ids(std::string prefix) {
   if (prefix.empty()) {
-    prefix = "c" + std::to_string(static_cast<long long>(::getpid()));
+    prefix.append("c").append(
+        std::to_string(static_cast<long long>(::getpid())));
   }
   auto_prefix_ = std::move(prefix);
   trace_id_.clear();

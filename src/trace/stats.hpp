@@ -1,7 +1,9 @@
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
 namespace kcoup::trace {
@@ -20,6 +22,26 @@ class RunningStats {
     m2_ += delta * (x - mean_);
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
+  }
+
+  /// Bit for bit what `times` calls of add(x) leave, in O(1) once the
+  /// stream settles: it adds one sample at a time until an add leaves the
+  /// mean and M2 bit-identical (for a finite x, once the mean equals x),
+  /// and then only counts the rest.  The count enters an add only through
+  /// delta / n, and a larger n gives a zero, infinite or NaN delta the same
+  /// quotient and a finite one a smaller quotient of the same sign, which
+  /// rounds against the same mean to the same result; so an add that
+  /// changed neither is followed only by adds that change neither.
+  void add_repeated(double x, std::size_t times) noexcept {
+    for (; times > 0; --times) {
+      const double mean = mean_;
+      const double m2 = m2_;
+      add(x);
+      if (same_bits(mean, mean_) && same_bits(m2, m2_)) {
+        n_ += times - 1;
+        return;
+      }
+    }
   }
 
   void merge(const RunningStats& other) noexcept {
@@ -55,6 +77,10 @@ class RunningStats {
   }
 
  private:
+  static bool same_bits(double a, double b) noexcept {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  }
+
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;

@@ -38,8 +38,10 @@ struct SyntheticApp {
     app.name = "synthetic";
     app.iterations = 3;
     for (std::size_t k = 0; k < loop_size; ++k) {
+      std::string name = "k";
+      name += std::to_string(k);
       kernels.push_back(std::make_unique<coupling::CallableKernel>(
-          "k" + std::to_string(k),
+          std::move(name),
           [k, scale] { return static_cast<double>(k + 1) * scale; }));
       app.loop.push_back(kernels.back().get());
     }
@@ -263,7 +265,7 @@ TEST(CampaignFaultMatrixTest, NpbCampaignSurvivesInjectedFaults) {
 TEST(JournalTest, LineRoundTripsBitExactDoubles) {
   const JournalEntry entry{
       TaskKey{"BT", "S", 4, TaskKind::kChain, 2, 3},
-      0.1234567890123456789, 2};
+      0.1234567890123456789, 2, ""};
   const auto parsed = parse_journal_line(journal_line(entry));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->key, entry.key);
@@ -273,7 +275,7 @@ TEST(JournalTest, LineRoundTripsBitExactDoubles) {
 
 TEST(JournalTest, LoaderSkipsTruncatedTail) {
   const JournalEntry good{TaskKey{"A", "C", 1, TaskKind::kActual, 0, 0},
-                          3.5, 1};
+                          3.5, 1, ""};
   const std::string full = journal_line(good);
   std::istringstream in(full + "\n" + full.substr(0, full.size() / 2));
   const auto loaded = load_journal(in);
@@ -283,7 +285,7 @@ TEST(JournalTest, LoaderSkipsTruncatedTail) {
 
 TEST(JournalTest, LoaderToleratesGarbageAndBlankLines) {
   const JournalEntry good{TaskKey{"A", "C", 1, TaskKind::kPrologue, 1, 0},
-                          0.25, 1};
+                          0.25, 1, ""};
   std::istringstream in("\nnot json\n{\"half\": true\n" +
                         journal_line(good) + "\n{}\n");
   const auto loaded = load_journal(in);
@@ -293,8 +295,8 @@ TEST(JournalTest, LoaderToleratesGarbageAndBlankLines) {
 
 TEST(JournalTest, DuplicateKeysKeepTheLastValue) {
   const TaskKey key{"A", "C", 1, TaskKind::kChain, 0, 2};
-  std::istringstream in(journal_line(JournalEntry{key, 1.0, 1}) + "\n" +
-                        journal_line(JournalEntry{key, 2.0, 1}) + "\n");
+  std::istringstream in(journal_line(JournalEntry{key, 1.0, 1, ""}) + "\n" +
+                        journal_line(JournalEntry{key, 2.0, 1, ""}) + "\n");
   const auto loaded = load_journal(in);
   EXPECT_EQ(loaded.at(key), 2.0);
 }

@@ -42,8 +42,10 @@ struct SyntheticApp {
     app.name = "synthetic";
     app.iterations = 3;
     for (std::size_t k = 0; k < loop_size; ++k) {
+      std::string name = "k";
+      name += std::to_string(k);
       kernels.push_back(std::make_unique<coupling::CallableKernel>(
-          "k" + std::to_string(k),
+          std::move(name),
           [k, scale] { return static_cast<double>(k + 1) * scale; }));
       app.loop.push_back(kernels.back().get());
     }

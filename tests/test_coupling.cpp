@@ -43,8 +43,10 @@ struct SyntheticApp {
                int iterations) {
     for (std::size_t i = 0; i < spec.size(); ++i) {
       const auto [base, discount] = spec[i];
+      std::string name = "K";
+      name += std::to_string(i);
       kernels.push_back(std::make_unique<CallableKernel>(
-          "K" + std::to_string(i), [this, i, base = base,
+          std::move(name), [this, i, base = base,
                                     discount = discount] {
             return env.invoke(static_cast<int>(i), base, discount);
           }));

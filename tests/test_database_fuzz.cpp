@@ -99,11 +99,10 @@ std::vector<std::string> mutation_corpus() {
   std::uniform_real_distribution<double> time_dist(1e-6, 10.0);
   for (int i = 0; i < 32; ++i) {
     CouplingRecord r;
-    r.key.application = (i % 3 == 0) ? "BT" : (i % 3 == 1) ? "SP" : "LU";
-    r.key.config = (i % 2 == 0) ? "W" : "A";
-    r.key.ranks = ranks_dist(rng);
-    r.key.chain_length = 2 + static_cast<std::size_t>(i % 3);
-    r.key.chain_start = static_cast<std::size_t>(i % 5);
+    r.key = CouplingKey{(i % 3 == 0) ? "BT" : (i % 3 == 1) ? "SP" : "LU",
+                        (i % 2 == 0) ? "W" : "A", ranks_dist(rng),
+                        2 + static_cast<std::size_t>(i % 3),
+                        static_cast<std::size_t>(i % 5)};
     r.chain_time = time_dist(rng);
     r.isolated_sum = time_dist(rng);
     source.record(std::move(r));
@@ -282,12 +281,14 @@ TEST(DatabaseFuzzTest, SaveLoadSaveIsStable) {
   std::mt19937 rng(42);
   std::uniform_real_distribution<double> time_dist(1e-9, 1e3);
   for (int i = 0; i < 64; ++i) {
+    std::string application = "A";
+    application += std::to_string(i % 7);
+    std::string config = "c";
+    config += std::to_string(i % 4);
     CouplingRecord r;
-    r.key.application = "A" + std::to_string(i % 7);
-    r.key.config = "c" + std::to_string(i % 4);
-    r.key.ranks = 1 << (i % 6);
-    r.key.chain_length = 1 + static_cast<std::size_t>(i % 4);
-    r.key.chain_start = static_cast<std::size_t>(i % 6);
+    r.key = CouplingKey{std::move(application), std::move(config),
+                        1 << (i % 6), 1 + static_cast<std::size_t>(i % 4),
+                        static_cast<std::size_t>(i % 6)};
     r.chain_time = time_dist(rng);
     r.isolated_sum = time_dist(rng);
     source.record(std::move(r));

@@ -123,15 +123,23 @@ TEST(FixedPointTest, SyntheticAppsMatchFullPricingBitForBit) {
   for (unsigned seed : {1u, 2u, 3u, 5u, 8u}) {
     for (int ranks : {1, 4, 16}) {
       for (int iterations : {1, 2, 300}) {
+        const auto modeled = synthetic_with_ends(seed, ranks, iterations);
         for (int warmup : {0, 3}) {
-          const auto modeled = synthetic_with_ends(seed, ranks, iterations);
-          MeasurementOptions options;
-          options.warmup = warmup;
-          expect_fast_forward_exact(
-              modeled->app(), options,
-              "seed " + std::to_string(seed) + " P=" + std::to_string(ranks) +
-                  " iterations " + std::to_string(iterations) + " warmup " +
-                  std::to_string(warmup));
+          for (int repetitions : {1, 50}) {
+            for (int epilogue_repetitions : {1, 3, 5}) {
+              MeasurementOptions options;
+              options.warmup = warmup;
+              options.repetitions = repetitions;
+              options.epilogue_repetitions = epilogue_repetitions;
+              std::string what = "seed ";
+              what += std::to_string(seed) + " P=" + std::to_string(ranks) +
+                      " iterations " + std::to_string(iterations) +
+                      " warmup " + std::to_string(warmup) + " repetitions " +
+                      std::to_string(repetitions) + " epilogue " +
+                      std::to_string(epilogue_repetitions);
+              expect_fast_forward_exact(modeled->app(), options, what);
+            }
+          }
         }
       }
     }
@@ -202,13 +210,110 @@ TEST(FixedPointTest, NpbWholeRunsPriceFarFewerInvocations) {
   }
 }
 
+/// A copy of `own` whose loop kernels count their invocations; its hook
+/// asks the owner about the owner's own lists, which hold the same kernels.
+struct CountedLoop {
+  explicit CountedLoop(const LoopApplication& own) : app(own) {
+    counters = count_loop(app);
+    app.state_repeats = [&own](const LoopApplication&) {
+      return own.state_repeats(own);
+    };
+  }
+  LoopApplication app;
+  std::vector<std::unique_ptr<CountingKernel>> counters;
+};
+
+TEST(FixedPointTest, NpbEpilogueMeasurementPricesItsRunOnce) {
+  for (const NpbCell& c : npb_cells()) {
+    const auto modeled = make_npb(c);
+    const LoopApplication& own = modeled->app();
+    ASSERT_FALSE(own.epilogue.empty()) << c.name;
+    const CountedLoop counted(own);
+    LoopApplication reference = own;
+    reference.state_repeats = nullptr;
+    std::size_t once = 0;
+    for (int repetitions : {1, 3, 5}) {
+      MeasurementOptions options;
+      options.epilogue_repetitions = repetitions;
+      const std::size_t before = total(counted.counters);
+      const auto stats = stat_bits(
+          MeasurementHarness(&counted.app, options).epilogue_stats(0));
+      EXPECT_EQ(stats, stat_bits(MeasurementHarness(&reference, options)
+                                     .epilogue_stats(0)))
+          << c.name << " epilogue repetitions " << repetitions;
+      const std::size_t priced = total(counted.counters) - before;
+      if (repetitions == 1) once = priced;
+      // One run to the loop's fixed point, whatever the repetitions.
+      EXPECT_EQ(priced, once) << c.name << " repetitions " << repetitions;
+    }
+    EXPECT_LT(once, static_cast<std::size_t>(own.iterations) *
+                        own.loop_size())
+        << c.name;
+  }
+}
+
+TEST(FixedPointTest, ForeignKernelEpilogueMeasurementPricesEveryRun) {
+  const auto modeled = npb::lu::make_modeled_lu(npb::ProblemClass::kS, 4,
+                                                machine::ibm_sp_p2sc());
+  LoopApplication reference = modeled->app();
+  reference.state_repeats = nullptr;
+  LoopApplication& app = modeled->app();
+  CountingKernel foreign(app.loop[0]);
+  app.loop[0] = &foreign;
+  MeasurementOptions options;
+  options.epilogue_repetitions = 4;
+  const MeasurementHarness full(&reference, options);
+  EXPECT_EQ(stat_bits(MeasurementHarness(&app, options).epilogue_stats(1)),
+            stat_bits(full.epilogue_stats(1)));
+  EXPECT_EQ(foreign.count(), 4u * static_cast<std::size_t>(app.iterations));
+}
+
+TEST(FixedPointTest, KernelSwappedAfterAMeasurementDisablesTheHook) {
+  const auto modeled = npb::bt::make_modeled_bt(npb::ProblemClass::kW, 4,
+                                                machine::ibm_sp_p2sc());
+  LoopApplication& app = modeled->app();
+  LoopApplication reference = app;
+  reference.state_repeats = nullptr;
+  const MeasurementOptions options;
+  const MeasurementHarness full(&reference, options);
+  const std::size_t n = app.loop_size();
+  // The first measurement finds every kernel the app's own and reaches a
+  // fixed point.
+  EXPECT_EQ(stat_bits(MeasurementHarness(&app, options).chain_stats(0, n)),
+            stat_bits(full.chain_stats(0, n)));
+
+  CountingKernel foreign(app.loop[1]);
+  app.loop[1] = &foreign;
+  const MeasurementHarness harness(&app, options);
+  const auto passes =
+      static_cast<std::size_t>(options.warmup + options.repetitions);
+  EXPECT_EQ(stat_bits(harness.chain_stats(0, n)),
+            stat_bits(full.chain_stats(0, n)));
+  EXPECT_EQ(foreign.count(), passes);
+  EXPECT_EQ(bits(harness.actual_total()), bits(full.actual_total()));
+  EXPECT_EQ(foreign.count(),
+            passes + static_cast<std::size_t>(app.iterations));
+  EXPECT_EQ(stat_bits(harness.epilogue_stats(0)),
+            stat_bits(full.epilogue_stats(0)));
+  EXPECT_EQ(foreign.count(),
+            passes + static_cast<std::size_t>(app.iterations) *
+                         static_cast<std::size_t>(
+                             1 + options.epilogue_repetitions));
+}
+
 TEST(FixedPointTest, CallableKernelAppWithoutHookPricesEveryInvocation) {
   CallableKernel a("a", [] { return 1e-3; });
   CallableKernel b("b", [] { return 2e-3; });
+  CallableKernel init("init", [] { return 3e-3; });
+  CallableKernel finish("finish", [] { return 4e-3; });
   LoopApplication app;
   app.iterations = 300;
   app.loop = {&a, &b};
   const auto counters = count_loop(app);
+  CountingKernel counted_init(&init);
+  CountingKernel counted_final(&finish);
+  app.prologue = {&counted_init};
+  app.epilogue = {&counted_final};
   const MeasurementOptions options;
   const MeasurementHarness harness(&app, options);
   (void)harness.actual_total();
@@ -217,6 +322,18 @@ TEST(FixedPointTest, CallableKernelAppWithoutHookPricesEveryInvocation) {
   const auto passes =
       static_cast<std::size_t>(options.warmup + options.repetitions);
   EXPECT_EQ(total(counters), 300u * 2u + passes * 2u);
+
+  // Prologue and epilogue samples: every repetition is a priced run.
+  const std::size_t inits = counted_init.count();
+  (void)harness.prologue_stats(0);
+  EXPECT_EQ(counted_init.count() - inits,
+            static_cast<std::size_t>(options.repetitions));
+  const std::size_t loops = total(counters);
+  const std::size_t finals = counted_final.count();
+  (void)harness.epilogue_stats(0);
+  const auto runs = static_cast<std::size_t>(options.epilogue_repetitions);
+  EXPECT_EQ(total(counters) - loops, runs * 300u * 2u);
+  EXPECT_EQ(counted_final.count() - finals, runs);
 }
 
 TEST(FixedPointTest, ForeignKernelInTheLoopDisablesTheHook) {

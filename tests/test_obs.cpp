@@ -286,8 +286,10 @@ struct SyntheticOwner {
     inner.name = "synthetic";
     inner.iterations = 3;
     for (std::size_t k = 0; k < loop_size; ++k) {
+      std::string name = "k";
+      name += std::to_string(k);
       kernels.push_back(std::make_unique<coupling::CallableKernel>(
-          "k" + std::to_string(k),
+          std::move(name),
           [k] { return static_cast<double>(k + 1) * 0.001; }));
       inner.loop.push_back(kernels.back().get());
     }
