@@ -233,6 +233,132 @@ std::size_t key_slot(std::string_view key) {
   return key_slot<kNames>(key, std::make_index_sequence<kNames.size()>());
 }
 
+/// True when the text at `p` starts with kNames[slot], compared by
+/// same_bytes at that name's constant width.
+template <const auto& kNames, std::size_t... I>
+bool name_at(std::size_t slot, const char* p, std::index_sequence<I...>) {
+  bool same = false;
+  (void)((slot == I &&
+          ((same = same_bytes<kNames[I].size()>(p, kNames[I].data())),
+           true)) ||
+         ...);
+  return same;
+}
+
+/// Reads text in the layout this file's encoders write, where the general
+/// scan would have to find each field's end.  Each call consumes what it
+/// reads and returns true, or returns false at the first byte the encoder
+/// would not have written there: whitespace, a key out of order, a string
+/// byte the encoder escapes, a number that does not end at ',' or '}'.
+/// Values go through the decoders the scan path uses, so the reader only
+/// decides where each field starts and ends.  A decoder tries it first and
+/// hands the text to for_each_field on any false.
+class LayoutReader {
+ public:
+  explicit LayoutReader(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
+
+  /// Consumes the literal `s` if the text goes on with it.
+  template <std::size_t N>
+  bool literal(const char (&s)[N]) {
+    constexpr std::size_t kSize = N - 1;
+    if (static_cast<std::size_t>(end_ - p_) < kSize ||
+        !same_bytes<kSize>(p_, s)) {
+      return false;
+    }
+    p_ += kSize;
+    return true;
+  }
+
+  /// Consumes `,"name":` for the first name of kNames after position
+  /// *slot that the text spells, and moves *slot to it: keys come in
+  /// kNames order, so none repeats.
+  template <const auto& kNames>
+  bool next_key(std::size_t* slot) {
+    if (end_ - p_ < 2 || p_[0] != ',' || p_[1] != '"') return false;
+    const char* const key = p_ + 2;
+    const auto left = static_cast<std::size_t>(end_ - key);
+    for (std::size_t s = *slot + 1; s < kNames.size(); ++s) {
+      const std::size_t size = kNames[s].size();
+      if (left > size + 1 && key[size] == '"' && key[size + 1] == ':' &&
+          name_at<kNames>(s, key, std::make_index_sequence<kNames.size()>())) {
+        *slot = s;
+        p_ = key + size + 2;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// A string holding no byte write_escaped escapes; *out views its
+  /// bytes between the quotes.
+  bool raw_string(std::string_view* out) {
+    if (p_ == end_ || *p_ != '"') return false;
+    const char* const first = ++p_;
+    while (p_ != end_ &&
+           support::json::detail::kEscape[static_cast<unsigned char>(*p_)] ==
+               0) {
+      ++p_;
+    }
+    if (p_ == end_ || *p_ != '"') return false;
+    *out = std::string_view(first, static_cast<std::size_t>(p_ - first));
+    ++p_;
+    return true;
+  }
+
+  bool string(std::string* out) {
+    std::string_view v;
+    if (!raw_string(&v)) return false;
+    out->assign(v);
+    return true;
+  }
+
+  /// A number as parse_double reads it through from_chars: finite, and
+  /// ending at ',' or '}'.
+  bool number(double* out) {
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(p_, end_, v);
+    if (ec != std::errc{} || !ends_value(ptr) || !std::isfinite(v)) {
+      return false;
+    }
+    *out = v;
+    p_ = ptr;
+    return true;
+  }
+
+  /// An integer as parse_integer reads it within [lo, hi]: a run of number
+  /// bytes, opening with a digit or '-' and ending at ',' or '}'.
+  template <typename T>
+  bool integer(T* out, T lo = std::numeric_limits<T>::min(),
+               T hi = std::numeric_limits<T>::max()) {
+    if (p_ == end_ || !(is_digit(*p_) || *p_ == '-')) return false;
+    const char* last = p_ + 1;
+    while (last != end_ && (is_digit(*last) || *last == '-' || *last == '+' ||
+                            *last == '.' || *last == 'e' || *last == 'E')) {
+      ++last;
+    }
+    const std::string_view text(p_, static_cast<std::size_t>(last - p_));
+    if (!ends_value(last) ||
+        parse_integer(text, out, lo, hi) != IntegerRead::kRead) {
+      return false;
+    }
+    p_ = last;
+    return true;
+  }
+
+  /// The closing brace is the text's last byte.
+  [[nodiscard]] bool at_close() const { return end_ - p_ == 1 && *p_ == '}'; }
+
+ private:
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+  bool ends_value(const char* at) const {
+    return at != end_ && (*at == ',' || *at == '}');
+  }
+
+  const char* p_;
+  const char* const end_;
+};
+
 /// *out = the decoded string, or empty when the value is no string.
 void read_string(std::string_view raw, std::string* out) {
   if (!string_value(raw, out)) out->clear();
@@ -247,6 +373,35 @@ void read_number(std::string_view raw, double* out) {
 template <typename T>
 bool read_integer(std::string_view raw, T* out) {
   return parse_integer(raw, out) != IntegerRead::kRefused;
+}
+
+/// `{"op":"predict","app":"...","config":"...","ranks":N,"chain":N}` with
+/// an optional `,"trace_id":"..."` before the brace, as
+/// append_predict_request writes it, into *out; false at any departure,
+/// with *out partly written.
+bool read_predict_layout(std::string_view json, Request* out) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  LayoutReader r(json);
+  if (!r.literal("{\"op\":\"predict\",\"app\":")) return false;
+  out->queries.resize(1);
+  QueryKey& q = out->queries.front();
+  if (!r.string(&q.application) || !r.literal(",\"config\":") ||
+      !r.string(&q.config) || !r.literal(",\"ranks\":") ||
+      !r.integer(&q.ranks, 1, kMax) || !r.literal(",\"chain\":") ||
+      !r.integer(&q.chain_length, std::size_t{1}, std::size_t{kMax})) {
+    return false;
+  }
+  out->op = RequestOp::kPredict;
+  if (r.at_close()) {
+    out->trace_id.clear();
+    return true;
+  }
+  if (!r.literal(",\"trace_id\":") || !r.string(&out->trace_id) ||
+      !r.at_close()) {
+    return false;
+  }
+  truncate_trace_id(out->trace_id);
+  return true;
 }
 
 /// The raw value of each request key, from its first occurrence.
@@ -276,11 +431,64 @@ bool read_query(const RequestFields& f, QueryKey* q) {
                        std::size_t{kMax}) == IntegerRead::kRead;
 }
 
+/// The prediction object in append_prediction_json's layout into *p, a
+/// default Prediction: `{"ok":true` or `{"ok":false`, then `,"key":value`
+/// fields in kNames order, absent ones skipped, then `}` at the last byte,
+/// with the server's echoed `,"trace_id":"..."` allowed before it.  False
+/// at any departure or refusal, with *p partly written.
+bool read_prediction_layout(std::string_view json, Prediction* p) {
+  using namespace prediction_key;
+  LayoutReader r(json);
+  if (r.literal("{\"ok\":true")) {
+    p->ok = true;
+  } else if (!r.literal("{\"ok\":false")) {
+    return false;
+  }
+  std::string_view cache;
+  for (std::size_t slot = kOk; !r.at_close();) {
+    if (!r.next_key<kNames>(&slot)) {
+      // The scan path skips the trace id as a key it does not know.
+      std::string_view trace_id;
+      return r.literal(",\"trace_id\":") && r.raw_string(&trace_id) &&
+             r.at_close();
+    }
+    bool read = false;
+    switch (slot) {
+      case kError: read = r.string(&p->error); break;
+      case kApp: read = r.string(&p->key.application); break;
+      case kConfig: read = r.string(&p->key.config); break;
+      case kRanks: read = r.integer(&p->key.ranks); break;
+      case kChain: read = r.integer(&p->key.chain_length); break;
+      case kCouplingS: read = r.number(&p->coupling_s); break;
+      case kSummationS: read = r.number(&p->summation_s); break;
+      case kActualS: read = r.number(&p->actual_s); break;
+      case kCouplingErr: read = r.number(&p->coupling_error); break;
+      case kSummationErr: read = r.number(&p->summation_error); break;
+      case kAlpha: read = r.string(&p->alpha_source); break;
+      case kInputs: read = r.string(&p->inputs_source); break;
+      case kSource: read = r.string(&p->source); break;
+      case kModelForm: read = r.string(&p->model_form); break;
+      case kDonorRanks: read = r.integer(&p->donor_ranks); break;
+      case kCache:
+        read = r.raw_string(&cache);
+        p->cache_hit = cache == "hit"sv;
+        break;
+      case kSnapshot: read = r.integer(&p->snapshot_version); break;
+      default: break;
+    }
+    if (!read) return false;
+  }
+  return true;
+}
+
 /// Decode the prediction object in `json` into *p, a default Prediction,
-/// each key from its first occurrence.  False when the text is not one
-/// object or an integer field is refused.
+/// each key from its first occurrence: in the encoder's layout when the
+/// text keeps to it, else through for_each_field.  False when the text is
+/// not one object or an integer field is refused.
 bool read_prediction(std::string_view json, Prediction* p) {
   using namespace prediction_key;
+  if (read_prediction_layout(json, p)) return true;
+  *p = Prediction{};
   static_assert(kCount <= 32, "the seen-mask is 32 bits");
   std::uint32_t seen = 0;
   return for_each_field(json, [p, &seen](std::string_view key,
@@ -334,6 +542,7 @@ void truncate_trace_id(std::string& id) {
 
 bool parse_request_into(std::string_view json, Request* out) {
   using namespace request_key;
+  if (read_predict_layout(json, out)) return true;
   RequestFields f;
   std::string op;
   if (!read_request_fields(json, &f) || !f[kOp] ||

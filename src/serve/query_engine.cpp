@@ -155,11 +155,18 @@ Prediction QueryEngine::predict(const PredictorSnapshot& snapshot,
   return p;
 }
 
+void QueryEngine::predict_batch_into(const PredictorSnapshot& snapshot,
+                                     std::span<const QueryKey> queries,
+                                     std::vector<Prediction>* out) {
+  out->clear();
+  out->reserve(queries.size());
+  for (const QueryKey& q : queries) out->push_back(predict(snapshot, q));
+}
+
 std::vector<Prediction> QueryEngine::predict_batch(
     const PredictorSnapshot& snapshot, std::span<const QueryKey> queries) {
   std::vector<Prediction> out;
-  out.reserve(queries.size());
-  for (const QueryKey& q : queries) out.push_back(predict(snapshot, q));
+  predict_batch_into(snapshot, queries, &out);
   return out;
 }
 

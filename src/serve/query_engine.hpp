@@ -85,6 +85,14 @@ class QueryEngine {
 
   [[nodiscard]] Prediction predict(const PredictorSnapshot& snapshot,
                                    const QueryKey& query);
+  /// One predict per query, in order, into *out, whose storage is reused:
+  /// a server shard keeps one result vector across windows, so a warm
+  /// window of exact queries allocates nothing here.  A throw from predict
+  /// leaves *out holding the answers before it.
+  void predict_batch_into(const PredictorSnapshot& snapshot,
+                          std::span<const QueryKey> queries,
+                          std::vector<Prediction>* out);
+  /// predict_batch_into a new vector.
   [[nodiscard]] std::vector<Prediction> predict_batch(
       const PredictorSnapshot& snapshot, std::span<const QueryKey> queries);
 

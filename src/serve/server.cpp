@@ -30,11 +30,10 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// Monotonic second count for the rolling windows: steady_clock, so a
-/// wall-clock step can never smear or duplicate a window slot.
-std::int64_t steady_now_s() {
-  return std::chrono::duration_cast<std::chrono::seconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+/// Monotonic second count of `t` for the rolling windows: steady_clock,
+/// so a wall-clock step can never smear or duplicate a window slot.
+std::int64_t steady_s(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::seconds>(t.time_since_epoch())
       .count();
 }
 
@@ -384,8 +383,9 @@ void Server::handle_window(Shard& shard, Conn& conn,
   // snapshot acquisition and one engine call; each frame keeps a [offset,
   // offset+count) view into the shared result vector.  The vectors belong
   // to the shard thread and are reused: each frame's Request is decoded
-  // into in place and the query list is cleared, so once they have grown
-  // to a window's high-water size decoding stops allocating.
+  // into in place, and the query and result lists are cleared, so once
+  // they have grown to a window's high-water size neither decoding nor the
+  // engine call allocates a vector.
   struct Frame {
     Request request;
     bool parsed = false;  ///< false: malformed, `request` unspecified
@@ -394,6 +394,7 @@ void Server::handle_window(Shard& shard, Conn& conn,
   };
   thread_local std::vector<Frame> frames;
   thread_local std::vector<QueryKey> queries;
+  thread_local std::vector<Prediction> results;
   if (frames.size() < payloads.size()) frames.resize(payloads.size());
   queries.clear();
   for (std::size_t i = 0; i < payloads.size(); ++i) {
@@ -412,15 +413,15 @@ void Server::handle_window(Shard& shard, Conn& conn,
   }
 
   std::shared_ptr<const PredictorSnapshot> snapshot;
-  std::vector<Prediction> results;
-  // Set when predict_batch threw: the window's predict/batch frames are
-  // answered with it as a code-500 error, and the shard keeps serving.
+  results.clear();
+  // Set when predict_batch_into threw: the window's predict/batch frames
+  // are answered with it as a code-500 error, and the shard keeps serving.
   std::optional<std::string> failure;
   if (!queries.empty()) {
     snapshot = source_->current();
     if (snapshot != nullptr) {
       try {
-        results = engine_->predict_batch(*snapshot, queries);
+        engine_->predict_batch_into(*snapshot, queries, &results);
         c_predictions_.add(results.size());
       } catch (const std::exception& e) {
         failure = std::string("prediction failed: ") + e.what();
@@ -536,10 +537,11 @@ void Server::handle_window(Shard& shard, Conn& conn,
     }
     prefix_frame(conn.wbuf, start);
     c_requests_.add(1);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
+    // One clock read gives both the latency and the window second.
+    const auto now = std::chrono::steady_clock::now();
+    const std::chrono::duration<double> elapsed = now - t0;
     h_latency_.record(elapsed.count());
-    const std::int64_t now_s = steady_now_s();
+    const std::int64_t now_s = steady_s(now);
     windows.requests.add(now_s);
     if (!frame_ok) windows.errors.add(now_s);
     windows.latency.record(now_s, elapsed.count());
@@ -736,7 +738,7 @@ std::string Server::stats_json() {
 
   // Rolling windows, merged across every shard at one shared now_s so the
   // three windows are nested views of the same instant.
-  const std::int64_t now_s = steady_now_s();
+  const std::int64_t now_s = steady_s(std::chrono::steady_clock::now());
   static constexpr std::int64_t kWindows[] = {1, 10, 60};
   static constexpr const char* kWindowNames[] = {"1s", "10s", "60s"};
   out += ",\"windows\":{";

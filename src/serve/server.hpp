@@ -42,7 +42,7 @@ struct ServerConfig {
   std::size_t max_frame_bytes = 64 * 1024;
   /// Most complete frames decoded into one pipelined batch window: every
   /// predict/batch query in a window shares one snapshot acquisition and
-  /// one QueryEngine::predict_batch call.  Also the fairness bound — a
+  /// one QueryEngine::predict_batch_into call.  Also the fairness bound — a
   /// connection with more buffered frames yields to the event loop between
   /// windows.
   std::size_t max_pipeline = 64;
@@ -70,7 +70,7 @@ class BindError : public std::runtime_error {
 /// (length-prefixed JSON, see protocol.hpp), so a connection may have many
 /// requests in flight: each wakeup drains up to max_pipeline complete
 /// frames into one batch window whose predict/batch queries share a single
-/// snapshot acquisition and one QueryEngine::predict_batch call.
+/// snapshot acquisition and one QueryEngine::predict_batch_into call.
 /// Responses are appended to a per-connection write buffer and flushed as
 /// the socket accepts them (EPOLLOUT when it doesn't), with responses
 /// always in request order.
@@ -211,9 +211,10 @@ class Server {
   /// of max_pipeline), appending responses to wbuf.
   void process_frames(Shard& shard, Conn& conn);
   /// Handle one pipelined window: parse all payloads (views into rbuf),
-  /// run every query in one predict_batch, and encode each response frame
-  /// straight into wbuf in request order.  A throw from predict_batch
-  /// answers the window's predict/batch frames with code-500 errors.
+  /// run every query in one predict_batch_into, and encode each response
+  /// frame straight into wbuf in request order.  A throw from
+  /// predict_batch_into answers the window's predict/batch frames with
+  /// code-500 errors.
   void handle_window(Shard& shard, Conn& conn,
                      std::span<const std::string_view> payloads);
   /// The stats-op payload: ServeMetrics flat JSON extended with nested

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <locale>
@@ -135,6 +138,91 @@ TEST(NumFormatTest, RandomBitPatternsFormatAndParseLikeTheStream) {
   for (int i = 0; i < 100000; ++i) {
     expect_same_codec(from_bits(rng.next()));
     if (HasFatalFailure()) return;
+  }
+}
+
+// The exact 17-digit writer's edges: where %g switches between fixed and
+// exponent notation, where rounding carries into the next decade, where
+// the exact arithmetic ends, and where the 17-digit rounding is a tie.
+
+TEST(NumFormatTest, PowersOfTenAndTheirNeighboursFormatLikeTheStream) {
+  // 1e-5/1e-4 and 1e16/1e17 switch the notation; a neighbour of a power of
+  // ten rounds across the decade or not.
+  for (int p = -323; p <= 308; ++p) {
+    const std::string text = "1e" + std::to_string(p);
+    const double ten = std::strtod(text.c_str(), nullptr);
+    ASSERT_GT(ten, 0.0) << text;
+    expect_same_codec(ten);
+    double below = ten;
+    double above = ten;
+    for (int k = 0; k < 4; ++k) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, std::numeric_limits<double>::infinity());
+      expect_same_codec(below);
+      expect_same_codec(above);
+    }
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(NumFormatTest, PowersOfTwoFormatLikeTheStream) {
+  for (int p = -1074; p <= 1023; ++p) {
+    expect_same_codec(std::ldexp(1.0, p));
+    expect_same_codec(-std::ldexp(1.0, p));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(NumFormatTest, ExactSeventeenDigitTiesFormatLikeTheStream) {
+  // k * 2^-n with k odd ends its decimal expansion in 5 after n places, and
+  // has 18 significant digits when k * 5^n does: its 17-digit rounding is
+  // an exact tie.  2^-25 = 2.98023223876953125e-08 is the first with k = 1.
+  EXPECT_EQ(support::format_double(0x1p-25), "2.9802322387695312e-08");
+  XorShift rng{0x94d049bb133111ebull};
+  for (int n = 2; n <= 25; ++n) {
+    std::uint64_t five_n = 1;
+    for (int i = 0; i < n; ++i) five_n *= 5;
+    constexpr std::uint64_t k1e17 = 100'000'000'000'000'000;
+    // Odd k with 10^17 <= k * 5^n < 10^18 and k < 2^53.
+    const std::uint64_t lo = (k1e17 + five_n - 1) / five_n;
+    const std::uint64_t hi =
+        std::min<std::uint64_t>((10 * k1e17 - 1) / five_n,
+                                (std::uint64_t{1} << 53) - 1);
+    if (lo > hi) continue;
+    for (int i = 0; i < 64; ++i) {
+      std::uint64_t k = lo + (i == 0 ? 0 : i == 1 ? hi - lo
+                                              : rng.next() % (hi - lo + 1));
+      if (k % 2 == 0) k = k == hi ? k - 1 : k + 1;
+      const double v = std::ldexp(static_cast<double>(k), -n);
+      expect_same_codec(v);
+      expect_same_codec(-v);
+    }
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(NumFormatTest, IntegersAround2To53And10To17FormatLikeTheStream) {
+  for (const double centre : {0x1p53, 1e17}) {
+    double below = centre;
+    double above = centre;
+    expect_same_codec(centre);
+    for (int k = 0; k < 2000; ++k) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, std::numeric_limits<double>::infinity());
+      expect_same_codec(below);
+      expect_same_codec(above);
+    }
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(NumFormatTest, AMillionMoreRandomBitPatternsFormatLikeTheStream) {
+  // Bytes only: the round trip is checked on the patterns above.
+  XorShift rng{0xbf58476d1ce4e5b9ull};
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = from_bits(rng.next());
+    ASSERT_EQ(support::format_double(v), reference_format_double(v))
+        << "bits 0x" << std::hex << bits_of(v);
   }
 }
 

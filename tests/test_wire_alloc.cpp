@@ -1,8 +1,10 @@
 // The wire codec must not allocate once warm: a server shard decodes each
 // pipelined request into the Request it kept from the last window, the
 // client decodes each answer into short strings, and both encode into a
-// buffer that has grown to its working size.  This binary replaces the
-// global operator new with a counting one, so it holds no other tests.
+// buffer that has grown to its working size.  Nor must the engine call
+// between them: a shard answers each window into the result vector it
+// kept.  This binary replaces the global operator new with a counting one,
+// so it holds no other tests.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +12,15 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "coupling/database.hpp"
 #include "serve/protocol.hpp"
+#include "serve/query_engine.hpp"
+#include "serve/snapshot.hpp"
+#include "serve/workload.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -112,6 +119,64 @@ TEST(WireAllocationTest, EncodersIntoAWarmBufferAllocateNothing) {
     EXPECT_EQ(buffer.size(), bytes);
   }
   EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+/// Two kernels whose means are closed-form in the rank count.
+class TwoKernelWorkload final : public Workload {
+ public:
+  bool valid_cell(const std::string& application, const std::string& config,
+                  int ranks) const override {
+    return application == "APP" && config == "X" && ranks >= 1;
+  }
+  CellInputs measure_cell(const std::string& application,
+                          const std::string& config,
+                          int ranks) const override {
+    if (!valid_cell(application, config, ranks)) {
+      throw std::invalid_argument("TwoKernelWorkload: invalid cell");
+    }
+    CellInputs cell;
+    cell.inputs.isolated_means = {0.01 / ranks, 0.02 / ranks};
+    cell.inputs.iterations = 10;
+    cell.loop_size = 2;
+    cell.summation_s = coupling::summation_prediction(cell.inputs);
+    cell.actual_s = 1.1 * cell.summation_s;
+    return cell;
+  }
+  std::optional<CellShape> shape(const std::string&,
+                                 const std::string&) const override {
+    return std::nullopt;
+  }
+};
+
+TEST(WireAllocationTest, AWarmWindowOfExactQueriesPredictsWithoutAllocating) {
+  coupling::CouplingDatabase db;
+  for (const int ranks : {4, 16}) {
+    for (std::size_t start = 0; start < 2; ++start) {
+      coupling::CouplingRecord r;
+      r.key = {"APP", "X", ranks, 2, start};
+      r.isolated_sum = 0.03 / ranks;
+      r.chain_time = r.isolated_sum * (1.05 + 0.01 * start);
+      db.record(r);
+    }
+  }
+  const PredictorSnapshot snapshot(std::move(db), 1, {}, {false});
+  TwoKernelWorkload workload;
+  QueryEngine engine(&workload);
+  std::vector<QueryKey> window;
+  for (int i = 0; i < 8; ++i) window.push_back({"APP", "X", i % 2 ? 16 : 4, 2});
+  std::vector<Prediction> results;
+  // Warm-up: both cells are measured into the memo and the vector grows.
+  engine.predict_batch_into(snapshot, window, &results);
+  ASSERT_EQ(results.size(), window.size());
+  for (const Prediction& p : results) ASSERT_EQ(p.source, "exact") << p.error;
+  const std::size_t before = g_allocations.load();
+  std::size_t hits = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    engine.predict_batch_into(snapshot, window, &results);
+    for (const Prediction& p : results) hits += p.ok && p.cache_hit;
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(hits, kRounds * window.size());
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 // surface with the boundary values 0, 1, -1, 4.9, 2^31 - 1, 2^31, 2^53 and
 // 1e300.  And a trace id longer than kMaxTraceIdBytes is cut at a UTF-8
 // character boundary, where the reference cut inside a character.
+// The decoders read their own encoders' layout before the general field
+// scan; the seeds hold both kinds of valid text, and the layout tests pin
+// each way out of the first path.
 
 #include <gtest/gtest.h>
 
@@ -944,8 +947,59 @@ serve::Prediction decodable_prediction(Rng& rng) {
   return p;
 }
 
+/// `text` re-spaced the way json.dumps writes it: a space after every ','
+/// and ':' outside strings.
+std::string respaced(const std::string& text) {
+  std::string out;
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    out += text[i];
+    if (in_string) {
+      if (text[i] == '\\' && i + 1 < text.size()) {
+        out += text[++i];
+      } else if (text[i] == '"') {
+        in_string = false;
+      }
+    } else if (text[i] == '"') {
+      in_string = true;
+    } else if (text[i] == ',' || text[i] == ':') {
+      out += ' ';
+    }
+  }
+  return out;
+}
+
+/// The object in `text` with its top-level fields i and j (modulo the
+/// field count) swapped; `text` itself when it has fewer than two fields.
+std::string swapped_fields(const std::string& text, std::size_t i,
+                           std::size_t j) {
+  std::vector<std::pair<std::string_view, std::string_view>> fields;
+  const bool whole = support::json::for_each_field(
+      text, [&fields](std::string_view key, std::string_view value) {
+        fields.emplace_back(key, value);
+        return true;
+      });
+  if (!whole || fields.size() < 2) return text;
+  i %= fields.size();
+  j %= fields.size();
+  if (i == j) j = (i + 1) % fields.size();
+  std::swap(fields[i], fields[j]);
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
+    out += value;
+  }
+  out += '}';
+  return out;
+}
+
 /// Valid frames of every kind the decoders read, with integers every
-/// decoder admits.
+/// decoder admits.  Besides the encoders' own layout, which the decoders
+/// read first, the seeds hold frames that decode only through the field
+/// scan: json.dumps spacing, swapped fields and escaped quotes.
 std::vector<std::string> seed_frames(Rng& rng) {
   std::vector<std::string> seeds = {
       serve::ping_request(), serve::stats_request("t-1"),
@@ -967,6 +1021,16 @@ std::vector<std::string> seed_frames(Rng& rng) {
     for (serve::Prediction& r : results) r = decodable_prediction(rng);
     seeds.push_back(serve::batch_json(results));
   }
+  const std::size_t canonical = seeds.size();
+  for (std::size_t i = 0; i < canonical; ++i) {
+    seeds.push_back(respaced(seeds[i]));
+    seeds.push_back(swapped_fields(seeds[i], rng.below(8), rng.below(8)));
+  }
+  serve::Prediction quoted = decodable_prediction(rng);
+  quoted.ok = true;
+  quoted.source = "say \"exact\"";
+  seeds.push_back(serve::prediction_json(quoted));
+  seeds.push_back(serve::predict_request({"B\"T", "S", 4, 2}, "t\"1"));
   return seeds;
 }
 
@@ -1058,6 +1122,146 @@ TEST(WireCodecDecoders, SameAsTheReferenceOverRandomMutations) {
   // The sweep must reach the field decoders, not only the scanner's
   // refusals.
   EXPECT_GT(accepted, kMutations / 4);
+}
+
+/// A served exact answer, as tests/data/served_frames.txt pins its kind.
+const std::string kExactAnswer =
+    R"({"ok":true,"app":"BT","config":"S","ranks":4,"chain":2,)"
+    R"("coupling_s":0.26123873079507093,"summation_s":0.27503180720945508,)"
+    R"("actual_s":0.27221431246075539,"coupling_err":0.040319634799756504,)"
+    R"("summation_err":0.010350281450046394,"alpha":"exact",)"
+    R"("inputs":"measured","source":"exact","cache":"hit","snapshot":1})";
+
+/// kExactAnswer with the first `from` replaced by `to`.
+std::string exact_answer_with(const std::string& from, const std::string& to) {
+  std::string text = kExactAnswer;
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// Each way a text leaves the encoders' layout, where the decoders switch
+/// to the field scan: the answer must be the reference decoder's.
+TEST(WireCodecDecoders, LayoutDeparturesDecodeAsTheReference) {
+  serve::Request reused;
+  const auto same = [&reused](const std::string& text) {
+    SCOPED_TRACE(text);
+    expect_same_decoding(text, &reused);
+    return serve::parse_prediction(text);
+  };
+
+  // The layout itself, and its echoed trace id.
+  auto p = same(kExactAnswer);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.ranks, 4);
+  EXPECT_TRUE(p->cache_hit);
+  p = same(exact_answer_with("}", ",\"trace_id\":\"c0-17\"}"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->snapshot_version, 1u);
+
+  // A duplicate key, next to the first or after the last field: the first
+  // one still wins.
+  p = same(exact_answer_with("\"app\":\"BT\"", "\"app\":\"BT\",\"app\":\"SP\""));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.application, "BT");
+  p = same(exact_answer_with("\"snapshot\":1}",
+                             "\"snapshot\":1,\"ranks\":5}"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.ranks, 4);
+
+  // "ok" is true only when its value is exactly `true`.
+  p = same(exact_answer_with("\"ok\":true", "\"ok\":trueX"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_FALSE(p->ok);
+  EXPECT_EQ(p->source, "exact");
+
+  // A fraction is refused; an exponent spelling of an integer is read.
+  EXPECT_FALSE(same(exact_answer_with("\"ranks\":4", "\"ranks\":4.9")));
+  p = same(exact_answer_with("\"ranks\":4", "\"ranks\":1e3"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.ranks, 1000);
+
+  // A double parse_double refuses reads as absent; -0 keeps its sign.
+  for (const char* refused : {"nan", "1e400", "inf"}) {
+    p = same(exact_answer_with("0.26123873079507093", refused));
+    ASSERT_TRUE(p.has_value()) << refused;
+    EXPECT_TRUE(std::isnan(p->coupling_s)) << refused;
+    EXPECT_EQ(p->summation_s, 0.27503180720945508) << refused;
+  }
+  p = same(exact_answer_with("0.26123873079507093", "-0"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(bits_of(p->coupling_s), bits_of(-0.0));
+
+  // Bytes the encoder escapes: a raw control byte, an escaped quote.
+  p = same(exact_answer_with("\"BT\"", "\"B\x01T\""));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.application, "B\x01T");
+  p = same(exact_answer_with("\"BT\"", "\"B\\\"T\""));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.application, "B\"T");
+
+  // Whitespace, and a field out of order.
+  p = same(exact_answer_with(",\"chain\":2", ", \"chain\" : 2"));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.chain_length, 2u);
+  p = same(exact_answer_with("\"app\":\"BT\",\"config\":\"S\"",
+                             "\"config\":\"S\",\"app\":\"BT\""));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->key.application, "BT");
+
+  // A cut text is refused whichever path reads it.
+  EXPECT_FALSE(same(kExactAnswer.substr(0, kExactAnswer.size() - 1)));
+}
+
+TEST(WireCodecDecoders, PredictLayoutDeparturesDecodeAsTheReference) {
+  serve::Request reused;
+  const auto same = [&reused](const std::string& text) {
+    SCOPED_TRACE(text);
+    expect_same_decoding(text, &reused);
+    return serve::parse_request(text);
+  };
+  // A trace id longer than kMaxTraceIdBytes is cut on the layout path too.
+  const std::string long_id(serve::kMaxTraceIdBytes + 9, 'x');
+  auto r = same(serve::predict_request({"bt", "S", 4, 2}, long_id));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->trace_id, std::string(serve::kMaxTraceIdBytes, 'x'));
+  r = same(serve::predict_request({"bt", "S", 4, 2}, accented_trace_id()));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->trace_id, cut_trace_id(accented_trace_id()));
+
+  const std::string canonical =
+      R"({"op":"predict","app":"bt","config":"S","ranks":4,"chain":2})";
+  r = same(canonical);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->trace_id.empty());
+  ASSERT_EQ(r->queries.size(), 1u);
+  EXPECT_EQ(r->queries[0], (serve::QueryKey{"bt", "S", 4, 2}));
+
+  const auto with_ranks = [](const std::string& ranks) {
+    return R"({"op":"predict","app":"bt","config":"S","ranks":)" + ranks +
+           R"(,"chain":2})";
+  };
+  EXPECT_FALSE(same(with_ranks("4.9")));
+  EXPECT_FALSE(same(with_ranks("0")));
+  r = same(with_ranks("1e3"));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->queries[0].ranks, 1000);
+  // A duplicate after the layout's last field: the first one wins.
+  r = same(with_ranks("4,\"chain\":2,\"ranks\":9"));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->queries[0].ranks, 4);
+  // json.dumps spacing, reordered keys, escapes and a raw control byte.
+  for (const std::string& text :
+       {respaced(canonical), swapped_fields(canonical, 0, 1),
+        std::string(R"({"op":"predict","app":"b\u0074","config":"S",)"
+                    R"("ranks":4,"chain":2})"),
+        std::string("{\"op\":\"predict\",\"app\":\"b\x01t\",\"config\":\"S\","
+                    "\"ranks\":4,\"chain\":2}")}) {
+    r = same(text);
+    ASSERT_TRUE(r.has_value()) << text;
+    EXPECT_EQ(r->queries[0].ranks, 4) << text;
+  }
 }
 
 // --- The one integer rule on every surface ----------------------------------
